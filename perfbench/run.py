@@ -241,11 +241,6 @@ def generate(workload, seed, name):
         capture.unlink(missing_ok=True)
 
 
-def recorded_inputs(workload):
-    return json.loads((HERE / "workloads.json").read_text())[
-        "workloads"][workload]["seed_1"]
-
-
 def input_drift(seed_1, recorded):
     """Compares a fresh seed-1 capture with the one workloads.json
     records; a difference means the generator (src/workload) or the
@@ -264,7 +259,7 @@ def describe():
     doc = json.loads((HERE / "workloads.json").read_text())
     for name in WORKLOADS:
         meta = generate(name, 1, f"describe-{name}.rne1")
-        drift = input_drift(meta, recorded_inputs(name))
+        drift = input_drift(meta, doc["workloads"][name]["seed_1"])
         log(f"{name}: {'CHANGED: ' + drift if drift else 'unchanged'}")
         entry = doc["workloads"][name]
         entry["threads"] = WORKLOADS[name]["threads"]
@@ -303,7 +298,8 @@ def measure(workload, spec, seed, seconds, trace, threads, capture):
         f"{time.monotonic() - started:.1f} s")
     problems = []
     seed_1 = meta if seed == 1 else generate(workload, 1, capture.name + ".1")
-    drift = input_drift(seed_1, recorded_inputs(workload))
+    recorded = json.loads((HERE / "workloads.json").read_text())
+    drift = input_drift(seed_1, recorded["workloads"][workload]["seed_1"])
     log(f"inputs: seed-1 capture "
         f"{'differs: ' + drift if drift else 'matches workloads.json'}")
     if drift:
