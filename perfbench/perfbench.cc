@@ -786,10 +786,10 @@ int TraceServe(const std::string& capture, std::size_t threads,
   // ticks: each tick's window rebuilt by the live loop's rule — events in
   // [tick_end - window, tick_end), stamped with the tick that ingested
   // them (the first boundary strictly after their time), markers dropped —
-  // then AnalyzeWindow, Stem, first-seen stem dedup, and provenance for
-  // each new incident.  The captures carry no markers; one that did would
-  // mark incidents feed-degraded, which the re-enactment does not
-  // reproduce, so the incident comparison would fail.
+  // then AnalyzeWindow, first-seen stem dedup, and provenance for each new
+  // incident.  The captures carry no markers; one that did would mark
+  // incidents feed-degraded, which the re-enactment does not reproduce,
+  // so the incident comparison would fail.
   const util::SimTime t0 = stream.front().time;
   std::vector<bgp::Event> routing;
   routing.reserve(stream.size());
@@ -799,33 +799,32 @@ int TraceServe(const std::string& capture, std::size_t threads,
     routing.back().ingest_tick =
         t0 + ((e.time - t0) / options.tick + 1) * options.tick;
   }
+  const auto for_each_window = [&](const auto& fn) {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    for (std::size_t k = 0; k < tick_ends.size(); ++k) {
+      const util::SimTime tick_end = tick_ends[k];
+      while (hi < routing.size() && routing[hi].time < tick_end) ++hi;
+      while (lo < hi && routing[lo].time < tick_end - options.window) ++lo;
+      fn(k, tick_end,
+         std::span<const bgp::Event>(routing.data() + lo, hi - lo));
+    }
+  };
   const core::Pipeline pipeline(options.pipeline);
-  util::ThreadPool stem_pool(threads);
-  stemming::StemmingOptions stem_options = options.pipeline.stemming;
-  stem_options.pool = &stem_pool;
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
   std::vector<IncidentKey> reenacted;
-  StemTotals stem;
   double analyze_window_s = 0.0;
   double provenance_s = 0.0;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  for (std::size_t k = 0; k < tick_ends.size(); ++k) {
-    const util::SimTime tick_end = tick_ends[k];
+  for_each_window([&](std::size_t k, util::SimTime tick_end,
+                      std::span<const bgp::Event> window) {
     const auto tick = static_cast<long long>(k + 1);
     const Clock::time_point reenact_begin = Clock::now();
-    while (hi < routing.size() && routing[hi].time < tick_end) ++hi;
-    while (lo < hi && routing[lo].time < tick_end - options.window) ++lo;
-    const std::span<const bgp::Event> window(routing.data() + lo, hi - lo);
     std::vector<core::Incident> found;
     const double aw_s = spans.Time("core.Pipeline.AnalyzeWindow", tick, [&] {
       found = pipeline.AnalyzeWindow(window);
     });
     analyze_window_s += aw_s;
     layer_tick_s[k] += aw_s;
-    stem.stem_s += spans.Time("stemming.Stem", tick, [&] {
-      stem.Add(stemming::Stem(window, stem_options).stats);
-    });
     for (core::Incident& inc : found) {
       if (!seen.insert(inc.stem_key).second) continue;
       inc.detected_at = tick_end;
@@ -838,7 +837,22 @@ int TraceServe(const std::string& capture, std::size_t threads,
       layer_tick_s[k] += prov_s;
     }
     spans.Add("perfbench.reenact", reenact_begin, Clock::now(), tick);
-  }
+  });
+  // The stemming figures come from a pass of their own.  A Stem call
+  // between two AnalyzeWindow calls, which the live loop never makes,
+  // changes what the allocator keeps mapped; on a host where page faults
+  // were expensive it doubled the re-enacted AnalyzeWindow seconds.
+  util::ThreadPool stem_pool(threads);
+  stemming::StemmingOptions stem_options = options.pipeline.stemming;
+  stem_options.pool = &stem_pool;
+  StemTotals stem;
+  for_each_window([&](std::size_t k, util::SimTime,
+                      std::span<const bgp::Event> window) {
+    const auto tick = static_cast<long long>(k + 1);
+    stem.stem_s += spans.Time("stemming.Stem", tick, [&] {
+      stem.Add(stemming::Stem(window, stem_options).stats);
+    });
+  });
   const double traced_s = setup_s + SecondsSince(start);
 
   // Each checkpoint period (the ticks up to and including one snapshot
