@@ -57,8 +57,10 @@ DETECT_WITHIN_S = 300.0    # an anomaly counts as detected within this
 ANIMATION_FRAMES = 750     # tamp::AnimationOptions: 30 s at 25 fps
 SETUP_SAMPLES = 11         # setup_s is the median of this many processes
 # The traced run fails when its layers account for less than this share
-# of its end-to-end seconds (a re-enactment gone stale; see README.md).
-COVERAGE_MIN = 0.90
+# of its end-to-end seconds: a re-enactment gone stale (README.md).  Host
+# drift between the replay and the re-enactment costs healthy runs up to
+# ~6 %; a stale one reads far lower (0.31 with AnalyzeWindow counted twice).
+COVERAGE_MIN = 0.75
 
 END_TO_END = [
     ("events_per_s", "events/s"),
