@@ -154,8 +154,9 @@ int RunPaired(int pairs) {
 
   run(bare);  // one warm-up of each side before anything is recorded
   run(checkpointed);
-  std::printf("{\"checkpoint_every_ticks\": %d, \"pairs\": [",
-              checkpointed.checkpoint_every_ticks);
+  std::printf("{\"checkpoint_every_ticks\": %llu, \"pairs\": [",
+              static_cast<unsigned long long>(
+                  checkpointed.checkpoint_every_ticks));
   for (int i = 0; i < pairs; ++i) {
     double bare_ns = 0.0;
     double checkpointed_ns = 0.0;

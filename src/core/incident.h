@@ -82,10 +82,10 @@ struct Incident {
   double detection_latency_sec = -1.0;
   // Evidence record for the provenance ledger (obs/provenance.h):
   // sampled contributing events, stem classes, and the correlation path.
-  // Populated only when PipelineOptions::provenance is set (and the
-  // build doesn't define RANOMALY_NO_PROVENANCE); the live runner moves
-  // it into the ledger at append time, so logged incidents carry an
-  // empty record.
+  // Populated only by Pipeline::PopulateProvenance, which the live
+  // runner calls for new incidents when a ledger is attached; the runner
+  // moves it into the ledger at append time, so logged incidents carry
+  // an empty record.
   obs::IncidentProvenance provenance;
 };
 

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -47,16 +46,6 @@ std::string PeerComponentName(bgp::Ipv4Addr peer) {
   return "peer/" + peer.ToString();
 }
 
-// Degradation-ladder runtime state (persisted via the SHED section).
-struct ShedState {
-  int level = 0;
-  std::uint64_t calm_ticks = 0;     // consecutive below-watermark ticks
-  std::uint64_t arrival_index = 0;  // deterministic L3 sampling phase
-  bool tracer_suspended = false;
-  bool tracer_was_enabled = false;
-  std::vector<ShedWindow> windows;
-};
-
 const char* ShedLevelAction(int level) {
   switch (level) {
     case 1: return "tracing suspended";
@@ -64,15 +53,6 @@ const char* ShedLevelAction(int level) {
     case 3: return "sampling arrivals";
   }
   return "nominal";
-}
-
-// The latency histogram bucket an incident falls in; must mirror the
-// SLOH cross-check in live_checkpoint.cc.
-std::size_t LatencyBucket(const std::vector<double>& bounds, double latency) {
-  for (std::size_t b = 0; b < bounds.size(); ++b) {
-    if (latency <= bounds[b]) return b;
-  }
-  return bounds.size();  // overflow
 }
 
 }  // namespace
@@ -145,19 +125,18 @@ std::string IncidentLog::ToJson(std::uint64_t since) const {
 // ---------------------------------------------------------------------------
 // PeerBoard
 
-PeerBoard::State& PeerBoard::Of(bgp::Ipv4Addr peer) {
-  for (auto& [addr, state] : peers_) {
-    if (addr == peer.value()) return state;
+PeerBoard::Persisted& PeerBoard::Of(bgp::Ipv4Addr peer) {
+  for (Persisted& state : peers_) {
+    if (state.row.peer == peer) return state;
   }
-  peers_.emplace_back(peer.value(), State{});
-  State& state = peers_.back().second;
+  Persisted& state = peers_.emplace_back();
   state.row.peer = peer;
   state.row.first_seen = -1;
   return state;
 }
 
 void PeerBoard::Observe(const bgp::Event& event) {
-  State& s = Of(event.peer);
+  Persisted& s = Of(event.peer);
   Row& row = s.row;
   if (row.first_seen < 0) row.first_seen = event.time;
   row.last_seen = event.time;
@@ -188,7 +167,7 @@ void PeerBoard::Observe(const bgp::Event& event) {
 }
 
 void PeerBoard::Finish(util::SimTime end) {
-  for (auto& [addr, s] : peers_) {
+  for (Persisted& s : peers_) {
     if (s.gap_open >= 0 && end > s.gap_open) {
       // Open gap: accrue degraded time up to the close of books, but keep
       // the gap open (the peer is still degraded).
@@ -199,31 +178,10 @@ void PeerBoard::Finish(util::SimTime end) {
   }
 }
 
-std::vector<PeerBoard::Persisted> PeerBoard::Export() const {
-  std::vector<Persisted> out;
-  out.reserve(peers_.size());
-  for (const auto& [addr, s] : peers_) {
-    out.push_back(Persisted{s.row, s.gap_open, s.gap_sec});
-  }
-  return out;
-}
-
-void PeerBoard::Restore(std::vector<Persisted> states) {
-  peers_.clear();
-  peers_.reserve(states.size());
-  for (Persisted& p : states) {
-    State s;
-    s.row = std::move(p.row);
-    s.gap_open = p.gap_open;
-    s.gap_sec = p.gap_sec;
-    peers_.emplace_back(s.row.peer.value(), std::move(s));
-  }
-}
-
 std::vector<PeerBoard::Row> PeerBoard::Rows() const {
   std::vector<Row> out;
   out.reserve(peers_.size());
-  for (const auto& [addr, s] : peers_) {
+  for (const Persisted& s : peers_) {
     Row row = s.row;
     if (row.first_seen < 0) row.first_seen = 0;
     const double span = util::ToSeconds(row.last_seen - row.first_seen);
@@ -263,6 +221,14 @@ std::string FormatPeerTable(const std::vector<PeerBoard::Row>& rows) {
 
 std::vector<double> DetectionLatencyBounds() {
   return {1, 2, 5, 10, 15, 30, 60, 120, 300, 900};
+}
+
+std::size_t DetectionLatencyBucket(const std::vector<double>& bounds,
+                                   double latency_sec) {
+  return static_cast<std::size_t>(
+      std::find_if(bounds.begin(), bounds.end(),
+                   [latency_sec](double b) { return latency_sec <= b; }) -
+      bounds.begin());
 }
 
 LiveRunner::LiveRunner(LiveOptions options, obs::HealthRegistry* health,
@@ -315,7 +281,10 @@ LiveStats LiveRunner::Run(
     const collector::EventStream& stream,
     const std::atomic<bool>* keep_going,
     const std::function<void(const LiveStats&)>& on_tick) {
-  LiveStats stats;
+  // Everything a checkpoint persists, worked on in place: a snapshot
+  // encodes this state as it stands and a restore replaces it whole.
+  LiveCheckpointState st;
+  LiveStats& stats = st.stats;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   const std::vector<double> latency_bounds = DetectionLatencyBounds();
   const obs::MetricId latency_id =
@@ -374,7 +343,12 @@ LiveStats LiveRunner::Run(
   const bool checkpointing = !options_.checkpoint_path.empty() &&
                              options_.checkpoint_every_ticks > 0;
 
-  std::size_t next = 0;
+  st.t0 = t0;
+  // st.incidents mirrors the incident log and st.latency_counts the
+  // histogram, so checkpoints are cut without reaching into the (shared)
+  // sinks.
+  st.latency_counts.assign(latency_bounds.size() + 1, 0);
+  std::uint64_t& next = st.next_event;
   std::vector<bgp::Event> window;
   std::vector<bgp::Event> queue;  // routing events awaiting analysis, FIFO
   // Stream index of each in-flight event, maintained in lockstep with
@@ -383,14 +357,7 @@ LiveStats LiveRunner::Run(
   // stream file is the source of truth, and restore re-reads it.
   std::vector<std::uint64_t> window_idx;
   std::vector<std::uint64_t> queue_idx;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> seen_stems;
-  std::vector<LiveGap> gaps;
   PeerBoard board;
-  ShedState shed;
-  // Mirror of the incident log plus histogram counts, kept so checkpoints
-  // can be cut without reaching into the (shared) sinks.
-  std::vector<IncidentLog::Entry> logged;
-  std::vector<std::uint64_t> latency_counts(latency_bounds.size() + 1, 0);
   bool complete = false;
 
   const auto peer_health_reason = [](const LiveGap& gap) {
@@ -412,22 +379,23 @@ LiveStats LiveRunner::Run(
       reg.Add(restore_failures_id, 1);
     };
     collector::LoadDiagnostics diag;
-    LiveCheckpointState st;
+    LiveCheckpointState restored;
     std::string err;
     const std::optional<collector::Checkpoint> ck =
         collector::ReadCheckpointFile(options_.checkpoint_path, &diag);
     if (!ck.has_value()) {
       reject(diag.ToString());
-    } else if (!DecodeLiveState(*ck, &st, &err)) {
+    } else if (!DecodeLiveState(*ck, &restored, &err)) {
       reject(err);
-    } else if (st.t0 != t0) {
+    } else if (restored.t0 != t0) {
       reject("section LIVE: t0 does not match the stream");
-    } else if (st.next_event > events.size()) {
+    } else if (restored.next_event > events.size()) {
       reject("section LIVE: cursor beyond the end of the stream");
-    } else if (incidents_ != nullptr && !incidents_->Restore(st.incidents)) {
+    } else if (incidents_ != nullptr &&
+               !incidents_->Restore(restored.incidents)) {
       reject("section INCD: incident log rejected the entries");
     } else if (series_ != nullptr &&
-               !series_->Restore(std::move(st.series_store), &err)) {
+               !series_->Restore(std::move(restored.series_store), &err)) {
       // Tier shape is configuration: a checkpoint cut under different
       // retention tiers must not seed this store's rings.  The incident
       // log was already replaced above; empty it again so the fresh
@@ -435,7 +403,7 @@ LiveStats LiveRunner::Run(
       if (incidents_ != nullptr) incidents_->Restore({});
       reject("section SERS: " + err);
     } else if (provenance_ != nullptr &&
-               !provenance_->Restore(std::move(st.provenance), &err)) {
+               !provenance_->Restore(std::move(restored.provenance), &err)) {
       // Same unwind discipline as SERS: the incident log and series
       // store were already replaced above; empty them again so the
       // fresh replay starts from a consistent nothing.
@@ -443,8 +411,11 @@ LiveStats LiveRunner::Run(
       if (series_ != nullptr) series_->Restore({}, nullptr);
       reject("section PROV: " + err);
     } else {
-      next = static_cast<std::size_t>(st.next_event);
-      stats = st.stats;
+      st = std::move(restored);
+      // The sinks own the SERS/PROV contents now; snapshots export anew.
+      st.series_store = {};
+      st.provenance = {};
+      board.Restore(std::move(st.peers));
       // Rebuild the in-flight containers from the stream: the FLOW
       // section records only each event's admission class.  The ingest
       // stamp is derivable — consumption always happens at the first
@@ -464,17 +435,6 @@ LiveStats LiveRunner::Run(
           queue_idx.push_back(st.flow_start + k);
         }
       }
-      seen_stems.insert(st.seen_stems.begin(), st.seen_stems.end());
-      gaps = std::move(st.gaps);
-      board.Restore(std::move(st.peers));
-      shed.level = st.shed_level;
-      shed.calm_ticks = st.calm_ticks;
-      shed.arrival_index = st.arrival_index;
-      shed.tracer_suspended = st.tracer_suspended;
-      shed.tracer_was_enabled = st.tracer_was_enabled;
-      shed.windows = std::move(st.shed_windows);
-      logged = std::move(st.incidents);
-      latency_counts = std::move(st.latency_counts);
       // Rebuild the external surfaces the snapshot implies: metrics
       // counters resume, the latency histogram is re-observed exactly
       // (simulated values), and degraded peers re-report.
@@ -482,7 +442,7 @@ LiveStats LiveRunner::Run(
       reg.Add(ticks_id, static_cast<double>(stats.ticks));
       reg.Add(incidents_id, static_cast<double>(stats.incidents));
       reg.Add(shed_id, static_cast<double>(stats.events_shed));
-      for (const IncidentLog::Entry& e : logged) {
+      for (const IncidentLog::Entry& e : st.incidents) {
         reg.Observe(latency_id, e.incident.detection_latency_sec);
       }
       if (stats.incidents > 0) {
@@ -490,22 +450,22 @@ LiveStats LiveRunner::Run(
                             static_cast<double>(stats.incidents));
       }
       reg.Set(position_id, util::ToSeconds(stats.clock));
-      if (shed.tracer_suspended) obs::Tracer::Global().SetEnabled(false);
+      if (st.tracer_suspended) obs::Tracer::Global().SetEnabled(false);
       if (health_ != nullptr) {
         for (const PeerBoard::Row& row : board.Rows()) {
           health_->Register(PeerComponentName(row.peer));
         }
-        for (const LiveGap& gap : gaps) {
+        for (const LiveGap& gap : st.gaps) {
           if (!gap.closed) {
             peer_health(gap.peer, obs::HealthState::kDegraded,
                         peer_health_reason(gap));
           }
         }
-        if (shed.level > 0) {
+        if (st.shed_level > 0) {
           health_->SetState(
               ingest_id, obs::HealthState::kDegraded,
-              util::StrPrintf("load shed L%d: %s", shed.level,
-                              ShedLevelAction(shed.level)));
+              util::StrPrintf("load shed L%d: %s", st.shed_level,
+                              ShedLevelAction(st.shed_level)));
         }
       }
       reg.Add(restores_id, 1);
@@ -528,22 +488,8 @@ LiveStats LiveRunner::Run(
       stats.ticks + options_.checkpoint_every_ticks;
   std::uint64_t retry_backoff = 0;
   const auto make_checkpoint = [&]() -> collector::Checkpoint {
-    LiveCheckpointState st;
-    st.t0 = t0;
-    st.next_event = next;
-    st.stats = stats;
-    st.shed_level = shed.level;
-    st.calm_ticks = shed.calm_ticks;
-    st.arrival_index = shed.arrival_index;
-    st.tracer_suspended = shed.tracer_suspended;
-    st.tracer_was_enabled = shed.tracer_was_enabled;
-    st.shed_windows = shed.windows;
-    st.seen_stems.assign(seen_stems.begin(), seen_stems.end());
-    st.gaps = gaps;
+    // The rest of `st` is already current; fill in what lives elsewhere.
     st.peers = board.Export();
-    st.latency_counts = latency_counts;
-    if (series_ != nullptr) st.series_store = series_->Export();
-    if (provenance_ != nullptr) st.provenance = provenance_->Export();
     // In-flight events persist as 2-bit admission classes over the
     // stream range [flow_start, next): window entries always precede
     // queue entries, so the front of window_idx (or queue_idx when the
@@ -551,14 +497,17 @@ LiveStats LiveRunner::Run(
     st.flow_start = !window_idx.empty()
                         ? window_idx.front()
                         : (!queue_idx.empty() ? queue_idx.front() : next);
-    st.flow.assign(next - static_cast<std::size_t>(st.flow_start), 0);
+    st.flow.assign(next - st.flow_start, 0);
     for (const std::uint64_t i : window_idx) st.flow[i - st.flow_start] = 1;
     for (const std::uint64_t i : queue_idx) st.flow[i - st.flow_start] = 2;
+    // The series and ledger exports are the bulk of a snapshot; they
+    // exist only for this encode.
+    if (series_ != nullptr) st.series_store = series_->Export();
+    if (provenance_ != nullptr) st.provenance = provenance_->Export();
     collector::Checkpoint ck;
-    // The incident log is encoded by reference (borrowing overload):
-    // copying it into `st` costs three string allocations per entry, and
-    // the snapshot is cut on the replay thread.
-    EncodeLiveState(st, logged, ck);
+    EncodeLiveState(st, ck);
+    st.series_store = {};
+    st.provenance = {};
     return ck;
   };
   const auto write_checkpoint = [&]() -> bool {
@@ -623,21 +572,22 @@ LiveStats LiveRunner::Run(
   // Ladder transitions: escalation is immediate, de-escalation steps one
   // stage per recovery window (the caller loop applies the hysteresis).
   const auto set_shed_level = [&](int to, util::SimTime now) {
-    const int from = shed.level;
+    const int from = st.shed_level;
     if (to == from) return;
-    if (to >= 1 && !shed.tracer_suspended) {
-      shed.tracer_was_enabled = obs::Tracer::Global().enabled();
+    if (to >= 1 && !st.tracer_suspended) {
+      st.tracer_was_enabled = obs::Tracer::Global().enabled();
       obs::Tracer::Global().SetEnabled(false);
-      shed.tracer_suspended = true;
+      st.tracer_suspended = true;
     }
-    if (to == 0 && shed.tracer_suspended) {
-      obs::Tracer::Global().SetEnabled(shed.tracer_was_enabled);
-      shed.tracer_suspended = false;
+    if (to == 0 && st.tracer_suspended) {
+      obs::Tracer::Global().SetEnabled(st.tracer_was_enabled);
+      st.tracer_suspended = false;
     }
     if (to >= 3 && from < 3) {
-      shed.windows.push_back(ShedWindow{now, now, false});
+      st.shed_windows.push_back(ShedWindow{now, now, false});
     } else if (to < 3 && from >= 3) {
-      for (auto it = shed.windows.rbegin(); it != shed.windows.rend(); ++it) {
+      for (auto it = st.shed_windows.rbegin(); it != st.shed_windows.rend();
+           ++it) {
         if (!it->closed) {
           it->closed = true;
           it->end = now;
@@ -645,7 +595,7 @@ LiveStats LiveRunner::Run(
         }
       }
     }
-    shed.level = to;
+    st.shed_level = to;
     ++stats.shed_transitions;
     reg.Add(reg.Counter("serve_shed_transitions_total" +
                         obs::PromLabels(
@@ -685,7 +635,7 @@ LiveStats LiveRunner::Run(
     // earliest moment the pipeline could have analyzed these events.
     // The level chosen at the *previous* boundary governs L3 sampling,
     // so shedding is a pure function of checkpointed state.
-    const int ingest_level = shed.level;
+    const int ingest_level = st.shed_level;
     while (next < events.size() && events[next].time < tick_end) {
       bgp::Event event = events[next];
       ++next;
@@ -695,11 +645,12 @@ LiveStats LiveRunner::Run(
       reg.Add(ingested_id, 1);
       if (event.type == bgp::EventType::kFeedGap) {
         bool already_open = false;
-        for (const LiveGap& g : gaps) {
+        for (const LiveGap& g : st.gaps) {
           already_open |= !g.closed && g.peer == event.peer;
         }
         if (!already_open) {
-          gaps.push_back(LiveGap{event.peer, event.time, event.time, false});
+          st.gaps.push_back(
+              LiveGap{event.peer, event.time, event.time, false});
         }
         peer_health(event.peer, obs::HealthState::kDegraded,
                     util::StrPrintf("feed gap open since %.0fs",
@@ -707,7 +658,7 @@ LiveStats LiveRunner::Run(
         continue;  // markers are never queued (or shed): bookkeeping only
       }
       if (event.type == bgp::EventType::kResync) {
-        for (auto it = gaps.rbegin(); it != gaps.rend(); ++it) {
+        for (auto it = st.gaps.rbegin(); it != st.gaps.rend(); ++it) {
           if (!it->closed && it->peer == event.peer) {
             it->closed = true;
             it->end = event.time;
@@ -721,9 +672,9 @@ LiveStats LiveRunner::Run(
         health_->Register(PeerComponentName(event.peer));
       }
       // Routing event: through the (possibly shedding) bounded queue.
-      ++shed.arrival_index;
+      ++st.arrival_index;
       if (backpressure && ingest_level >= 3 &&
-          (shed.arrival_index - 1) % so.sample_stride != 0) {
+          (st.arrival_index - 1) % so.sample_stride != 0) {
         ++stats.events_shed;  // sampled out deterministically
         reg.Add(shed_id, 1);
         continue;
@@ -734,7 +685,7 @@ LiveStats LiveRunner::Run(
         continue;
       }
       queue.push_back(std::move(event));
-      queue_idx.push_back(static_cast<std::uint64_t>(next - 1));
+      queue_idx.push_back(next - 1);
     }
 
     // Degradation ladder: compare end-of-ingest depth to the watermarks.
@@ -749,16 +700,16 @@ LiveStats LiveRunner::Run(
       } else if (fill >= so.l1_watermark) {
         target = 1;
       }
-      if (target > shed.level) {
+      if (target > st.shed_level) {
         set_shed_level(target, tick_end);
-        shed.calm_ticks = 0;
-      } else if (target < shed.level) {
-        if (++shed.calm_ticks >= so.recovery_ticks) {
-          set_shed_level(shed.level - 1, tick_end);
-          shed.calm_ticks = 0;
+        st.calm_ticks = 0;
+      } else if (target < st.shed_level) {
+        if (++st.calm_ticks >= so.recovery_ticks) {
+          set_shed_level(st.shed_level - 1, tick_end);
+          st.calm_ticks = 0;
         }
       } else {
-        shed.calm_ticks = 0;
+        st.calm_ticks = 0;
       }
     }
 
@@ -790,13 +741,17 @@ LiveStats LiveRunner::Run(
     // L2+: halve the analysis cadence (every other tick covers a doubled
     // batch).  The final tick always analyzes so nothing is left behind.
     const bool analyze_now =
-        shed.level < 2 || final_tick || stats.ticks % 2 == 0;
+        st.shed_level < 2 || final_tick || stats.ticks % 2 == 0;
     if (analyze_now) {
       for (Incident& inc : pipeline_.AnalyzeWindow(window)) {
-        if (!seen_stems.insert(inc.stem_key).second) continue;  // known
+        // seen_stems stays sorted: the STEM section's order.
+        const auto seen = std::lower_bound(
+            st.seen_stems.begin(), st.seen_stems.end(), inc.stem_key);
+        if (seen != st.seen_stems.end() && *seen == inc.stem_key) continue;
+        st.seen_stems.insert(seen, inc.stem_key);
         inc.detected_at = tick_end;
         inc.detection_latency_sec = util::ToSeconds(tick_end - inc.begin);
-        for (const LiveGap& gap : gaps) {
+        for (const LiveGap& gap : st.gaps) {
           const util::SimTime gap_end = gap.closed ? gap.end : tick_end;
           if (inc.begin <= gap_end && gap.begin <= inc.end) {
             inc.feed_degraded = true;
@@ -804,7 +759,7 @@ LiveStats LiveRunner::Run(
             break;
           }
         }
-        for (const ShedWindow& w : shed.windows) {
+        for (const ShedWindow& w : st.shed_windows) {
           const util::SimTime w_end = w.closed ? w.end : tick_end;
           if (inc.begin <= w_end && w.begin <= inc.end) {
             inc.load_shed = true;
@@ -813,14 +768,13 @@ LiveStats LiveRunner::Run(
           }
         }
         reg.Observe(latency_id, inc.detection_latency_sec);
-        ++latency_counts[LatencyBucket(latency_bounds,
-                                       inc.detection_latency_sec)];
+        ++st.latency_counts[DetectionLatencyBucket(
+            latency_bounds, inc.detection_latency_sec)];
         reg.Add(incidents_id, 1);
         ++stats.incidents;
         if (inc.detection_latency_sec <= options_.slo_target_sec) {
           ++stats.incidents_within_slo;
         }
-#ifndef RANOMALY_NO_PROVENANCE
         if (provenance_ != nullptr) {
           // Build the evidence record now, after the stem dedup:
           // AnalyzeWindow re-derives every component each tick, so
@@ -836,7 +790,7 @@ LiveStats LiveRunner::Run(
           // inherits the thread- and restart-determinism contract.
           Pipeline::PopulateProvenance(window, provenance_->caps(), inc);
           obs::IncidentProvenance prov = std::move(inc.provenance);
-          prov.seq = logged.size() + 1;
+          prov.seq = st.incidents.size() + 1;
           prov.trace_tick =
               static_cast<std::uint64_t>((tick_end - t0) / options_.tick);
           prov.path.insert(prov.path.begin(),
@@ -845,7 +799,7 @@ LiveStats LiveRunner::Run(
             const std::size_t widx = static_cast<std::size_t>(pe.stream_index);
             pe.stream_index = window_idx[widx];
             const util::SimTime t = window[widx].time;
-            for (const ShedWindow& w : shed.windows) {
+            for (const ShedWindow& w : st.shed_windows) {
               const util::SimTime w_end = w.closed ? w.end : tick_end;
               if (w.begin <= t && t <= w_end) {
                 pe.admission = 1;
@@ -861,8 +815,8 @@ LiveStats LiveRunner::Run(
           provenance_->Attach(std::move(prov));
         }
         inc.provenance = {};
-#endif
-        logged.push_back(IncidentLog::Entry{logged.size() + 1, inc});
+        st.incidents.push_back(
+            IncidentLog::Entry{st.incidents.size() + 1, inc});
         if (incidents_ != nullptr) incidents_->Append(std::move(inc));
       }
       if (stats.incidents > 0) {
@@ -873,12 +827,12 @@ LiveStats LiveRunner::Run(
 
     ++stats.ticks;
     stats.clock = tick_end;
-    stats.shed_level = shed.level;
+    stats.shed_level = st.shed_level;
     stats.queue_depth = queue.size();
     reg.Add(ticks_id, 1);
     reg.Set(position_id, util::ToSeconds(tick_end));
     reg.Set(depth_id, static_cast<double>(queue.size()));
-    reg.Set(level_id, static_cast<double>(shed.level));
+    reg.Set(level_id, static_cast<double>(st.shed_level));
     reg.Set(suppressed_id, static_cast<double>(util::SuppressedLogLines()));
     if (health_ != nullptr) health_->Heartbeat(replay_id);
     sync_health_gauges();
@@ -967,9 +921,9 @@ LiveStats LiveRunner::Run(
     }
     ck_writer.join();
   }
-  if (shed.tracer_suspended) {
+  if (st.tracer_suspended) {
     // Leave the tracer as the caller configured it, not as overload left it.
-    obs::Tracer::Global().SetEnabled(shed.tracer_was_enabled);
+    obs::Tracer::Global().SetEnabled(st.tracer_was_enabled);
   }
   return stats;
 }
@@ -997,12 +951,6 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
     } else if (request.path == "/varz") {
       std::string body = "{\"build\":{\"project\":\"ranomaly\",\"tracing\":";
 #ifdef RANOMALY_NO_TRACING
-      body += "false";
-#else
-      body += "true";
-#endif
-      body += ",\"provenance\":";
-#ifdef RANOMALY_NO_PROVENANCE
       body += "false";
 #else
       body += "true";

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collector/event_stream.h"
@@ -112,25 +113,20 @@ class PeerBoard {
   // Rows sorted by peer address.
   std::vector<Row> Rows() const;
 
-  // Checkpoint export/restore: the full internal state (rows plus open
-  // gap bookkeeping) in observation order, so a restored board continues
-  // bit-identically.
+  // One peer's full state: its row plus open-gap bookkeeping.  Export
+  // and Restore carry all of them in observation order (the checkpoint's
+  // PEER section), so a restored board continues bit-identically.
   struct Persisted {
     Row row;
     util::SimTime gap_open = -1;   // begin of the currently open gap
     double gap_sec = 0.0;          // accumulated in-gap seconds
   };
-  std::vector<Persisted> Export() const;
-  void Restore(std::vector<Persisted> states);
+  const std::vector<Persisted>& Export() const { return peers_; }
+  void Restore(std::vector<Persisted> peers) { peers_ = std::move(peers); }
 
  private:
-  struct State {
-    Row row;
-    util::SimTime gap_open = -1;   // begin of the currently open gap
-    double gap_sec = 0.0;          // accumulated in-gap seconds
-  };
-  std::vector<std::pair<std::uint32_t, State>> peers_;  // keyed by addr
-  State& Of(bgp::Ipv4Addr peer);
+  std::vector<Persisted> peers_;  // observation order
+  Persisted& Of(bgp::Ipv4Addr peer);
 };
 
 // Renders the `ranomaly peers` scoreboard table.
@@ -227,11 +223,10 @@ struct LiveStats {
 // runner samples the registry into it at every tick boundary (sim-time
 // stamps), restores its history from the checkpoint's SERS section, and
 // includes it in every checkpoint it cuts.  With a provenance ledger
-// attached, the pipeline builds an evidence record per incident
-// (PipelineOptions::provenance is forced on, caps copied from the
-// ledger) and the runner attaches it under the incident's log seq,
-// restoring/persisting the ledger through the PROV section the same
-// way.
+// attached, the runner builds an evidence record for each new incident
+// (Pipeline::PopulateProvenance, bounded by the ledger's caps) and
+// attaches it under the incident's log seq, restoring/persisting the
+// ledger through the PROV section the same way.
 class LiveRunner {
  public:
   LiveRunner(LiveOptions options, obs::HealthRegistry* health,
@@ -305,5 +300,11 @@ obs::HttpServer::Handler MakeOpsHandler(
 // Upper bucket bounds (simulated seconds) for the
 // incident_detection_latency_seconds histogram.
 std::vector<double> DetectionLatencyBounds();
+
+// The bucket a detection latency falls in: the index of the first bound
+// in `bounds` it does not exceed, or bounds.size() (overflow).  The
+// runner's SLOH counts and their checkpoint cross-check both use it.
+std::size_t DetectionLatencyBucket(const std::vector<double>& bounds,
+                                   double latency_sec);
 
 }  // namespace ranomaly::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
+#include <string_view>
 
 #include "collector/binary_io.h"
 #include "stemming/stemming.h"
@@ -20,703 +20,464 @@ constexpr std::uint8_t kSectionLayoutVersion = 1;
 constexpr std::uint32_t kMaxString = 1 << 16;
 constexpr std::uint64_t kMaxEntries = 1u << 24;
 
-void PutF64(io::StringSink& os, double v) {
-  io::Put<std::uint64_t>(os, std::bit_cast<std::uint64_t>(v));
-}
+// ---------------------------------------------------------------------------
+// The section codec.  Each section's layout is one function template
+// below, run by a Writer to encode and by a Reader to decode, so the
+// two directions cannot disagree.  Verbs name the wire type: U8 / U32 /
+// U64 / I64 / F64 (IEEE-754 bits), Bool (u8 0|1), Addr (u32), Str (u32
+// length + bytes).  Count32/Count64 carry a container's element count
+// and Each runs the element layout once per element.  Check states a
+// decode-time validation; the Writer ignores it.
 
-bool GetF64(io::Reader& r, double& v) {
-  std::uint64_t u = 0;
-  if (!r.Get(u)) return false;
-  v = std::bit_cast<double>(u);
-  return true;
-}
+// A Writer sink that only counts, so a section can be sized before it
+// is written.
+struct ByteCounter {
+  std::size_t size = 0;
+  void write(const char*, std::streamsize n) {
+    size += static_cast<std::size_t>(n);
+  }
+};
 
-void PutString(io::StringSink& os, const std::string& s) {
-  io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
+// Sink is io::StringSink (encode) or ByteCounter (size the encode).
+template <typename Sink>
+class Writer {
+ public:
+  static constexpr bool kDecode = false;
 
-bool GetString(io::Reader& r, std::string& s) {
-  std::uint32_t size = 0;
-  if (!r.Get(size) || size > kMaxString) return false;
-  s.resize(size);
-  return size == 0 || r.GetRaw(s.data(), size);
-}
+  explicit Writer(Sink& sink) : sink_(sink) {}
+
+  void Layout() { Put<std::uint8_t>(kSectionLayoutVersion); }
+  template <typename T>
+  void U8(const T& v) { Put<std::uint8_t>(v); }
+  template <typename T>
+  void U32(const T& v) { Put<std::uint32_t>(v); }
+  template <typename T>
+  void U64(const T& v) { Put<std::uint64_t>(v); }
+  template <typename T>
+  void I64(const T& v) { Put<std::int64_t>(v); }
+  void F64(double v) { Put<std::uint64_t>(std::bit_cast<std::uint64_t>(v)); }
+  void Bool(bool v) { Put<std::uint8_t>(v); }
+  void Addr(bgp::Ipv4Addr a) { Put<std::uint32_t>(a.value()); }
+  void Str(const std::string& s) {
+    Put<std::uint32_t>(s.size());
+    sink_.write(s.data(), static_cast<std::streamsize>(s.size()));
+  }
+  template <typename V>
+  std::size_t Count32(const V& v) {
+    Put<std::uint32_t>(v.size());
+    return v.size();
+  }
+  template <typename V>
+  std::size_t Count64(const V& v) {
+    Put<std::uint64_t>(v.size());
+    return v.size();
+  }
+  template <typename V, typename Fn>
+  void Each(const V& v, std::size_t, const char*, Fn&& fn) {
+    for (std::size_t i = 0; i < v.size(); ++i) fn(v[i], i);
+  }
+  template <typename... Args>
+  void Check(bool, const char*, Args...) {}
+
+ private:
+  template <typename W, typename T>
+  void Put(T v) {
+    io::Put<W>(sink_, static_cast<W>(v));
+  }
+
+  Sink& sink_;
+};
+
+// Decodes one section body.  The first failure wins: afterwards every
+// read yields zero, every check passes and every Each stops, so a
+// layout runs to its end without testing for errors.  Containers grow
+// one element per element actually read, so a crafted count fails as
+// truncated once the bytes run out instead of sizing an allocation.
+class Reader {
+ public:
+  static constexpr bool kDecode = true;
+
+  explicit Reader(std::string_view bytes)
+      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+
+  void Layout() {
+    if (p_ == end_) return Fail("truncated layout version");
+    const unsigned layout = Get<std::uint8_t>();
+    Check(layout == kSectionLayoutVersion, "unsupported layout version %u",
+          layout);
+  }
+  void End() { Check(p_ == end_, "trailing bytes"); }
+
+  template <typename T>
+  void U8(T& v) { v = static_cast<T>(Get<std::uint8_t>()); }
+  template <typename T>
+  void U32(T& v) { v = static_cast<T>(Get<std::uint32_t>()); }
+  template <typename T>
+  void U64(T& v) { v = static_cast<T>(Get<std::uint64_t>()); }
+  template <typename T>
+  void I64(T& v) { v = static_cast<T>(Get<std::int64_t>()); }
+  void F64(double& v) { v = std::bit_cast<double>(Get<std::uint64_t>()); }
+  void Bool(bool& v) {
+    const std::uint8_t b = Get<std::uint8_t>();
+    Check(b <= 1, "bad boolean");
+    v = b != 0;
+  }
+  void Addr(bgp::Ipv4Addr& a) { a = bgp::Ipv4Addr(Get<std::uint32_t>()); }
+  void Str(std::string& s) {
+    const std::uint32_t size = Get<std::uint32_t>();
+    if (size > kMaxString || size > Remaining()) return Truncated();
+    s.assign(p_, size);
+    p_ += size;
+  }
+  template <typename V>
+  std::size_t Count32(V&) { return Get<std::uint32_t>(); }
+  template <typename V>
+  std::size_t Count64(V&) {
+    return static_cast<std::size_t>(Get<std::uint64_t>());
+  }
+  // `label` (null: none) names the element in truncation errors:
+  // "truncated at series 2 tier 0 point 7".
+  template <typename V, typename Fn>
+  void Each(V& v, std::size_t n, const char* label, Fn&& fn) {
+    for (std::size_t i = 0; i < n && ok(); ++i) {
+      at_.emplace_back(label, i);
+      fn(v.emplace_back(), i);
+      at_.pop_back();
+    }
+  }
+  template <typename... Args>
+  void Check(bool cond, const char* fmt, Args... args) {
+    if (cond || !ok()) return;
+    if constexpr (sizeof...(Args) == 0) {
+      Fail(fmt);
+    } else {
+      Fail(util::StrPrintf(fmt, args...));
+    }
+  }
+
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+
+ private:
+  std::size_t Remaining() const {
+    return static_cast<std::size_t>(end_ - p_);
+  }
+
+  template <typename T>
+  T Get() {
+    if (!ok()) return T{};
+    if (Remaining() < sizeof(T)) {
+      Truncated();
+      return T{};
+    }
+    std::uint64_t u = 0;
+    for (std::size_t i = sizeof(T); i-- > 0;) {
+      u = (u << 8) | static_cast<unsigned char>(p_[i]);
+    }
+    p_ += sizeof(T);
+    return static_cast<T>(u);
+  }
+
+  void Truncated() {
+    std::string why = "truncated";
+    const char* sep = " at ";
+    for (const auto& [label, i] : at_) {
+      if (label == nullptr) continue;
+      why += util::StrPrintf("%s%s %zu", sep, label, i);
+      sep = " ";
+    }
+    Fail(std::move(why));
+  }
+
+  void Fail(std::string why) {
+    if (ok()) error_ = std::move(why);
+  }
+
+  const char* p_;
+  const char* end_;
+  std::vector<std::pair<const char*, std::size_t>> at_;
+  std::string error_;
+};
 
 // ---------------------------------------------------------------------------
-// Per-section encoders.  Every section leads with its layout version.
+// Section layouts.  S is LiveCheckpointState (decode) or its const
+// (encode); the field order here is the file format (docs/FORMATS.md).
 
-std::string EncodeLive(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::int64_t>(os, s.t0);
-  io::Put<std::uint64_t>(os, s.next_event);
-  io::Put<std::uint64_t>(os, s.stats.ticks);
-  io::Put<std::uint64_t>(os, s.stats.events_ingested);
-  io::Put<std::uint64_t>(os, s.stats.incidents);
-  io::Put<std::uint64_t>(os, s.stats.incidents_within_slo);
-  io::Put<std::int64_t>(os, s.stats.clock);
-  io::Put<std::uint64_t>(os, s.stats.events_shed);
-  io::Put<std::uint64_t>(os, s.stats.shed_transitions);
-  io::Put<std::uint64_t>(os, s.stats.checkpoint_writes);
-  io::Put<std::uint64_t>(os, s.stats.checkpoint_failures);
-  return out;
+template <typename Io, typename S>
+void Live(Io& io, S& s) {
+  io.I64(s.t0);
+  io.U64(s.next_event);
+  io.U64(s.stats.ticks);
+  io.U64(s.stats.events_ingested);
+  io.U64(s.stats.incidents);
+  io.U64(s.stats.incidents_within_slo);
+  io.I64(s.stats.clock);
+  io.U64(s.stats.events_shed);
+  io.U64(s.stats.shed_transitions);
+  io.U64(s.stats.checkpoint_writes);
+  io.U64(s.stats.checkpoint_failures);
+  io.Check(s.stats.clock >= s.t0, "clock precedes t0");
+  io.Check(s.stats.incidents_within_slo <= s.stats.incidents,
+           "incidents_within_slo exceeds incidents");
 }
 
-std::string EncodeShed(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint8_t>(os, static_cast<std::uint8_t>(s.shed_level));
-  io::Put<std::uint64_t>(os, s.calm_ticks);
-  io::Put<std::uint64_t>(os, s.arrival_index);
-  io::Put<std::uint8_t>(os, s.tracer_suspended ? 1 : 0);
-  io::Put<std::uint8_t>(os, s.tracer_was_enabled ? 1 : 0);
-  io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(s.shed_windows.size()));
-  for (const ShedWindow& w : s.shed_windows) {
-    io::Put<std::int64_t>(os, w.begin);
-    io::Put<std::int64_t>(os, w.end);
-    io::Put<std::uint8_t>(os, w.closed ? 1 : 0);
-  }
-  return out;
+template <typename Io, typename S>
+void Shed(Io& io, S& s) {
+  io.U8(s.shed_level);
+  io.Check(s.shed_level <= 3, "shed level %d out of range", s.shed_level);
+  io.U64(s.calm_ticks);
+  io.U64(s.arrival_index);
+  io.Bool(s.tracer_suspended);
+  io.Bool(s.tracer_was_enabled);
+  const std::size_t n = io.Count32(s.shed_windows);
+  io.Check(n <= kMaxEntries, "implausible shed window count");
+  io.Each(s.shed_windows, n, "window", [&](auto& w, std::size_t i) {
+    io.I64(w.begin);
+    io.I64(w.end);
+    io.Bool(w.closed);
+    io.Check(w.end >= w.begin, "window %zu ends before begin", i);
+  });
 }
 
-std::string EncodeStem(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint64_t>(os, s.seen_stems.size());
-  for (const auto& [a, b] : s.seen_stems) {
-    io::Put<std::uint64_t>(os, a);
-    io::Put<std::uint64_t>(os, b);
-  }
-  return out;
+template <typename Io, typename S>
+void Stem(Io& io, S& s) {
+  const std::size_t n = io.Count64(s.seen_stems);
+  io.Check(n <= kMaxEntries, "implausible stem count");
+  io.Each(s.seen_stems, n, "stem", [&](auto& key, std::size_t i) {
+    io.U64(key.first);
+    io.U64(key.second);
+    io.Check(stemming::IsValidRawSymbol(key.first) &&
+                 stemming::IsValidRawSymbol(key.second),
+             "invalid raw symbol at stem %zu", i);
+    io.Check(i == 0 || s.seen_stems[i - 1] < key,
+             "stems not strictly increasing at %zu", i);
+  });
 }
 
-std::string EncodeGaps(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(s.gaps.size()));
-  for (const LiveGap& g : s.gaps) {
-    io::Put<std::uint32_t>(os, g.peer.value());
-    io::Put<std::int64_t>(os, g.begin);
-    io::Put<std::int64_t>(os, g.end);
-    io::Put<std::uint8_t>(os, g.closed ? 1 : 0);
-  }
-  return out;
+template <typename Io, typename S>
+void Gaps(Io& io, S& s) {
+  const std::size_t n = io.Count32(s.gaps);
+  io.Check(n <= kMaxEntries, "implausible gap count");
+  io.Each(s.gaps, n, "gap", [&](auto& g, std::size_t i) {
+    io.Addr(g.peer);
+    io.I64(g.begin);
+    io.I64(g.end);
+    io.Bool(g.closed);
+    io.Check(g.end >= g.begin, "gap %zu ends before begin", i);
+  });
 }
 
-std::string EncodePeers(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(s.peers.size()));
-  for (const PeerBoard::Persisted& p : s.peers) {
-    io::Put<std::uint32_t>(os, p.row.peer.value());
-    io::Put<std::uint8_t>(os, p.row.degraded ? 1 : 0);
-    io::Put<std::uint64_t>(os, p.row.announces);
-    io::Put<std::uint64_t>(os, p.row.withdraws);
-    io::Put<std::uint64_t>(os, p.row.reconnects);
-    io::Put<std::uint64_t>(os, p.row.gaps);
-    io::Put<std::uint64_t>(os, p.row.quarantined);
-    io::Put<std::int64_t>(os, p.row.first_seen);
-    io::Put<std::int64_t>(os, p.row.last_seen);
-    io::Put<std::int64_t>(os, p.row.last_gap);
-    io::Put<std::int64_t>(os, p.gap_open);
-    PutF64(os, p.gap_sec);
-  }
-  return out;
+template <typename Io, typename S>
+void Peers(Io& io, S& s) {
+  const std::size_t n = io.Count32(s.peers);
+  io.Check(n <= kMaxEntries, "implausible peer count");
+  io.Each(s.peers, n, "peer", [&](auto& p, std::size_t i) {
+    io.Addr(p.row.peer);
+    io.Bool(p.row.degraded);
+    io.U64(p.row.announces);
+    io.U64(p.row.withdraws);
+    io.U64(p.row.reconnects);
+    io.U64(p.row.gaps);
+    io.U64(p.row.quarantined);
+    io.I64(p.row.first_seen);
+    io.I64(p.row.last_seen);
+    io.I64(p.row.last_gap);
+    io.I64(p.gap_open);
+    io.F64(p.gap_sec);
+    io.Check(std::isfinite(p.gap_sec) && p.gap_sec >= 0,
+             "peer %zu gap_sec not finite", i);
+    // A degraded row must carry its open-gap begin and vice versa.
+    io.Check(p.row.degraded == (p.gap_open >= 0),
+             "peer %zu degraded/gap_open mismatch", i);
+  });
 }
 
 // Admission classes pack four to a byte, entry i in bits (i%4)*2..+1 of
 // byte i/4; padding bits of a partial final byte are zero.
-std::string EncodeFlow(const LiveCheckpointState& s) {
-  std::string out;
-  out.reserve(32 + s.flow.size() / 4);
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint64_t>(os, s.flow_start);
-  io::Put<std::uint64_t>(os, s.flow.size());
-  std::uint8_t packed = 0;
-  for (std::size_t i = 0; i < s.flow.size(); ++i) {
-    packed |= static_cast<std::uint8_t>(s.flow[i] << ((i & 3) * 2));
-    if ((i & 3) == 3) {
-      io::Put<std::uint8_t>(os, packed);
-      packed = 0;
-    }
-  }
-  if ((s.flow.size() & 3) != 0) io::Put<std::uint8_t>(os, packed);
-  return out;
-}
-
-std::string EncodeIncidents(const std::vector<IncidentLog::Entry>& incidents) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint64_t>(os, incidents.size());
-  for (const IncidentLog::Entry& e : incidents) {
-    const Incident& inc = e.incident;
-    io::Put<std::uint64_t>(os, e.seq);
-    io::Put<std::uint8_t>(os, static_cast<std::uint8_t>(inc.kind));
-    io::Put<std::int64_t>(os, inc.begin);
-    io::Put<std::int64_t>(os, inc.end);
-    io::Put<std::uint64_t>(os, inc.event_count);
-    PutF64(os, inc.event_fraction);
-    io::Put<std::uint64_t>(os, inc.prefix_count);
-    io::Put<std::uint64_t>(os, inc.stem_key.first);
-    io::Put<std::uint64_t>(os, inc.stem_key.second);
-    PutString(os, inc.stem_label);
-    PutString(os, inc.top_sequence);
-    PutString(os, inc.summary);
-    io::Put<std::uint8_t>(os, inc.feed_degraded ? 1 : 0);
-    io::Put<std::uint8_t>(os, inc.load_shed ? 1 : 0);
-    io::Put<std::int64_t>(os, inc.ingest_tick);
-    io::Put<std::int64_t>(os, inc.detected_at);
-    PutF64(os, inc.detection_latency_sec);
-  }
-  return out;
-}
-
-std::string EncodeSloHistogram(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint32_t>(os,
-                         static_cast<std::uint32_t>(s.latency_counts.size()));
-  for (const std::uint64_t c : s.latency_counts) {
-    io::Put<std::uint64_t>(os, c);
-  }
-  return out;
-}
-
-std::string EncodeSeriesStore(const LiveCheckpointState& s) {
-  const obs::TimeSeriesStore::Persisted& st = s.series_store;
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(st.tiers.size()));
-  for (const obs::TierSpec& tier : st.tiers) {
-    io::Put<std::int64_t>(os, tier.resolution_us);
-    io::Put<std::uint32_t>(os, tier.capacity);
-  }
-  io::Put<std::int64_t>(os, st.last_sample);
-  io::Put<std::uint64_t>(os, st.dropped_series);
-  io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(st.series.size()));
-  for (const obs::TimeSeriesStore::PersistedSeries& series : st.series) {
-    PutString(os, series.name);
-    io::Put<std::uint8_t>(os, series.kind);
-    for (const std::vector<obs::SeriesPoint>& ring : series.tiers) {
-      io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(ring.size()));
-      for (const obs::SeriesPoint& p : ring) {
-        io::Put<std::int64_t>(os, p.t);
-        PutF64(os, p.value);
-        PutF64(os, p.min);
-        PutF64(os, p.max);
-      }
-    }
-  }
-  return out;
-}
-
-std::string EncodeProvenance(const LiveCheckpointState& s) {
-  const obs::ProvenanceLedger::Persisted& st = s.provenance;
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint32_t>(os, st.caps.max_incidents);
-  io::Put<std::uint32_t>(os, st.caps.max_events);
-  io::Put<std::uint32_t>(os, st.caps.max_classes);
-  io::Put<std::uint64_t>(os, st.evicted);
-  io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(st.records.size()));
-  for (const obs::IncidentProvenance& r : st.records) {
-    io::Put<std::uint64_t>(os, r.seq);
-    io::Put<std::uint64_t>(os, r.stem_first);
-    io::Put<std::uint64_t>(os, r.stem_second);
-    PutString(os, r.stem);
-    PutString(os, r.kind);
-    io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(r.path.size()));
-    for (const std::string& hop : r.path) PutString(os, hop);
-    io::Put<std::uint64_t>(os, r.window_events);
-    io::Put<std::uint64_t>(os, r.component_events);
-    PutF64(os, r.component_weight);
-    io::Put<std::uint64_t>(os, r.events_total);
-    io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(r.events.size()));
-    for (const obs::ProvenanceEvent& e : r.events) {
-      io::Put<std::uint64_t>(os, e.stream_index);
-      PutF64(os, e.time_sec);
-      PutString(os, e.type);
-      PutString(os, e.peer);
-      PutString(os, e.prefix);
-      io::Put<std::uint8_t>(os, e.admission);
-    }
-    io::Put<std::uint64_t>(os, r.classes_total);
-    io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(r.classes.size()));
-    for (const obs::ProvenanceClass& c : r.classes) {
-      io::Put<std::uint32_t>(os, c.id);
-      PutF64(os, c.weight);
-      PutF64(os, c.score);
-      PutString(os, c.sequence);
-    }
-    io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(r.stages.size()));
-    for (const obs::ProvenanceStage& stage : r.stages) {
-      PutString(os, stage.stage);
-      PutF64(os, stage.seconds);
-    }
-    io::Put<std::uint64_t>(os, r.trace_tick);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Per-section decoders.  Each returns an empty string on success or a
-// human-readable reason; DecodeLiveState prefixes the section tag.
-
-struct SectionReader {
-  explicit SectionReader(const std::string& bytes)
-      : stream(bytes), reader(stream) {}
-  std::istringstream stream;
-  io::Reader reader;
-
-  bool AtEnd() {
-    return stream.peek() == std::istringstream::traits_type::eof();
-  }
-};
-
-std::string CheckLayout(SectionReader& sr) {
-  std::uint8_t layout = 0;
-  if (!sr.reader.Get(layout)) return "truncated layout version";
-  if (layout != kSectionLayoutVersion) {
-    return util::StrPrintf("unsupported layout version %u", layout);
-  }
-  return "";
-}
-
-std::string DecodeLive(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::int64_t t0 = 0, clock = 0;
-  if (!sr.reader.Get(t0) || !sr.reader.Get(s.next_event) ||
-      !sr.reader.Get(s.stats.ticks) || !sr.reader.Get(s.stats.events_ingested) ||
-      !sr.reader.Get(s.stats.incidents) ||
-      !sr.reader.Get(s.stats.incidents_within_slo) || !sr.reader.Get(clock) ||
-      !sr.reader.Get(s.stats.events_shed) ||
-      !sr.reader.Get(s.stats.shed_transitions) ||
-      !sr.reader.Get(s.stats.checkpoint_writes) ||
-      !sr.reader.Get(s.stats.checkpoint_failures)) {
-    return "truncated";
-  }
-  s.t0 = t0;
-  s.stats.clock = clock;
-  if (!sr.AtEnd()) return "trailing bytes";
-  if (s.stats.clock < s.t0) return "clock precedes t0";
-  if (s.stats.incidents_within_slo > s.stats.incidents) {
-    return "incidents_within_slo exceeds incidents";
-  }
-  return "";
-}
-
-std::string DecodeShed(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::uint8_t level = 0, suspended = 0, was_enabled = 0;
-  std::uint32_t count = 0;
-  if (!sr.reader.Get(level) || !sr.reader.Get(s.calm_ticks) ||
-      !sr.reader.Get(s.arrival_index) || !sr.reader.Get(suspended) ||
-      !sr.reader.Get(was_enabled) || !sr.reader.Get(count)) {
-    return "truncated";
-  }
-  if (level > 3) return util::StrPrintf("shed level %u out of range", level);
-  if (suspended > 1 || was_enabled > 1) return "bad boolean";
-  if (count > kMaxEntries) return "implausible shed window count";
-  s.shed_level = level;
-  s.tracer_suspended = suspended != 0;
-  s.tracer_was_enabled = was_enabled != 0;
-  s.shed_windows.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ShedWindow w;
-    std::int64_t begin = 0, end = 0;
-    std::uint8_t closed = 0;
-    if (!sr.reader.Get(begin) || !sr.reader.Get(end) ||
-        !sr.reader.Get(closed)) {
-      return util::StrPrintf("truncated at window %u", i);
-    }
-    if (closed > 1) return "bad boolean";
-    if (end < begin) return util::StrPrintf("window %u ends before begin", i);
-    w.begin = begin;
-    w.end = end;
-    w.closed = closed != 0;
-    s.shed_windows.push_back(w);
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  return "";
-}
-
-std::string DecodeStem(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::uint64_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
-  if (count > kMaxEntries) return "implausible stem count";
-  s.seen_stems.clear();
-  std::pair<std::uint64_t, std::uint64_t> prev{0, 0};
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t a = 0, b = 0;
-    if (!sr.reader.Get(a) || !sr.reader.Get(b)) {
-      return util::StrPrintf("truncated at stem %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    if (!stemming::IsValidRawSymbol(a) || !stemming::IsValidRawSymbol(b)) {
-      return util::StrPrintf("invalid raw symbol at stem %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    const std::pair<std::uint64_t, std::uint64_t> key{a, b};
-    if (i > 0 && !(prev < key)) {
-      return util::StrPrintf("stems not strictly increasing at %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    prev = key;
-    s.seen_stems.push_back(key);
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  return "";
-}
-
-std::string DecodeGaps(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::uint32_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
-  if (count > kMaxEntries) return "implausible gap count";
-  s.gaps.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    LiveGap g;
-    std::uint32_t peer = 0;
-    std::int64_t begin = 0, end = 0;
-    std::uint8_t closed = 0;
-    if (!sr.reader.Get(peer) || !sr.reader.Get(begin) || !sr.reader.Get(end) ||
-        !sr.reader.Get(closed)) {
-      return util::StrPrintf("truncated at gap %u", i);
-    }
-    if (closed > 1) return "bad boolean";
-    if (end < begin) return util::StrPrintf("gap %u ends before begin", i);
-    g.peer = bgp::Ipv4Addr(peer);
-    g.begin = begin;
-    g.end = end;
-    g.closed = closed != 0;
-    s.gaps.push_back(g);
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  return "";
-}
-
-std::string DecodePeers(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::uint32_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
-  if (count > kMaxEntries) return "implausible peer count";
-  s.peers.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    PeerBoard::Persisted p;
-    std::uint32_t peer = 0;
-    std::uint8_t degraded = 0;
-    std::int64_t first_seen = 0, last_seen = 0, last_gap = 0, gap_open = 0;
-    if (!sr.reader.Get(peer) || !sr.reader.Get(degraded) ||
-        !sr.reader.Get(p.row.announces) || !sr.reader.Get(p.row.withdraws) ||
-        !sr.reader.Get(p.row.reconnects) || !sr.reader.Get(p.row.gaps) ||
-        !sr.reader.Get(p.row.quarantined) || !sr.reader.Get(first_seen) ||
-        !sr.reader.Get(last_seen) || !sr.reader.Get(last_gap) ||
-        !sr.reader.Get(gap_open) || !GetF64(sr.reader, p.gap_sec)) {
-      return util::StrPrintf("truncated at peer %u", i);
-    }
-    if (degraded > 1) return "bad boolean";
-    if (!std::isfinite(p.gap_sec) || p.gap_sec < 0) {
-      return util::StrPrintf("peer %u gap_sec not finite", i);
-    }
-    // A degraded row must carry its open-gap begin and vice versa.
-    if ((degraded != 0) != (gap_open >= 0)) {
-      return util::StrPrintf("peer %u degraded/gap_open mismatch", i);
-    }
-    p.row.peer = bgp::Ipv4Addr(peer);
-    p.row.degraded = degraded != 0;
-    p.row.first_seen = first_seen;
-    p.row.last_seen = last_seen;
-    p.row.last_gap = last_gap;
-    p.gap_open = gap_open;
-    s.peers.push_back(std::move(p));
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  return "";
-}
-
-std::string DecodeFlow(const std::string& bytes, std::uint64_t next_event,
-                       LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::uint64_t count = 0;
-  if (!sr.reader.Get(s.flow_start) || !sr.reader.Get(count)) {
-    return "truncated";
-  }
-  if (count > kMaxEntries) return "implausible in-flight count";
+template <typename Io, typename S>
+void Flow(Io& io, S& s) {
+  io.U64(s.flow_start);
+  const std::size_t n = io.Count64(s.flow);
+  io.Check(n <= kMaxEntries, "implausible in-flight count");
   // The range must butt up against the LIVE cursor: every event before
   // flow_start is settled, every event from next_event on is unread.
-  if (s.flow_start > next_event || next_event - s.flow_start != count) {
-    return "range disagrees with the LIVE cursor";
-  }
-  s.flow.assign(static_cast<std::size_t>(count), 0);
-  bool queue_seen = false;
+  io.Check(s.flow_start <= s.next_event && s.next_event - s.flow_start == n,
+           "range disagrees with the LIVE cursor");
   std::uint8_t packed = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if ((i & 3) == 0 && !sr.reader.Get(packed)) return "truncated";
-    const std::uint8_t cls = (packed >> ((i & 3) * 2)) & 3;
-    if (cls > 2) {
-      return util::StrPrintf("bad admission class at entry %llu",
-                             static_cast<unsigned long long>(i));
+  if constexpr (Io::kDecode) {
+    bool queue_seen = false;
+    for (std::size_t i = 0; i < n && io.ok(); ++i) {
+      if ((i & 3) == 0) io.U8(packed);
+      const std::uint8_t cls = (packed >> ((i & 3) * 2)) & 3;
+      io.Check(cls <= 2, "bad admission class at entry %zu", i);
+      // Admission is FIFO: everything still in the window was consumed
+      // before anything still queued, so classes never go 2 -> 1.
+      queue_seen |= cls == 2;
+      io.Check(cls != 1 || !queue_seen, "window entry %zu after a queue entry",
+               i);
+      s.flow.push_back(cls);
     }
-    // Admission is FIFO: everything still in the window was consumed
-    // before anything still queued, so classes never go 2 -> 1.
-    if (cls == 2) {
-      queue_seen = true;
-    } else if (cls == 1 && queue_seen) {
-      return util::StrPrintf("window entry %llu after a queue entry",
-                             static_cast<unsigned long long>(i));
+    io.Check((n & 3) == 0 || (packed >> ((n & 3) * 2)) == 0,
+             "nonzero padding bits");
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      packed |= static_cast<std::uint8_t>(s.flow[i] << ((i & 3) * 2));
+      if ((i & 3) == 3 || i + 1 == n) {
+        io.U8(packed);
+        packed = 0;
+      }
     }
-    s.flow[static_cast<std::size_t>(i)] = cls;
   }
-  if ((count & 3) != 0 && (packed >> ((count & 3) * 2)) != 0) {
-    return "nonzero padding bits";
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  return "";
 }
 
-std::string DecodeIncidents(const std::string& bytes, util::SimTime clock,
-                            LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::uint64_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
-  if (count > kMaxEntries) return "implausible incident count";
-  s.incidents.clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    IncidentLog::Entry e;
-    Incident& inc = e.incident;
-    std::uint8_t kind = 0, feed_degraded = 0, load_shed = 0;
-    std::int64_t begin = 0, end = 0, ingest_tick = 0, detected_at = 0;
-    std::uint64_t event_count = 0, prefix_count = 0;
-    if (!sr.reader.Get(e.seq) || !sr.reader.Get(kind) ||
-        !sr.reader.Get(begin) || !sr.reader.Get(end) ||
-        !sr.reader.Get(event_count) || !GetF64(sr.reader, inc.event_fraction) ||
-        !sr.reader.Get(prefix_count) || !sr.reader.Get(inc.stem_key.first) ||
-        !sr.reader.Get(inc.stem_key.second) ||
-        !GetString(sr.reader, inc.stem_label) ||
-        !GetString(sr.reader, inc.top_sequence) ||
-        !GetString(sr.reader, inc.summary) || !sr.reader.Get(feed_degraded) ||
-        !sr.reader.Get(load_shed) || !sr.reader.Get(ingest_tick) ||
-        !sr.reader.Get(detected_at) ||
-        !GetF64(sr.reader, inc.detection_latency_sec)) {
-      return util::StrPrintf("truncated at entry %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    if (e.seq != i + 1) {
-      return util::StrPrintf("non-contiguous seq at entry %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    if (kind > static_cast<std::uint8_t>(IncidentKind::kUnknown)) {
-      return util::StrPrintf("bad incident kind at entry %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    if (feed_degraded > 1 || load_shed > 1) return "bad boolean";
-    if (end < begin || detected_at > clock ||
-        !std::isfinite(inc.detection_latency_sec) ||
-        inc.detection_latency_sec < 0 || !std::isfinite(inc.event_fraction)) {
-      return util::StrPrintf("implausible time fields at entry %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    if (!stemming::IsValidRawSymbol(inc.stem_key.first) ||
-        !stemming::IsValidRawSymbol(inc.stem_key.second)) {
-      return util::StrPrintf("invalid stem symbol at entry %llu",
-                             static_cast<unsigned long long>(i));
-    }
-    inc.kind = static_cast<IncidentKind>(kind);
-    inc.begin = begin;
-    inc.end = end;
-    inc.event_count = static_cast<std::size_t>(event_count);
-    inc.prefix_count = static_cast<std::size_t>(prefix_count);
-    inc.feed_degraded = feed_degraded != 0;
-    inc.load_shed = load_shed != 0;
-    inc.ingest_tick = ingest_tick;
-    inc.detected_at = detected_at;
-    s.incidents.push_back(std::move(e));
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  return "";
+// INCD takes the log separately for the borrowing EncodeLiveState.
+template <typename Io, typename V>
+void Incidents(Io& io, V& incidents, util::SimTime clock) {
+  const std::size_t n = io.Count64(incidents);
+  io.Check(n <= kMaxEntries, "implausible incident count");
+  io.Each(incidents, n, "entry", [&](auto& e, std::size_t i) {
+    auto& inc = e.incident;
+    io.U64(e.seq);
+    io.Check(e.seq == i + 1, "non-contiguous seq at entry %zu", i);
+    io.U8(inc.kind);
+    io.Check(inc.kind <= IncidentKind::kUnknown,
+             "bad incident kind at entry %zu", i);
+    io.I64(inc.begin);
+    io.I64(inc.end);
+    io.U64(inc.event_count);
+    io.F64(inc.event_fraction);
+    io.U64(inc.prefix_count);
+    io.U64(inc.stem_key.first);
+    io.U64(inc.stem_key.second);
+    io.Str(inc.stem_label);
+    io.Str(inc.top_sequence);
+    io.Str(inc.summary);
+    io.Bool(inc.feed_degraded);
+    io.Bool(inc.load_shed);
+    io.I64(inc.ingest_tick);
+    io.I64(inc.detected_at);
+    io.F64(inc.detection_latency_sec);
+    io.Check(inc.end >= inc.begin && inc.detected_at <= clock &&
+                 std::isfinite(inc.detection_latency_sec) &&
+                 inc.detection_latency_sec >= 0 &&
+                 std::isfinite(inc.event_fraction),
+             "implausible time fields at entry %zu", i);
+    io.Check(stemming::IsValidRawSymbol(inc.stem_key.first) &&
+                 stemming::IsValidRawSymbol(inc.stem_key.second),
+             "invalid stem symbol at entry %zu", i);
+  });
 }
 
-std::string DecodeSloHistogram(const std::string& bytes,
-                               LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  std::uint32_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
+template <typename Io, typename S>
+void SloHistogram(Io& io, S& s) {
+  const std::size_t n = io.Count32(s.latency_counts);
   const std::size_t want = DetectionLatencyBounds().size() + 1;
-  if (count != want) {
-    return util::StrPrintf("bucket count %u != %zu", count, want);
-  }
-  s.latency_counts.assign(count, 0);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!sr.reader.Get(s.latency_counts[i])) return "truncated";
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  return "";
+  io.Check(n == want, "bucket count %zu != %zu", n, want);
+  io.Each(s.latency_counts, n, nullptr,
+          [&](auto& count, std::size_t) { io.U64(count); });
 }
 
-std::string DecodeSeriesStore(const std::string& bytes, util::SimTime clock,
-                              LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  obs::TimeSeriesStore::Persisted st;
-  std::uint32_t tier_count = 0;
-  if (!sr.reader.Get(tier_count)) return "truncated";
-  if (tier_count > 16) return "implausible tier count";
-  st.tiers.resize(tier_count);
-  for (std::uint32_t i = 0; i < tier_count; ++i) {
-    if (!sr.reader.Get(st.tiers[i].resolution_us) ||
-        !sr.reader.Get(st.tiers[i].capacity)) {
-      return util::StrPrintf("truncated at tier %u", i);
-    }
-  }
-  std::uint32_t series_count = 0;
-  if (!sr.reader.Get(st.last_sample) || !sr.reader.Get(st.dropped_series) ||
-      !sr.reader.Get(series_count)) {
-    return "truncated";
-  }
-  if (series_count > kMaxEntries) return "implausible series count";
-  st.series.resize(series_count);
-  for (std::uint32_t i = 0; i < series_count; ++i) {
-    obs::TimeSeriesStore::PersistedSeries& series = st.series[i];
-    if (!GetString(sr.reader, series.name) || !sr.reader.Get(series.kind)) {
-      return util::StrPrintf("truncated at series %u", i);
-    }
-    series.tiers.resize(tier_count);
-    for (std::uint32_t tier = 0; tier < tier_count; ++tier) {
-      std::uint32_t points = 0;
-      if (!sr.reader.Get(points)) {
-        return util::StrPrintf("truncated at series %u tier %u", i, tier);
+template <typename Io, typename P>
+void SeriesStore(Io& io, P& st) {
+  const std::size_t tiers = io.Count32(st.tiers);
+  io.Check(tiers <= 16, "implausible tier count");
+  io.Each(st.tiers, tiers, "tier", [&](auto& tier, std::size_t) {
+    io.I64(tier.resolution_us);
+    io.U32(tier.capacity);
+  });
+  io.I64(st.last_sample);
+  io.U64(st.dropped_series);
+  const std::size_t n = io.Count32(st.series);
+  io.Check(n <= kMaxEntries, "implausible series count");
+  io.Each(st.series, n, "series", [&](auto& series, std::size_t i) {
+    io.Str(series.name);
+    io.U8(series.kind);
+    io.Each(series.tiers, tiers, "tier", [&](auto& ring, std::size_t t) {
+      const std::size_t points = io.Count32(ring);
+      if constexpr (Io::kDecode) {
+        io.Check(points <= st.tiers[t].capacity,
+                 "series %zu tier %zu overfull", i, t);
       }
-      if (points > st.tiers[tier].capacity) {
-        return util::StrPrintf("series %u tier %u overfull", i, tier);
-      }
-      series.tiers[tier].resize(points);
-      for (std::uint32_t p = 0; p < points; ++p) {
-        obs::SeriesPoint& pt = series.tiers[tier][p];
-        if (!sr.reader.Get(pt.t) || !GetF64(sr.reader, pt.value) ||
-            !GetF64(sr.reader, pt.min) || !GetF64(sr.reader, pt.max)) {
-          return util::StrPrintf("truncated at series %u tier %u point %u", i,
-                                 tier, p);
-        }
-      }
-    }
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  // Structural invariants (alignment, ordering, finiteness) live with
-  // the store so the decoder and Restore can never disagree.
-  if (auto err = obs::TimeSeriesStore::Validate(st); !err.empty()) return err;
-  if (st.last_sample > clock) return "last sample after the tick boundary";
-  s.series_store = std::move(st);
-  return "";
+      io.Each(ring, points, "point", [&](auto& p, std::size_t) {
+        io.I64(p.t);
+        io.F64(p.value);
+        io.F64(p.min);
+        io.F64(p.max);
+      });
+    });
+  });
 }
 
-std::string DecodeProvenance(const std::string& bytes,
-                             LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
-  obs::ProvenanceLedger::Persisted st;
-  std::uint32_t record_count = 0;
-  if (!sr.reader.Get(st.caps.max_incidents) ||
-      !sr.reader.Get(st.caps.max_events) ||
-      !sr.reader.Get(st.caps.max_classes) || !sr.reader.Get(st.evicted) ||
-      !sr.reader.Get(record_count)) {
-    return "truncated";
-  }
-  if (record_count > kMaxEntries) return "implausible record count";
-  st.records.resize(record_count);
-  for (std::uint32_t i = 0; i < record_count; ++i) {
-    obs::IncidentProvenance& r = st.records[i];
-    std::uint32_t path_count = 0;
-    if (!sr.reader.Get(r.seq) || !sr.reader.Get(r.stem_first) ||
-        !sr.reader.Get(r.stem_second) || !GetString(sr.reader, r.stem) ||
-        !GetString(sr.reader, r.kind) || !sr.reader.Get(path_count)) {
-      return util::StrPrintf("truncated at record %u", i);
-    }
-    if (path_count > 64) {
-      return util::StrPrintf("record %u: implausible path length", i);
-    }
-    r.path.resize(path_count);
-    for (std::uint32_t p = 0; p < path_count; ++p) {
-      if (!GetString(sr.reader, r.path[p])) {
-        return util::StrPrintf("truncated at record %u path hop %u", i, p);
-      }
-    }
-    std::uint32_t event_count = 0;
-    if (!sr.reader.Get(r.window_events) || !sr.reader.Get(r.component_events) ||
-        !GetF64(sr.reader, r.component_weight) ||
-        !sr.reader.Get(r.events_total) || !sr.reader.Get(event_count)) {
-      return util::StrPrintf("truncated at record %u", i);
-    }
-    if (event_count > obs::kMaxProvenanceEvents) {
-      return util::StrPrintf("record %u: implausible event count", i);
-    }
-    r.events.resize(event_count);
-    for (std::uint32_t e = 0; e < event_count; ++e) {
-      obs::ProvenanceEvent& ev = r.events[e];
-      if (!sr.reader.Get(ev.stream_index) || !GetF64(sr.reader, ev.time_sec) ||
-          !GetString(sr.reader, ev.type) || !GetString(sr.reader, ev.peer) ||
-          !GetString(sr.reader, ev.prefix) || !sr.reader.Get(ev.admission)) {
-        return util::StrPrintf("truncated at record %u event %u", i, e);
-      }
-    }
-    std::uint32_t class_count = 0;
-    if (!sr.reader.Get(r.classes_total) || !sr.reader.Get(class_count)) {
-      return util::StrPrintf("truncated at record %u", i);
-    }
-    if (class_count > obs::kMaxProvenanceClasses) {
-      return util::StrPrintf("record %u: implausible class count", i);
-    }
-    r.classes.resize(class_count);
-    for (std::uint32_t c = 0; c < class_count; ++c) {
-      obs::ProvenanceClass& cls = r.classes[c];
-      if (!sr.reader.Get(cls.id) || !GetF64(sr.reader, cls.weight) ||
-          !GetF64(sr.reader, cls.score) || !GetString(sr.reader, cls.sequence)) {
-        return util::StrPrintf("truncated at record %u class %u", i, c);
-      }
-    }
-    std::uint32_t stage_count = 0;
-    if (!sr.reader.Get(stage_count)) {
-      return util::StrPrintf("truncated at record %u", i);
-    }
-    if (stage_count > 16) {
-      return util::StrPrintf("record %u: implausible stage count", i);
-    }
-    r.stages.resize(stage_count);
-    for (std::uint32_t g = 0; g < stage_count; ++g) {
-      if (!GetString(sr.reader, r.stages[g].stage) ||
-          !GetF64(sr.reader, r.stages[g].seconds)) {
-        return util::StrPrintf("truncated at record %u stage %u", i, g);
-      }
-    }
-    if (!sr.reader.Get(r.trace_tick)) {
-      return util::StrPrintf("truncated at record %u", i);
-    }
-  }
-  if (!sr.AtEnd()) return "trailing bytes";
-  // Structural invariants (caps, contiguity, per-record bounds) live
-  // with the ledger so the decoder and Restore can never disagree.
-  if (auto err = obs::ProvenanceLedger::Validate(st); !err.empty()) return err;
-  s.provenance = std::move(st);
-  return "";
+template <typename Io, typename P>
+void Provenance(Io& io, P& st) {
+  io.U32(st.caps.max_incidents);
+  io.U32(st.caps.max_events);
+  io.U32(st.caps.max_classes);
+  io.U64(st.evicted);
+  const std::size_t n = io.Count32(st.records);
+  io.Check(n <= kMaxEntries, "implausible record count");
+  io.Each(st.records, n, "record", [&](auto& r, std::size_t i) {
+    io.U64(r.seq);
+    io.U64(r.stem_first);
+    io.U64(r.stem_second);
+    io.Str(r.stem);
+    io.Str(r.kind);
+    const std::size_t hops = io.Count32(r.path);
+    io.Check(hops <= 64, "record %zu: implausible path length", i);
+    io.Each(r.path, hops, "path hop",
+            [&](auto& hop, std::size_t) { io.Str(hop); });
+    io.U64(r.window_events);
+    io.U64(r.component_events);
+    io.F64(r.component_weight);
+    io.U64(r.events_total);
+    const std::size_t events = io.Count32(r.events);
+    io.Check(events <= obs::kMaxProvenanceEvents,
+             "record %zu: implausible event count", i);
+    io.Each(r.events, events, "event", [&](auto& e, std::size_t) {
+      io.U64(e.stream_index);
+      io.F64(e.time_sec);
+      io.Str(e.type);
+      io.Str(e.peer);
+      io.Str(e.prefix);
+      io.U8(e.admission);
+    });
+    io.U64(r.classes_total);
+    const std::size_t classes = io.Count32(r.classes);
+    io.Check(classes <= obs::kMaxProvenanceClasses,
+             "record %zu: implausible class count", i);
+    io.Each(r.classes, classes, "class", [&](auto& c, std::size_t) {
+      io.U32(c.id);
+      io.F64(c.weight);
+      io.F64(c.score);
+      io.Str(c.sequence);
+    });
+    const std::size_t stages = io.Count32(r.stages);
+    io.Check(stages <= 16, "record %zu: implausible stage count", i);
+    io.Each(r.stages, stages, "stage", [&](auto& stage, std::size_t) {
+      io.Str(stage.stage);
+      io.F64(stage.seconds);
+    });
+    io.U64(r.trace_tick);
+  });
+}
+
+// Every live section in file order.  `run(tag, layout)` encodes or
+// decodes one section; returning false stops the walk.  (Tags WIND and
+// QUEU carried full in-flight event records in earlier builds; they are
+// retired and must never be reused for new layouts.)
+template <typename S, typename V, typename Run>
+bool ForEachSection(S& s, V& incidents, Run&& run) {
+  return run("LIVE", [&](auto& io) { Live(io, s); }) &&
+         run("SHED", [&](auto& io) { Shed(io, s); }) &&
+         run("STEM", [&](auto& io) { Stem(io, s); }) &&
+         run("GAPS", [&](auto& io) { Gaps(io, s); }) &&
+         run("PEER", [&](auto& io) { Peers(io, s); }) &&
+         run("FLOW", [&](auto& io) { Flow(io, s); }) &&
+         run("INCD",
+             [&](auto& io) { Incidents(io, incidents, s.stats.clock); }) &&
+         run("SLOH", [&](auto& io) { SloHistogram(io, s); }) &&
+         run("SERS", [&](auto& io) { SeriesStore(io, s.series_store); }) &&
+         run("PROV", [&](auto& io) { Provenance(io, s.provenance); });
 }
 
 // Recomputes the latency bucket counts implied by the incident log; the
@@ -727,14 +488,7 @@ std::vector<std::uint64_t> CountsFromIncidents(
   const std::vector<double> bounds = DetectionLatencyBounds();
   std::vector<std::uint64_t> counts(bounds.size() + 1, 0);
   for (const IncidentLog::Entry& e : incidents) {
-    std::size_t bucket = bounds.size();  // overflow
-    for (std::size_t b = 0; b < bounds.size(); ++b) {
-      if (e.incident.detection_latency_sec <= bounds[b]) {
-        bucket = b;
-        break;
-      }
-    }
-    ++counts[bucket];
+    ++counts[DetectionLatencyBucket(bounds, e.incident.detection_latency_sec)];
   }
   return counts;
 }
@@ -752,16 +506,23 @@ void EncodeLiveState(const LiveCheckpointState& state,
   checkpoint.time = state.stats.clock;
   checkpoint.event_offset = state.next_event;
   checkpoint.sections.clear();
-  checkpoint.sections.push_back({"LIVE", EncodeLive(state)});
-  checkpoint.sections.push_back({"SHED", EncodeShed(state)});
-  checkpoint.sections.push_back({"STEM", EncodeStem(state)});
-  checkpoint.sections.push_back({"GAPS", EncodeGaps(state)});
-  checkpoint.sections.push_back({"PEER", EncodePeers(state)});
-  checkpoint.sections.push_back({"FLOW", EncodeFlow(state)});
-  checkpoint.sections.push_back({"INCD", EncodeIncidents(incidents)});
-  checkpoint.sections.push_back({"SLOH", EncodeSloHistogram(state)});
-  checkpoint.sections.push_back({"SERS", EncodeSeriesStore(state)});
-  checkpoint.sections.push_back({"PROV", EncodeProvenance(state)});
+  ForEachSection(state, incidents, [&](const char* tag, const auto& layout) {
+    // Size the section first and allocate it once: growing a multi-MB
+    // string by doubling costs more or less depending on the allocator's
+    // history (e.g. whether this process restored a checkpoint).
+    ByteCounter counter;
+    Writer<ByteCounter> sizer(counter);
+    sizer.Layout();
+    layout(sizer);
+    std::string bytes;
+    bytes.reserve(counter.size);
+    io::StringSink sink(bytes);
+    Writer<io::StringSink> writer(sink);
+    writer.Layout();
+    layout(writer);
+    checkpoint.sections.push_back({tag, std::move(bytes)});
+    return true;
+  });
 }
 
 bool DecodeLiveState(const collector::Checkpoint& checkpoint,
@@ -773,57 +534,38 @@ bool DecodeLiveState(const collector::Checkpoint& checkpoint,
     }
     return false;
   };
-  const auto section = [&](const char* tag) -> const std::string* {
-    const collector::Checkpoint::Section* s = checkpoint.FindSection(tag);
-    return s == nullptr ? nullptr : &s->bytes;
-  };
 
   // Every live section is required; a checkpoint missing one is either
   // collector-only (not a live checkpoint) or truncated by editing.
-  // (Tags WIND and QUEU carried full in-flight event records in earlier
-  // builds; they are retired and must never be reused for new layouts.)
-  for (const char* tag : {"LIVE", "SHED", "STEM", "GAPS", "PEER", "FLOW",
-                          "INCD", "SLOH", "SERS", "PROV"}) {
-    if (section(tag) == nullptr) return fail(tag, "missing");
-  }
+  const auto decode = [&](const char* tag, const auto& layout) {
+    const collector::Checkpoint::Section* section = checkpoint.FindSection(tag);
+    if (section == nullptr) return fail(tag, "missing");
+    Reader reader(section->bytes);
+    reader.Layout();
+    layout(reader);
+    reader.End();
+    return reader.ok() || fail(tag, reader.error());
+  };
+  if (!ForEachSection(out, out.incidents, decode)) return false;
 
-  if (auto err = DecodeLive(*section("LIVE"), out); !err.empty()) {
-    return fail("LIVE", err);
-  }
-  // The outer envelope duplicates the cursor; disagreement means the
-  // sections do not belong to this snapshot.
+  // Cross-field and cross-section invariants.  The outer envelope
+  // duplicates the cursor; disagreement means the sections do not belong
+  // to this snapshot.
   if (checkpoint.time != out.stats.clock ||
       checkpoint.event_offset != out.next_event) {
     return fail("LIVE", "cursor disagrees with the checkpoint envelope");
   }
-  if (auto err = DecodeShed(*section("SHED"), out); !err.empty()) {
-    return fail("SHED", err);
-  }
-  if (auto err = DecodeStem(*section("STEM"), out); !err.empty()) {
-    return fail("STEM", err);
-  }
-  if (auto err = DecodeGaps(*section("GAPS"), out); !err.empty()) {
-    return fail("GAPS", err);
-  }
-  if (auto err = DecodePeers(*section("PEER"), out); !err.empty()) {
-    return fail("PEER", err);
-  }
-  if (auto err = DecodeFlow(*section("FLOW"), out.next_event, out);
-      !err.empty()) {
-    return fail("FLOW", err);
-  }
-  if (auto err = DecodeIncidents(*section("INCD"), out.stats.clock, out);
-      !err.empty()) {
-    return fail("INCD", err);
-  }
-  if (auto err = DecodeSloHistogram(*section("SLOH"), out); !err.empty()) {
-    return fail("SLOH", err);
-  }
-  if (auto err = DecodeSeriesStore(*section("SERS"), out.stats.clock, out);
+  // Structural invariants of the series store and the ledger live with
+  // them, so the decoder and their Restore can never disagree.
+  if (auto err = obs::TimeSeriesStore::Validate(out.series_store);
       !err.empty()) {
     return fail("SERS", err);
   }
-  if (auto err = DecodeProvenance(*section("PROV"), out); !err.empty()) {
+  if (out.series_store.last_sample > out.stats.clock) {
+    return fail("SERS", "last sample after the tick boundary");
+  }
+  if (auto err = obs::ProvenanceLedger::Validate(out.provenance);
+      !err.empty()) {
     return fail("PROV", err);
   }
   if (out.incidents.size() != out.stats.incidents) {

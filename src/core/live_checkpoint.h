@@ -1,8 +1,14 @@
 // Analysis-tier checkpoint state: the typed contents of the RNC1 v2
 // named sections (collector/checkpoint.h) that make `ranomaly serve`
-// crash-safe.  core::LiveRunner snapshots this at a tick boundary and
-// encodes it; a restarted runner decodes, validates, and resumes —
-// replaying forward to a bit-identical incident stream.
+// crash-safe.  core::LiveRunner works on a LiveCheckpointState in place
+// and encodes it at a tick boundary; a restarted runner decodes,
+// validates, and resumes — replaying forward to a bit-identical incident
+// stream.
+//
+// Each section's byte layout is written once, in live_checkpoint.cc, as
+// a function template that an encoder and a decoder both run: the field
+// order cannot differ between the two directions, and the decode-only
+// validation sits next to the field it checks.
 //
 // Sections (each starts with a u8 layout version, currently 1):
 //   LIVE  replay cursor: stream identity (t0), events consumed, and the
@@ -38,7 +44,10 @@
 // an error naming the offending section.  There is never a silent
 // partial restore — the caller logs the error and starts fresh (the
 // stream file remains the source of truth, so a cold replay converges
-// to the same incident log).
+// to the same incident log).  Counts are untrusted even under a valid
+// CRC: each is bounded, and containers grow only as their elements'
+// bytes are read, so a crafted count fails as truncated rather than
+// allocating what it claims.
 #pragma once
 
 #include <cstdint>
@@ -84,10 +93,12 @@ struct LiveCheckpointState {
   // SLOH: one count per DetectionLatencyBounds() bucket plus overflow.
   std::vector<std::uint64_t> latency_counts;
   // SERS: the dashboard history (empty tiers when the runner has no
-  // store attached — encoded as a zero-tier section either way).
+  // store attached — encoded as a zero-tier section either way).  The
+  // runner exports it for each snapshot only and keeps it empty between.
   obs::TimeSeriesStore::Persisted series_store;
   // PROV: the provenance ledger (zeroed caps and no records when the
   // runner has no ledger attached — encoded as a section either way).
+  // Exported per snapshot like SERS.
   obs::ProvenanceLedger::Persisted provenance;
 };
 
@@ -97,12 +108,11 @@ struct LiveCheckpointState {
 void EncodeLiveState(const LiveCheckpointState& state,
                      collector::Checkpoint& checkpoint);
 
-// Borrowing overload for the periodic snapshot path: the incident log
-// (the one remaining unbounded-growth vector, three strings per entry)
-// is encoded straight from the live container instead of being copied
-// into a LiveCheckpointState first.  `state.incidents` is ignored
-// (callers leave it empty).  Produces byte-identical output to the
-// copying overload given equal contents.
+// Borrowing overload: the incident log (the one unbounded-growth
+// vector, three strings per entry) is encoded from `incidents` instead
+// of `state.incidents`, which is ignored — so a caller holding the log
+// elsewhere need not copy it into a LiveCheckpointState first.
+// Byte-identical to the other overload given equal contents.
 void EncodeLiveState(const LiveCheckpointState& state,
                      const std::vector<IncidentLog::Entry>& incidents,
                      collector::Checkpoint& checkpoint);

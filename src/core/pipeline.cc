@@ -154,7 +154,6 @@ IncidentKind Pipeline::Classify(const IncidentEvidence& evidence,
   return IncidentKind::kUnknown;
 }
 
-#ifndef RANOMALY_NO_PROVENANCE
 // Builds the incident's provenance record (obs/provenance.h): a
 // deterministic strided sample of the contributing events plus the
 // distinct (peer, nexthop, as-path, prefix) sequence classes among the
@@ -245,7 +244,6 @@ void Pipeline::PopulateProvenance(std::span<const bgp::Event> events,
     pc.score = take == 0 ? 0.0 : pc.weight / static_cast<double>(take);
   }
 }
-#endif  // RANOMALY_NO_PROVENANCE
 
 Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
                                 const stemming::StemmingResult& result,

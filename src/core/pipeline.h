@@ -65,7 +65,6 @@ class Pipeline {
   static IncidentKind Classify(const IncidentEvidence& evidence,
                                std::size_t prefix_count);
 
-#ifndef RANOMALY_NO_PROVENANCE
   // Builds Incident::provenance (sampled contributing events, stem
   // classes, correlation path) for the provenance ledger, bounded by
   // `caps`.  Not called during analysis: AnalyzeWindow re-derives every
@@ -75,7 +74,6 @@ class Pipeline {
   static void PopulateProvenance(std::span<const bgp::Event> events,
                                  const obs::ProvenanceCaps& caps,
                                  Incident& inc);
-#endif
 
   const PipelineOptions& options() const { return options_; }
 

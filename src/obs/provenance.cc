@@ -42,9 +42,9 @@ ProvenanceLedger::ProvenanceLedger(ProvenanceCaps caps) : caps_(caps) {}
 void ProvenanceLedger::Attach(IncidentProvenance record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (records_.empty() && record.seq > evicted_ + 1) {
-    // A runner restored from a checkpoint written without a ledger (or
-    // by a RANOMALY_NO_PROVENANCE build) resumes at seq N+1: treat the
-    // unexplained prefix as evicted so the contiguity invariant holds.
+    // A runner restored from a checkpoint written without a ledger
+    // resumes at seq N+1: treat the unexplained prefix as evicted so the
+    // contiguity invariant holds.
     evicted_ = record.seq - 1;
   }
   if (record.events.size() > caps_.max_events) {

@@ -16,12 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "collector/binary_io.h"
 #include "collector/checkpoint.h"
 #include "core/live.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/timeseries.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "workload/eventgen.h"
 
@@ -268,6 +270,25 @@ TEST(LiveCheckpointTest, DeterministicBytes) {
   EXPECT_EQ(sa.str(), sb.str());
 }
 
+// DeterministicBytes compares two encodes from one build; these pins hold
+// the format across builds.  A layout change must bump the changed
+// section's layout version and re-pin.
+TEST(LiveCheckpointTest, PinnedBytes) {
+  const auto pin = [](const LiveCheckpointState& st) {
+    collector::Checkpoint ck;
+    EncodeLiveState(st, ck);
+    std::stringstream ss;
+    EXPECT_TRUE(collector::SaveCheckpoint(ck, ss));
+    const std::string bytes = ss.str();
+    return std::make_pair(bytes.size(),
+                          util::Crc32(bytes.data(), bytes.size()));
+  };
+  EXPECT_EQ(pin(SampleState()),
+            std::make_pair(std::size_t{1360}, std::uint32_t{0x66328104}));
+  EXPECT_EQ(pin(BoundaryState()),
+            std::make_pair(std::size_t{465}, std::uint32_t{0x77fcf065}));
+}
+
 // Every rejection must name the failing section — no silent partial
 // restore, and no guessing which state was bad.
 TEST(LiveCheckpointTest, RejectionNamesTheFailingSection) {
@@ -355,6 +376,95 @@ TEST(LiveCheckpointTest, RejectionNamesTheFailingSection) {
               b[25] = 5;
             })).find("PROV"),
             std::string::npos);
+}
+
+// Two small CRC-clean sections whose counts promise far more than their
+// bytes hold: a PROV ledger claiming 2^24 records, and a SERS store with
+// one tier of capacity 2^32-1 and a series claiming 2^31-1 points.
+std::vector<collector::Checkpoint::Section> CraftedCountSections() {
+  std::string prov;
+  {
+    collector::io::StringSink os(prov);
+    collector::io::Put<std::uint8_t>(os, 1);           // layout version
+    collector::io::Put<std::uint32_t>(os, 512);        // max_incidents
+    collector::io::Put<std::uint32_t>(os, 32);         // max_events
+    collector::io::Put<std::uint32_t>(os, 16);         // max_classes
+    collector::io::Put<std::uint64_t>(os, 0);          // evicted
+    collector::io::Put<std::uint32_t>(os, 1u << 24);   // record count
+  }
+  std::string sers;
+  {
+    collector::io::StringSink os(sers);
+    collector::io::Put<std::uint8_t>(os, 1);             // layout version
+    collector::io::Put<std::uint32_t>(os, 1);            // tier count
+    collector::io::Put<std::int64_t>(os, kSecond);       // resolution
+    collector::io::Put<std::uint32_t>(os, 0xFFFFFFFFu);  // capacity
+    collector::io::Put<std::int64_t>(os, -1);            // last_sample
+    collector::io::Put<std::uint64_t>(os, 0);            // dropped_series
+    collector::io::Put<std::uint32_t>(os, 1);            // series count
+    collector::io::Put<std::uint32_t>(os, 1);            // name length
+    sers += 'x';
+    collector::io::Put<std::uint8_t>(os, 0);             // kind
+    collector::io::Put<std::uint32_t>(os, 0x7FFFFFFFu);  // point count
+  }
+  return {{"PROV", prov}, {"SERS", sers}};
+}
+
+// Counts in a CRC-clean section are still untrusted: decode grows each
+// container only as its elements are actually read, so a section that
+// claims millions of entries is rejected as truncated instead of
+// allocating (or aborting on) what it claims.
+TEST(LiveCheckpointTest, CraftedCountsDoNotDriveAllocation) {
+  const std::vector<collector::Checkpoint::Section> crafted =
+      CraftedCountSections();
+  ASSERT_EQ(crafted[0].bytes.size(), 25u);
+  ASSERT_EQ(crafted[1].bytes.size(), 47u);
+  for (const collector::Checkpoint::Section& bad : crafted) {
+    collector::Checkpoint ck;
+    EncodeLiveState(SampleState(), ck);
+    for (auto& s : ck.sections) {
+      if (s.tag == bad.tag) s.bytes = bad.bytes;
+    }
+    LiveCheckpointState out;
+    std::string error;
+    EXPECT_FALSE(DecodeLiveState(ck, &out, &error));
+    EXPECT_NE(error.find("section " + bad.tag + ": truncated"),
+              std::string::npos)
+        << error;
+  }
+}
+
+// The same crafted sections in a checkpoint file on disk: `serve` logs
+// the rejection and replays fresh rather than dying at startup.
+TEST(LiveCheckpointTest, CraftedCountsFallBackToFreshReplay) {
+  const collector::EventStream stream = ResetCapture();
+  IncidentLog fresh;
+  const RunResult want = RunLive(BaseOptions(), stream, &fresh);
+  const std::string path = TempPath("crafted");
+  for (const collector::Checkpoint::Section& bad : CraftedCountSections()) {
+    // Anchored to this stream, so only the crafted section can make the
+    // restore fail.
+    LiveCheckpointState st = SampleState();
+    st.t0 = stream.events().front().time;
+    st.stats.clock += st.t0;
+    collector::Checkpoint ck;
+    EncodeLiveState(st, ck);
+    for (auto& s : ck.sections) {
+      if (s.tag == bad.tag) s.bytes = bad.bytes;
+    }
+    ASSERT_TRUE(collector::WriteCheckpointFile(ck, path));
+    LiveOptions durable = BaseOptions();
+    durable.checkpoint_path = path;
+    IncidentLog log;
+    const RunResult got = RunLive(durable, stream, &log);  // resets metrics
+    EXPECT_FALSE(got.stats.restored) << bad.tag;
+    EXPECT_EQ(got.incidents_json, want.incidents_json) << bad.tag;
+    EXPECT_EQ(obs::MetricsRegistry::Global().CounterValue(
+                  "serve_restore_failures_total"),
+              1u)
+        << bad.tag;
+  }
+  fs::remove(path);
 }
 
 // PROV semantic violations that survive byte-level parsing must still

@@ -256,7 +256,9 @@ TEST(LiveRunnerTest, FeedGapMarksPeerDegradedInHealth) {
   EXPECT_NE(agg.reason.find("peer/10.0.0.2"), std::string::npos);
   EXPECT_NE(agg.reason.find("feed gap"), std::string::npos);
   for (const auto& c : health.Snapshot()) {
-    if (c.name == "peer/10.0.0.1") EXPECT_EQ(c.state, obs::HealthState::kOk);
+    if (c.name == "peer/10.0.0.1") {
+      EXPECT_EQ(c.state, obs::HealthState::kOk);
+    }
   }
 }
 

@@ -90,10 +90,10 @@ TEST(ProvenanceLedgerTest, UnknownSeqIsNotFound) {
   EXPECT_TRUE(ledger.EvidenceJson(1).has_value());
 }
 
-// A checkpoint written without a ledger (e.g. a RANOMALY_NO_PROVENANCE
-// build) restores into a ledger-attached serve at incident N+1: the
-// unexplained prefix counts as evicted so the contiguity invariant (and
-// the next checkpoint's PROV section) stays valid.
+// A checkpoint written without a ledger restores into a ledger-attached
+// serve at incident N+1: the unexplained prefix counts as evicted so the
+// contiguity invariant (and the next checkpoint's PROV section) stays
+// valid.
 TEST(ProvenanceLedgerTest, FirstAttachAfterBareRestoreBaselinesEviction) {
   ProvenanceLedger ledger;
   ledger.Attach(MakeRecord(5));
@@ -258,8 +258,6 @@ TEST(ProvenanceHandlerTest, TimelineGoldenEscapesHostileIncidentNames) {
       response.body,
       R"json({"t0_sec":0,"tick_sec":0,"incidents":[{"seq":1,"kind":"unknown","begin_sec":0,"end_sec":0,"detected_at_sec":0,"detection_latency_sec":-1,"stem":"up\"link\\\n","top_sequence":"c = 1 2 \"3\"","summary":"reset\tstorm","feed_degraded":false,"load_shed":false,"exemplar":{"span":"live.tick","tick":0}}],"next_since":1})json");
 }
-
-#ifndef RANOMALY_NO_PROVENANCE
 
 // --- live replay determinism -------------------------------------------------
 
@@ -449,8 +447,6 @@ TEST(ProvenanceHandlerTest, EvidenceEndpointGuards) {
   EXPECT_EQ(none.status, 404);
   EXPECT_NE(none.body.find("no provenance ledger"), std::string::npos);
 }
-
-#endif  // RANOMALY_NO_PROVENANCE
 
 }  // namespace
 }  // namespace ranomaly::obs
