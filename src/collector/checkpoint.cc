@@ -352,15 +352,9 @@ bool FsyncParentDir(const std::string& path) {
   return ok;
 }
 
-}  // namespace
-
-bool WriteCheckpointFile(const Checkpoint& checkpoint,
-                         const std::string& path) {
-  obs::TraceSpan span("checkpoint.write");
-  span.Annotate("routes", static_cast<std::uint64_t>(checkpoint.RouteCount()));
-  std::string bytes;
-  if (!SerializeCheckpointFile(checkpoint, bytes)) return false;
-
+// The durable commit of a serialized checkpoint image (see
+// WriteCheckpointFile).
+bool WriteCheckpointImage(const std::string& bytes, const std::string& path) {
   const auto fail_write = [] {
     RANOMALY_METRIC_COUNT("checkpoint_write_failures_total", 1);
     return false;
@@ -405,6 +399,26 @@ bool WriteCheckpointFile(const Checkpoint& checkpoint,
   RANOMALY_METRIC_COUNT("checkpoint_bytes_written_total", bytes.size());
   RANOMALY_METRIC_COUNT("checkpoint_writes_total", 1);
   return true;
+}
+
+}  // namespace
+
+bool WriteCheckpointFile(const Checkpoint& checkpoint,
+                         const std::string& path) {
+  obs::TraceSpan span("checkpoint.write");
+  span.Annotate("routes", static_cast<std::uint64_t>(checkpoint.RouteCount()));
+  std::string bytes;
+  if (!SerializeCheckpointFile(checkpoint, bytes)) return false;
+  return WriteCheckpointImage(bytes, path);
+}
+
+bool WriteCheckpointFile(Checkpoint&& checkpoint, const std::string& path) {
+  obs::TraceSpan span("checkpoint.write");
+  span.Annotate("routes", static_cast<std::uint64_t>(checkpoint.RouteCount()));
+  std::string bytes;
+  const bool serialized = SerializeCheckpointFile(checkpoint, bytes);
+  checkpoint = Checkpoint{};
+  return serialized && WriteCheckpointImage(bytes, path);
 }
 
 std::optional<Checkpoint> ReadCheckpointFile(const std::string& path,

@@ -97,6 +97,10 @@ std::optional<Checkpoint> LoadCheckpoint(std::istream& is,
 // at any step leaves the previous checkpoint intact and returns false.
 bool WriteCheckpointFile(const Checkpoint& checkpoint,
                          const std::string& path);
+// As above, but takes the checkpoint over and frees it once the file
+// image is built, before the disk write: a background writer then holds
+// one copy of the snapshot while the next one is being cut, not two.
+bool WriteCheckpointFile(Checkpoint&& checkpoint, const std::string& path);
 std::optional<Checkpoint> ReadCheckpointFile(const std::string& path,
                                              LoadDiagnostics* diag = nullptr);
 

@@ -530,6 +530,7 @@ LiveStats LiveRunner::Run(
   std::mutex ck_mu;
   std::condition_variable ck_cv;
   std::optional<collector::Checkpoint> ck_job;
+  bool write_pending = false;  // enqueued since the last reap
   std::optional<bool> ck_result;
   bool ck_busy = false;
   bool ck_stop = false;
@@ -540,11 +541,11 @@ LiveStats LiveRunner::Run(
       for (;;) {
         ck_cv.wait(lock, [&] { return ck_job.has_value() || ck_stop; });
         if (!ck_job.has_value()) break;
-        const collector::Checkpoint ck = std::move(*ck_job);
+        collector::Checkpoint ck = std::move(*ck_job);
         ck_job.reset();
         lock.unlock();
-        const bool ok =
-            collector::WriteCheckpointFile(ck, options_.checkpoint_path);
+        const bool ok = collector::WriteCheckpointFile(
+            std::move(ck), options_.checkpoint_path);
         lock.lock();
         ck_result = ok;
         ck_busy = false;
@@ -552,8 +553,7 @@ LiveStats LiveRunner::Run(
       }
     });
   }
-  const auto enqueue_checkpoint = [&] {
-    collector::Checkpoint ck = make_checkpoint();
+  const auto enqueue_checkpoint = [&](collector::Checkpoint ck) {
     std::lock_guard<std::mutex> lock(ck_mu);
     ck_job = std::move(ck);
     ck_busy = true;
@@ -842,7 +842,15 @@ LiveStats LiveRunner::Run(
     if (series_ != nullptr) series_->Sample(reg, tick_end);
 
     if (checkpointing && stats.ticks >= next_checkpoint_tick) {
+      // Cut this tick's snapshot before waiting on the previous write, so
+      // the encode overlaps that write's disk time.  The snapshot is
+      // enqueued only if the pending write (if any) landed, so it counts
+      // that write as landed — the value the reap below then records.
+      stats.checkpoint_writes += write_pending ? 1 : 0;
+      collector::Checkpoint snapshot = make_checkpoint();
+      stats.checkpoint_writes -= write_pending ? 1 : 0;
       const std::optional<bool> previous = reap_checkpoint();
+      write_pending = false;
       if (previous.has_value()) {
         if (*previous) {
           ++stats.checkpoint_writes;
@@ -852,7 +860,8 @@ LiveStats LiveRunner::Run(
         }
       }
       if (!previous.has_value() || *previous) {
-        enqueue_checkpoint();
+        enqueue_checkpoint(std::move(snapshot));
+        write_pending = true;
         next_checkpoint_tick = stats.ticks + options_.checkpoint_every_ticks;
       } else {
         // Keep analyzing; retry with exponential backoff so a full disk

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <mutex>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -24,7 +24,13 @@ const char* ToString(IncidentKind kind) {
   return "?";
 }
 
-Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
+struct Pipeline::Sliding {
+  std::mutex mu;
+  stemming::SlidingStemmer stemmer;  // guarded by mu
+};
+
+Pipeline::Pipeline(PipelineOptions options)
+    : options_(std::move(options)), sliding_(std::make_unique<Sliding>()) {
   const std::size_t threads = options_.threads != 0
                                   ? options_.threads
                                   : util::ThreadPool::DefaultThreadCount();
@@ -33,89 +39,111 @@ Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
   options_.stemming.pool = pool_.get();
 }
 
+Pipeline::~Pipeline() = default;
+
 IncidentEvidence Pipeline::ExtractEvidence(
     std::span<const bgp::Event> events,
     const stemming::Component& component) {
   IncidentEvidence ev;
-  if (component.event_indices.empty()) return ev;
+  const std::vector<std::size_t>& indices = component.event_indices;
+  if (indices.empty()) return ev;
 
+  // The component's events grouped by prefix, in Prefix order, each
+  // group in window order: a single pass over a group yields its first
+  // and last observation and cycle count, reading the window in place.
+  std::vector<const bgp::Event*> by_prefix;
+  by_prefix.reserve(indices.size());
+  std::vector<std::uint32_t> peers;
+  peers.reserve(indices.size());
   std::size_t withdraws = 0;
-  std::unordered_map<std::uint32_t, std::size_t> per_peer;
   bool med = false;
-
-  // Per-prefix first and last observation, and cycle counts.  A
-  // "transition" is an announce<->withdraw flip OR an announcement whose
-  // nexthop differs from the previous one: at a route reflector with full
-  // visibility an oscillation shows up as implicit replacements between
-  // alternatives, with few explicit withdrawals.
-  struct PrefixTrack {
-    bool have_first = false;
-    bgp::AsPath first_path;
-    bgp::AsPath last_path;
-    bgp::EventType last_type = bgp::EventType::kAnnounce;
-    bgp::Ipv4Addr last_nexthop;
-    std::size_t transitions = 0;
-    std::size_t events = 0;
-  };
-  std::map<bgp::Prefix, PrefixTrack> tracks;
-
-  for (const std::size_t idx : component.event_indices) {
+  for (const std::size_t idx : indices) {
     const bgp::Event& e = events[idx];
+    by_prefix.push_back(&e);
+    peers.push_back(e.peer.value());
     if (e.type == bgp::EventType::kWithdraw) ++withdraws;
-    ++per_peer[e.peer.value()];
     if (e.attrs.med) med = true;
-
-    PrefixTrack& t = tracks[e.prefix];
-    if (!t.have_first) {
-      t.have_first = true;
-      t.first_path = e.attrs.as_path;
-      t.last_type = e.type;
-    } else if (e.type != t.last_type ||
-               (e.type == bgp::EventType::kAnnounce &&
-                e.attrs.nexthop != t.last_nexthop)) {
-      ++t.transitions;
-      t.last_type = e.type;
-    }
-    t.last_nexthop = e.attrs.nexthop;
-    t.last_path = e.attrs.as_path;
-    ++t.events;
   }
+  // Pointers into the window ascend with the event index, so they
+  // break prefix ties in window order.
+  std::sort(by_prefix.begin(), by_prefix.end(),
+            [](const bgp::Event* a, const bgp::Event* b) {
+              return std::tie(a->prefix, a) < std::tie(b->prefix, b);
+            });
 
-  const double n = static_cast<double>(component.event_indices.size());
+  const double n = static_cast<double>(indices.size());
   ev.withdraw_fraction = static_cast<double>(withdraws) / n;
+  std::sort(peers.begin(), peers.end());
   std::size_t busiest = 0;
-  for (const auto& [peer, count] : per_peer) {
-    busiest = std::max(busiest, count);
+  for (std::size_t i = 0; i < peers.size();) {
+    std::size_t j = i + 1;
+    while (j < peers.size() && peers[j] == peers[i]) ++j;
+    busiest = std::max(busiest, j - i);
+    i = j;
   }
   ev.single_peer_fraction = static_cast<double>(busiest) / n;
   ev.med_present = med;
 
+  // A "transition" is an announce<->withdraw flip OR an announcement
+  // whose nexthop differs from the previous one: at a route reflector
+  // with full visibility an oscillation shows up as implicit
+  // replacements between alternatives, with few explicit withdrawals.
   double cycles = 0.0;
   double growth = 0.0;
+  std::size_t prefixes = 0;
   std::size_t restored = 0;
   std::size_t final_announce = 0;
   std::size_t busiest_prefix_events = 0;
-  std::set<bgp::AsNumber> initial_ases;
-  std::set<bgp::AsNumber> final_ases;
-  for (const auto& [prefix, t] : tracks) {
-    if (t.events > busiest_prefix_events) ev.dominant_prefix = prefix;
-    cycles += static_cast<double>(t.transitions) / 2.0;
-    growth += static_cast<double>(t.last_path.Length()) -
-              static_cast<double>(t.first_path.Length());
-    if (t.last_path == t.first_path) ++restored;
-    if (t.last_type == bgp::EventType::kAnnounce) ++final_announce;
-    busiest_prefix_events = std::max(busiest_prefix_events, t.events);
-    for (const bgp::AsNumber a : t.first_path.asns()) initial_ases.insert(a);
-    for (const bgp::AsNumber a : t.last_path.asns()) final_ases.insert(a);
+  std::vector<bgp::AsNumber> initial_ases;
+  std::vector<bgp::AsNumber> final_ases;
+  for (std::size_t i = 0; i < by_prefix.size();) {
+    const bgp::Event& first = *by_prefix[i];
+    std::size_t transitions = 0;
+    std::size_t j = i + 1;
+    for (; j < by_prefix.size() && by_prefix[j]->prefix == first.prefix; ++j) {
+      const bgp::Event& e = *by_prefix[j];
+      const bgp::Event& previous = *by_prefix[j - 1];
+      if (e.type != previous.type ||
+          (e.type == bgp::EventType::kAnnounce &&
+           e.attrs.nexthop != previous.attrs.nexthop)) {
+        ++transitions;
+      }
+    }
+    const bgp::Event& last = *by_prefix[j - 1];
+    const bgp::AsPath& first_path = first.attrs.as_path;
+    const bgp::AsPath& last_path = last.attrs.as_path;
+    const std::size_t group_events = j - i;
+    if (group_events > busiest_prefix_events) {
+      ev.dominant_prefix = first.prefix;
+    }
+    cycles += static_cast<double>(transitions) / 2.0;
+    growth += static_cast<double>(last_path.Length()) -
+              static_cast<double>(first_path.Length());
+    if (last_path == first_path) ++restored;
+    if (last.type == bgp::EventType::kAnnounce) ++final_announce;
+    busiest_prefix_events = std::max(busiest_prefix_events, group_events);
+    initial_ases.insert(initial_ases.end(), first_path.asns().begin(),
+                        first_path.asns().end());
+    final_ases.insert(final_ases.end(), last_path.asns().begin(),
+                      last_path.asns().end());
+    ++prefixes;
+    i = j;
   }
-  const double p = static_cast<double>(tracks.size());
+  const double p = static_cast<double>(prefixes);
   ev.cycles_per_prefix = cycles / p;
   ev.path_growth = growth / p;
   ev.restored_fraction = static_cast<double>(restored) / p;
   ev.final_announce_fraction = static_cast<double>(final_announce) / p;
   ev.dominant_prefix_fraction = static_cast<double>(busiest_prefix_events) / n;
+  // ASes on some final path but on no initial path.
+  std::sort(initial_ases.begin(), initial_ases.end());
+  std::sort(final_ases.begin(), final_ases.end());
+  final_ases.erase(std::unique(final_ases.begin(), final_ases.end()),
+                   final_ases.end());
   for (const bgp::AsNumber a : final_ases) {
-    if (!initial_ases.contains(a)) ++ev.new_as_count;
+    if (!std::binary_search(initial_ases.begin(), initial_ases.end(), a)) {
+      ++ev.new_as_count;
+    }
   }
   return ev;
 }
@@ -247,24 +275,25 @@ void Pipeline::PopulateProvenance(std::span<const bgp::Event> events,
 
 Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
                                 const stemming::StemmingResult& result,
-                                const stemming::Component& component) const {
+                                stemming::Component&& component) const {
   Incident inc;
-  inc.component = component;
-  inc.event_count = component.event_indices.size();
-  inc.event_fraction =
-      events.empty() ? 0.0
-                     : static_cast<double>(inc.event_count) /
-                           static_cast<double>(events.size());
-  inc.prefix_count = component.prefixes.size();
   inc.stem_key = {result.symbols.Raw(component.stem.first),
                   result.symbols.Raw(component.stem.second)};
   inc.stem_label = result.StemLabel(component);
   inc.top_sequence = result.SequenceLabel(component);
+  inc.component = std::move(component);
+  const stemming::Component& comp = inc.component;
+  inc.event_count = comp.event_indices.size();
+  inc.event_fraction =
+      events.empty() ? 0.0
+                     : static_cast<double>(inc.event_count) /
+                           static_cast<double>(events.size());
+  inc.prefix_count = comp.prefixes.size();
   util::SimTime begin = 0;
   util::SimTime end = 0;
   util::SimTime ingest = 0;
   bool first = true;
-  for (const std::size_t idx : component.event_indices) {
+  for (const std::size_t idx : comp.event_indices) {
     const util::SimTime t = events[idx].time;
     if (first) {
       begin = end = t;
@@ -278,7 +307,7 @@ Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
   inc.begin = begin;
   inc.end = end;
   inc.ingest_tick = ingest;
-  inc.evidence = ExtractEvidence(events, component);
+  inc.evidence = ExtractEvidence(events, comp);
   inc.kind = Classify(inc.evidence, inc.prefix_count);
   inc.summary = util::StrPrintf(
       "%s at %s: %zu prefixes, %zu events (%.0f%% of window), over %s",
@@ -290,6 +319,11 @@ Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
 
 std::vector<Incident> Pipeline::AnalyzeWindow(
     std::span<const bgp::Event> events) const {
+  return AnalyzeWindow(events, /*sliding=*/true);
+}
+
+std::vector<Incident> Pipeline::AnalyzeWindow(
+    std::span<const bgp::Event> events, bool sliding) const {
   std::vector<Incident> incidents;
   // Collection-layer markers are not routing events; stem over the routing
   // events only.  (Component indices then refer to the filtered window.)
@@ -301,19 +335,25 @@ std::vector<Incident> Pipeline::AnalyzeWindow(
     for (const bgp::Event& e : events) {
       if (!bgp::IsMarker(e.type)) routing.push_back(e);
     }
-    return AnalyzeWindow(routing);
+    return AnalyzeWindow(routing, sliding);
   }
   if (events.empty()) return incidents;
   obs::TraceSpan span("pipeline.window");
   span.Annotate("events", static_cast<std::uint64_t>(events.size()));
   RANOMALY_METRIC_COUNT("pipeline_windows_total", 1);
-  const stemming::StemmingResult result =
-      stemming::Stem(events, options_.stemming);
-  for (const stemming::Component& component : result.components) {
+  stemming::StemmingResult result;
+  std::unique_lock<std::mutex> lock(sliding_->mu, std::defer_lock);
+  if (sliding && lock.try_lock()) {
+    result = sliding_->stemmer.Stem(events, options_.stemming);
+    lock.unlock();
+  } else {
+    result = stemming::Stem(events, options_.stemming);
+  }
+  for (stemming::Component& component : result.components) {
     const double fraction = static_cast<double>(component.event_indices.size()) /
                             static_cast<double>(events.size());
     if (fraction < options_.min_component_fraction) continue;
-    Incident incident = MakeIncident(events, result, component);
+    Incident incident = MakeIncident(events, result, std::move(component));
     if (incident.kind == IncidentKind::kUnknown && !options_.include_unknown) {
       continue;  // statistically strong but operationally featureless
     }
@@ -345,7 +385,7 @@ std::vector<Incident> Pipeline::Analyze(
     const auto window =
         stream.Window(spikes[i].begin - options_.spike_margin,
                       spikes[i].end + options_.spike_margin);
-    per_spike[i] = AnalyzeWindow(window);
+    per_spike[i] = AnalyzeWindow(window, /*sliding=*/false);
   };
   pool_->ParallelFor(spikes.size(), analyze_spike);
   for (std::vector<Incident>& window_incidents : per_spike) {
@@ -383,7 +423,7 @@ std::vector<Incident> Pipeline::Analyze(
       if (!inside_spike) grass.push_back(e);
     }
     grass_span.Annotate("events", static_cast<std::uint64_t>(grass.size()));
-    for (Incident& inc : AnalyzeWindow(grass)) {
+    for (Incident& inc : AnalyzeWindow(grass, /*sliding=*/false)) {
       incidents.push_back(std::move(inc));
     }
     RANOMALY_METRIC_COUNT("pipeline_grass_events_total", grass.size());

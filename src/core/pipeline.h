@@ -44,6 +44,7 @@ struct PipelineOptions {
 class Pipeline {
  public:
   explicit Pipeline(PipelineOptions options = {});
+  ~Pipeline();
 
   // Full analysis: spike windows first (concurrently when the pipeline
   // has threads; incidents merge in spike order, so results are
@@ -54,7 +55,12 @@ class Pipeline {
   // pipeline_* and stemming_* names (docs/OBSERVABILITY.md).
   std::vector<Incident> Analyze(const collector::EventStream& stream) const;
 
-  // Stems and classifies one window.
+  // Stems and classifies one window.  Consecutive calls whose windows
+  // overlap (a live loop's sliding window) reuse the previous call's
+  // encoding: only events that entered or left the window are encoded
+  // (DESIGN.md "Sliding-window stemming").  The result is the same as
+  // stemming the whole window; the reused state sits behind a mutex, and a
+  // call that finds it busy runs batch stemming::Stem.
   std::vector<Incident> AnalyzeWindow(
       std::span<const bgp::Event> events) const;
 
@@ -78,15 +84,22 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
+  struct Sliding;
+
+  // AnalyzeWindow on the reused state (`sliding`) or with batch Stem.
+  std::vector<Incident> AnalyzeWindow(std::span<const bgp::Event> events,
+                                      bool sliding) const;
   Incident MakeIncident(std::span<const bgp::Event> events,
                         const stemming::StemmingResult& result,
-                        const stemming::Component& component) const;
+                        stemming::Component&& component) const;
 
   PipelineOptions options_;
   // Shared by stemming shard counts and the spike-window fan-out.  Always
   // created: a one-thread pool spawns no workers and runs inline, so the
   // fan-out takes the same instrumented path at every thread count.
   std::unique_ptr<util::ThreadPool> pool_;
+  // AnalyzeWindow's sliding stemmer and the mutex guarding it.
+  std::unique_ptr<Sliding> sliding_;
 };
 
 }  // namespace ranomaly::core

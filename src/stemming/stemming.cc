@@ -4,6 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stats.h"
@@ -140,13 +144,15 @@ struct EventView {
   std::uint32_t length = 0;
   SymbolId prefix_symbol = 0;
   double weight = 0.0;        // summed over all events of the class
-  double unit_weight = 1.0;   // weight_fn value (same for the whole class)
 };
 
 struct Arena {
   std::vector<SymbolId> symbols;
   std::vector<std::uint64_t> raw;  // raw tagged value per position
   std::vector<EventView> views;    // one per distinct sequence class
+  // weight_fn value per class (the same for every event of a class);
+  // empty when unweighted, where every event weighs 1.
+  std::vector<double> unit_weights;
   // Bigram entry id of the adjacent pair starting at each arena position
   // (meaningful for the first length-1 positions of every class).  Kept
   // so counting and incremental subtraction are plain array arithmetic —
@@ -157,6 +163,9 @@ struct Arena {
     return symbols.data() + views[cls].begin;
   }
   std::size_t Len(std::size_t cls) const { return views[cls].length; }
+  double UnitWeight(std::size_t cls) const {
+    return unit_weights.empty() ? 1.0 : unit_weights[cls];
+  }
 };
 
 // Dispatches `chunks` chunks on the pool — or serially, in the same
@@ -193,6 +202,53 @@ std::uint64_t HashSpan(const std::uint64_t* seq, std::uint32_t len) {
     h = (h ^ seq[i]) * 0x9e3779b97f4a7c15ULL;
   }
   return Mix64(h);
+}
+
+inline std::uint64_t PrefixRaw(const bgp::Prefix& prefix) {
+  return Tag(SymbolKind::kPrefix,
+             (static_cast<std::uint64_t>(prefix.addr().value()) << 8) |
+                 prefix.length());
+}
+
+// Raw tagged sequence c = x h a1 .. an p (consecutive AS-path prepends
+// collapsed, as they carry no location information) — pure arithmetic,
+// no table lookups.
+void EncodeSequence(const bgp::Event& e, std::vector<std::uint64_t>& out) {
+  out.clear();
+  out.push_back(Tag(SymbolKind::kPeer, e.peer.value()));
+  out.push_back(Tag(SymbolKind::kNexthop, e.attrs.nexthop.value()));
+  bgp::AsNumber last_as = 0;
+  bool have_last = false;
+  for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
+    if (have_last && asn == last_as) continue;
+    out.push_back(Tag(SymbolKind::kAs, asn));
+    last_as = asn;
+    have_last = true;
+  }
+  out.push_back(PrefixRaw(e.prefix));
+}
+
+// True iff EncodeSequence(e) is the `len` raw values raw(0) .. raw(len-1),
+// checked without building it.
+template <typename RawAt>
+bool SequenceMatches(const bgp::Event& e, std::uint32_t len,
+                     const RawAt& raw) {
+  if (len < 3 || raw(0) != Tag(SymbolKind::kPeer, e.peer.value()) ||
+      raw(1) != Tag(SymbolKind::kNexthop, e.attrs.nexthop.value()) ||
+      raw(len - 1) != PrefixRaw(e.prefix)) {
+    return false;
+  }
+  std::uint32_t i = 2;
+  bgp::AsNumber last_as = 0;
+  bool have_last = false;
+  for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
+    if (have_last && asn == last_as) continue;
+    if (i + 1 >= len || raw(i) != Tag(SymbolKind::kAs, asn)) return false;
+    ++i;
+    last_as = asn;
+    have_last = true;
+  }
+  return i + 1 == len;
 }
 
 // One encode shard: a contiguous range of events deduplicated into
@@ -631,6 +687,20 @@ struct Postings {
     const std::uint32_t* entry = bigram_index.Find(PackPair(a, b));
     return entry ? *entry - 1 : kNoEntry;
   }
+  std::uint64_t Key(std::uint32_t entry) const { return bigram_keys[entry]; }
+  // f(classes, count) for the classes containing the entry's bigram.
+  template <typename F>
+  void ForEachRange(std::uint32_t entry, const F& f) const {
+    f(events.data() + offsets[entry], offsets[entry + 1] - offsets[entry]);
+  }
+  // f(class) for every class carrying `prefix`, ascending.
+  template <typename F>
+  void ForEachPrefixClass(SymbolId prefix, const F& f) const {
+    for (std::uint32_t i = prefix_offsets[prefix];
+         i < prefix_offsets[prefix + 1]; ++i) {
+      f(prefix_classes[i]);
+    }
+  }
 };
 
 bool ContainsSpan(const SymbolId* seq, std::size_t len, const SymbolId* sub,
@@ -641,6 +711,44 @@ bool ContainsSpan(const SymbolId* seq, std::size_t len, const SymbolId* sub,
   }
   return false;
 }
+
+// Posting lists concatenated into one virtual index space, so a scan
+// shards evenly however many lists (or list pieces) there are.  Within a
+// range, a class holding the bigram at several positions appears once
+// per position, adjacently; Scan skips those repeats.
+struct PostingRanges {
+  std::vector<const std::uint32_t*> starts;  // one per range
+  std::vector<std::uint32_t> bases;          // cumulative; back() = total
+
+  void Clear() { starts.clear(); bases.assign(1, 0); }
+  void Add(const std::uint32_t* data, std::uint32_t count) {
+    starts.push_back(data);
+    bases.push_back(bases.back() + count);
+  }
+  std::uint32_t size() const { return bases.back(); }
+
+  // f(class) for the virtual indices [vb, ve).
+  template <typename F>
+  void Scan(std::size_t vb, std::size_t ve, const F& f) const {
+    std::size_t r = static_cast<std::size_t>(
+                        std::upper_bound(bases.begin(), bases.end(),
+                                         static_cast<std::uint32_t>(vb)) -
+                        bases.begin()) -
+                    1;
+    std::uint32_t last = kNoIndex;
+    for (std::size_t v = vb; v < ve; ++v) {
+      while (v >= bases[r + 1]) {
+        ++r;
+        last = kNoIndex;
+      }
+      const std::uint32_t id =
+          starts[r][static_cast<std::uint32_t>(v) - bases[r]];
+      if (id == last) continue;
+      last = id;
+      f(id);
+    }
+  }
+};
 
 // Reused allocations for the per-component search.  The chunk_* members
 // hold per-chunk partials for the pool-dispatched extract passes:
@@ -658,24 +766,31 @@ struct Scratch {
   std::vector<std::vector<SymbolId>> chunk_prefixes;
   std::vector<std::vector<double>> chunk_deltas;
   std::vector<double> chunk_max;
-  std::vector<std::uint32_t> range_starts;  // posting start per range
-  std::vector<std::uint32_t> range_bases;   // cumulative virtual offsets
+  PostingRanges ranges;
   std::vector<std::uint32_t> removed;       // classes of the current component
 };
 
-// Finds the top-ranked sub-sequence (count desc, length desc, then
-// lexicographically smallest for determinism) over active classes,
+// Finds the top-ranked sub-sequence (count desc, length desc, then the
+// smallest in symbol order for determinism) over active classes,
 // reading bigram counts from the persistent (incrementally maintained)
 // table.  Returns nullopt if no bigram reaches min_count.  The scan,
 // candidate-collection, and re-scoring passes are sharded on the pool
 // with input-derived grains (options.scan_grain / candidate_grain);
 // per-chunk partials merge in chunk order, so the pick — including the
 // last bits of every weighted count — is unchanged by the thread count.
+//
+// PostingsT is the batch CSR index or the sliding stemmer's append-only
+// lists; both answer EntryOf, Key and Classes.  `pick` chooses among the
+// longest survivors (all of one length, all at the top count): batch
+// symbol ids are first-occurrence ranks, so batch picks the
+// lexicographically smallest id vector; the sliding stemmer, whose ids
+// are not ranks, compares by the rank the batch ids would have.
+template <typename PostingsT, typename Pick>
 std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     const Arena& arena, const std::vector<char>& active,
-    const Postings& postings, const std::vector<double>& bigram_counts,
+    const PostingsT& postings, const std::vector<double>& bigram_counts,
     double min_count, Scratch& scratch, const StemmingOptions& options,
-    double* parallel_seconds) {
+    const Pick& pick, double* parallel_seconds) {
   util::ThreadPool* pool = options.pool;
   const std::size_t scan_grain = std::max<std::size_t>(1, options.scan_grain);
   const std::size_t n_entries = bigram_counts.size();
@@ -726,7 +841,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
   scratch.entry_mark.assign(n_entries, 0);
   for (std::size_t c = 0; c < scan_chunks; ++c) {
     for (const std::uint32_t e : scratch.chunk_ids[c]) {
-      const std::uint64_t key = postings.bigram_keys[e];
+      const std::uint64_t key = postings.Key(e);
       const SymbolId pair[2] = {static_cast<SymbolId>(key >> 32),
                                 static_cast<SymbolId>(key)};
       scratch.survivors.Count(pair) = bigram_counts[e];
@@ -750,17 +865,16 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     // scan shards evenly however many survivors there are.  Per-chunk
     // hits concatenate in chunk order, then sort+unique — the same
     // sorted candidate set the serial mark-based walk produced.
-    scratch.range_starts.clear();
-    scratch.range_bases.clear();
-    std::uint32_t virt = 0;
+    scratch.ranges.Clear();
     scratch.survivors.ForEach([&](const SymbolId* gram, double) {
       const std::uint32_t e = postings.EntryOf(gram[0], gram[1]);
       if (e == Postings::kNoEntry) return;
-      scratch.range_bases.push_back(virt);
-      scratch.range_starts.push_back(postings.offsets[e]);
-      virt += postings.offsets[e + 1] - postings.offsets[e];
+      postings.ForEachRange(e, [&](const std::uint32_t* data,
+                                   std::uint32_t n) {
+        scratch.ranges.Add(data, n);
+      });
     });
-    scratch.range_bases.push_back(virt);
+    const std::uint32_t virt = scratch.ranges.size();
     const std::size_t cand_chunks =
         util::ThreadPool::ChunksFor(virt, scan_grain);
     if (scratch.chunk_ids.size() < cand_chunks) {
@@ -772,27 +886,9 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
           ids.clear();
           const auto [vb, ve] =
               util::ThreadPool::ChunkRange(virt, scan_grain, c);
-          std::size_t r =
-              static_cast<std::size_t>(
-                  std::upper_bound(scratch.range_bases.begin(),
-                                   scratch.range_bases.end(),
-                                   static_cast<std::uint32_t>(vb)) -
-                  scratch.range_bases.begin()) -
-              1;
-          std::uint32_t last = kNoIndex;
-          for (std::size_t v = vb; v < ve; ++v) {
-            while (v >= scratch.range_bases[r + 1]) {
-              ++r;
-              last = kNoIndex;  // adjacent-dup skip is per posting list
-            }
-            const std::uint32_t id =
-                postings.events[scratch.range_starts[r] +
-                                (static_cast<std::uint32_t>(v) -
-                                 scratch.range_bases[r])];
-            if (id == last) continue;
-            last = id;
+          scratch.ranges.Scan(vb, ve, [&](std::uint32_t id) {
             if (active[id]) ids.push_back(id);
-          }
+          });
         });
     scratch.candidates.clear();
     for (std::size_t c = 0; c < cand_chunks; ++c) {
@@ -869,10 +965,182 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     ++k;
   }
 
-  // Deterministic pick among the longest survivors.
-  std::vector<SymbolId> best = *std::min_element(last_survivors.begin(),
-                                                 last_survivors.end());
-  return std::make_pair(std::move(best), best_count);
+  return std::make_pair(pick(last_survivors), best_count);
+}
+
+// Adds `weight` to the count of every bigram position of class `cls`.
+inline void AddClassCounts(const Arena& arena, std::uint32_t cls,
+                           double weight, std::vector<double>& counts) {
+  const EventView& view = arena.views[cls];
+  for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+    counts[arena.pair_entries[view.begin + j]] += weight;
+  }
+}
+
+// Sentinel of class_component: the class is in no component (yet).
+constexpr std::uint32_t kNoComponent = 0xffffffffu;
+
+// The recursion of Section III-B over an encoded window: pick the top
+// sequence, collect P from the stem's postings and E from the prefix
+// postings, deactivate E and subtract its bigram contributions, repeat.
+// Shared by batch Stem and the sliding stemmer, which differ only in
+// their postings layout and in `pick` (TopSubsequence).  Each removed
+// class is marked in `class_component` and, when `removed_log` is set,
+// appended to it so the caller can undo the removals.  Returns the
+// events left active, in original-event units.
+template <typename PostingsT, typename Pick>
+std::size_t ExtractComponents(
+    const Arena& arena, const PostingsT& postings, const SymbolTable& symbols,
+    const std::vector<std::uint32_t>& class_mult,
+    std::vector<double>& bigram_counts, std::vector<char>& active,
+    std::vector<std::uint32_t>& class_component, std::size_t active_count,
+    double total_weight, const StemmingOptions& options, const Pick& pick,
+    Scratch& scratch, std::vector<std::uint32_t>* removed_log,
+    std::vector<Component>& components, double* par_extract) {
+  util::ThreadPool* pool = options.pool;
+  const std::size_t scan_grain = std::max<std::size_t>(1, options.scan_grain);
+  const std::size_t n_bigrams = bigram_counts.size();
+  while (components.size() < options.max_components && active_count > 0) {
+    const double min_count =
+        std::max(options.min_count, options.min_count_fraction * total_weight);
+    auto top = TopSubsequence(arena, active, postings, bigram_counts,
+                              min_count, scratch, options, pick, par_extract);
+    if (!top) break;
+    auto& [sequence, count] = *top;
+    if (sequence.size() < options.min_subsequence_length) break;
+
+    Component component;
+    component.top_sequence = sequence;
+    component.stem = {sequence[sequence.size() - 2], sequence.back()};
+    component.count = count;
+
+    // P: prefixes of active sequences containing s'.  Candidates come
+    // from the stem pair's posting list (every sequence containing s'
+    // contains its last bigram); only they are checked for containment.
+    // The containment scan shards over the posting range; per-chunk hits
+    // concatenate in chunk order and are then sorted and deduplicated —
+    // the same set the serial scan collected.
+    std::vector<SymbolId> prefix_symbols;
+    const std::uint32_t stem_entry =
+        postings.EntryOf(component.stem.first, component.stem.second);
+    if (stem_entry != Postings::kNoEntry) {
+      scratch.ranges.Clear();
+      postings.ForEachRange(stem_entry, [&](const std::uint32_t* data,
+                                            std::uint32_t n) {
+        scratch.ranges.Add(data, n);
+      });
+      const std::size_t plen = scratch.ranges.size();
+      const std::size_t pchunks =
+          util::ThreadPool::ChunksFor(plen, scan_grain);
+      if (scratch.chunk_prefixes.size() < pchunks) {
+        scratch.chunk_prefixes.resize(pchunks);
+      }
+      *par_extract += ParallelRegion(
+          pool, pchunks, [&](std::size_t c, std::size_t) {
+            std::vector<SymbolId>& out = scratch.chunk_prefixes[c];
+            out.clear();
+            const auto [begin, end] =
+                util::ThreadPool::ChunkRange(plen, scan_grain, c);
+            scratch.ranges.Scan(begin, end, [&](std::uint32_t cls) {
+              if (!active[cls]) return;
+              if (sequence.size() == 2 ||
+                  ContainsSpan(arena.Seq(cls), arena.Len(cls),
+                               sequence.data(), sequence.size())) {
+                out.push_back(arena.views[cls].prefix_symbol);
+              }
+            });
+          });
+      for (std::size_t c = 0; c < pchunks; ++c) {
+        prefix_symbols.insert(prefix_symbols.end(),
+                              scratch.chunk_prefixes[c].begin(),
+                              scratch.chunk_prefixes[c].end());
+      }
+    }
+    std::sort(prefix_symbols.begin(), prefix_symbols.end());
+    prefix_symbols.erase(
+        std::unique(prefix_symbols.begin(), prefix_symbols.end()),
+        prefix_symbols.end());
+
+    // E: every active class whose prefix is in P, via the prefix posting
+    // lists — proportional to the component, not the window.  The
+    // deactivation sweep stays serial (it mutates shared flags).  Unit
+    // weights make every count an integer, exact in any order, so the
+    // removal subtracts in place: O(removed positions).  Weighted counts
+    // shard the removed classes into input-derived chunks, each
+    // accumulating a dense per-chunk delta that merges in chunk order —
+    // so the persistent counts stay bit-identical at any thread count.
+    const std::uint32_t comp_id =
+        static_cast<std::uint32_t>(components.size());
+    scratch.removed.clear();
+    for (const SymbolId prefix_symbol : prefix_symbols) {
+      postings.ForEachPrefixClass(prefix_symbol, [&](std::uint32_t cls) {
+        if (!active[cls]) return;
+        active[cls] = 0;
+        class_component[cls] = comp_id;
+        active_count -= class_mult[cls];
+        scratch.removed.push_back(cls);
+      });
+    }
+    if (removed_log != nullptr) {
+      removed_log->insert(removed_log->end(), scratch.removed.begin(),
+                          scratch.removed.end());
+    }
+    if (!options.weight_fn) {
+      for (const std::uint32_t cls : scratch.removed) {
+        AddClassCounts(arena, cls, -arena.views[cls].weight, bigram_counts);
+      }
+    } else {
+      const std::size_t removal_grain =
+          std::max<std::size_t>(1, options.removal_grain);
+      const std::size_t rchunks =
+          util::ThreadPool::ChunksFor(scratch.removed.size(), removal_grain);
+      if (scratch.chunk_deltas.size() < rchunks) {
+        scratch.chunk_deltas.resize(rchunks);
+      }
+      *par_extract += ParallelRegion(
+          pool, rchunks, [&](std::size_t c, std::size_t) {
+            std::vector<double>& delta = scratch.chunk_deltas[c];
+            delta.assign(n_bigrams, 0.0);
+            const auto [begin, end] = util::ThreadPool::ChunkRange(
+                scratch.removed.size(), removal_grain, c);
+            for (std::size_t i = begin; i < end; ++i) {
+              AddClassCounts(arena, scratch.removed[i],
+                             arena.views[scratch.removed[i]].weight, delta);
+            }
+          });
+      for (std::size_t c = 0; c < rchunks; ++c) {
+        const std::vector<double>& delta = scratch.chunk_deltas[c];
+        for (std::size_t e = 0; e < n_bigrams; ++e) {
+          bigram_counts[e] -= delta[e];
+        }
+      }
+    }
+
+    component.prefixes.reserve(prefix_symbols.size());
+    for (const SymbolId s : prefix_symbols) {
+      component.prefixes.push_back(symbols.PrefixOf(s));
+    }
+    std::sort(component.prefixes.begin(), component.prefixes.end());
+
+    components.push_back(std::move(component));
+  }
+  return active_count;
+}
+
+// Expands classes back to original events, in ascending event order —
+// the same order (and the same floating-point accumulation sequence)
+// in which a per-event recursion would have collected them.
+void CollectEvents(const Arena& arena,
+                   std::span<const std::uint32_t> event_class,
+                   const std::vector<std::uint32_t>& class_component,
+                   std::vector<Component>& components) {
+  for (std::size_t ei = 0; ei < event_class.size(); ++ei) {
+    const std::uint32_t comp_id = class_component[event_class[ei]];
+    if (comp_id == kNoComponent) continue;
+    Component& component = components[comp_id];
+    component.event_indices.push_back(ei);
+    component.event_weight += arena.UnitWeight(event_class[ei]);
+  }
 }
 
 }  // namespace
@@ -915,26 +1183,7 @@ StemmingResult Stem(std::span<const bgp::Event> events,
             // one into cache while this one is being encoded.
             __builtin_prefetch(events[ei + 1].attrs.as_path.asns().data());
           }
-          const bgp::Event& e = events[ei];
-          // Raw tagged sequence c = x h a1 .. an p (consecutive AS-path
-          // prepends collapsed, as they carry no location information) —
-          // pure arithmetic, no table lookups.
-          raw_buf.clear();
-          raw_buf.push_back(Tag(SymbolKind::kPeer, e.peer.value()));
-          raw_buf.push_back(
-              Tag(SymbolKind::kNexthop, e.attrs.nexthop.value()));
-          bgp::AsNumber last_as = 0;
-          bool have_last = false;
-          for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
-            if (have_last && asn == last_as) continue;
-            raw_buf.push_back(Tag(SymbolKind::kAs, asn));
-            last_as = asn;
-            have_last = true;
-          }
-          raw_buf.push_back(
-              Tag(SymbolKind::kPrefix,
-                  (static_cast<std::uint64_t>(e.prefix.addr().value()) << 8) |
-                      e.prefix.length()));
+          EncodeSequence(events[ei], raw_buf);
           const auto len = static_cast<std::uint32_t>(raw_buf.size());
           const std::uint32_t cls = shard.FindOrInsert(
               raw_buf.data(), len, HashSpan(raw_buf.data(), len));
@@ -1119,8 +1368,9 @@ StemmingResult Stem(std::span<const bgp::Event> events,
   // per-event encoder performs — and the weighted window total follows
   // original event order, so both match the serial bytes.
   if (weighted) {
+    arena.unit_weights.resize(n_classes);
     for (std::size_t gid = 0; gid < n_classes; ++gid) {
-      arena.views[gid].unit_weight = options.weight_fn(
+      arena.unit_weights[gid] = options.weight_fn(
           result.symbols.PrefixOf(arena.views[gid].prefix_symbol));
     }
   }
@@ -1133,7 +1383,7 @@ StemmingResult Stem(std::span<const bgp::Event> events,
           if (weighted) {
             double w = 0.0;
             for (std::uint32_t m = 0; m < class_mult[gid]; ++m) {
-              w += view.unit_weight;
+              w += arena.unit_weights[gid];
             }
             view.weight = w;
           } else {
@@ -1143,7 +1393,7 @@ StemmingResult Stem(std::span<const bgp::Event> events,
       });
   if (weighted) {
     for (std::size_t ei = 0; ei < n; ++ei) {
-      result.total_weight += arena.views[event_class[ei]].unit_weight;
+      result.total_weight += arena.unit_weights[event_class[ei]];
     }
   } else {
     result.total_weight = static_cast<double>(n);
@@ -1291,11 +1541,8 @@ StemmingResult Stem(std::span<const bgp::Event> events,
         std::vector<double>& counts = partial[s];
         counts.assign(n_bigrams, 0.0);
         for (std::size_t i = begin; i < end; ++i) {
-          const EventView& view = arena.views[i];
-          const double weight = view.weight;
-          for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
-            counts[arena.pair_entries[view.begin + j]] += weight;
-          }
+          AddClassCounts(arena, static_cast<std::uint32_t>(i),
+                         arena.views[i].weight, counts);
         }
       });
   std::vector<double> bigram_counts(n_bigrams, 0.0);
@@ -1322,144 +1569,17 @@ StemmingResult Stem(std::span<const bgp::Event> events,
   const util::StageTimer extract_timer;
   obs::TraceSpan extract_span("stemming.extract");
   std::vector<char> active(arena.views.size(), 1);
-  std::size_t active_count = events.size();  // in original-event units
-  constexpr std::uint32_t kNoComponent = 0xffffffffu;
   std::vector<std::uint32_t> class_component(arena.views.size(),
                                              kNoComponent);
   Scratch scratch;
-
-  while (result.components.size() < options.max_components &&
-         active_count > 0) {
-    const double min_count =
-        std::max(options.min_count,
-                 options.min_count_fraction * result.total_weight);
-    auto top = TopSubsequence(arena, active, postings, bigram_counts,
-                              min_count, scratch, options, &par_extract);
-    if (!top) break;
-    auto& [sequence, count] = *top;
-    if (sequence.size() < options.min_subsequence_length) break;
-
-    Component component;
-    component.top_sequence = sequence;
-    component.stem = {sequence[sequence.size() - 2], sequence.back()};
-    component.count = count;
-
-    // P: prefixes of active sequences containing s'.  Candidates come
-    // from the stem pair's posting list (every sequence containing s'
-    // contains its last bigram); only they are checked for containment.
-    // The containment scan shards over the posting range; per-chunk hits
-    // concatenate in chunk order and are then sorted and deduplicated —
-    // the same set the serial scan collected.
-    std::vector<SymbolId> prefix_symbols;
-    const std::uint32_t stem_entry =
-        postings.EntryOf(component.stem.first, component.stem.second);
-    if (stem_entry != Postings::kNoEntry) {
-      const std::uint32_t pbase = postings.offsets[stem_entry];
-      const std::size_t plen = postings.offsets[stem_entry + 1] - pbase;
-      const std::size_t pchunks =
-          util::ThreadPool::ChunksFor(plen, scan_grain);
-      if (scratch.chunk_prefixes.size() < pchunks) {
-        scratch.chunk_prefixes.resize(pchunks);
-      }
-      par_extract += ParallelRegion(
-          pool, pchunks, [&](std::size_t c, std::size_t) {
-            std::vector<SymbolId>& out = scratch.chunk_prefixes[c];
-            out.clear();
-            const auto [begin, end] =
-                util::ThreadPool::ChunkRange(plen, scan_grain, c);
-            std::uint32_t last = kNoIndex;
-            for (std::size_t i = begin; i < end; ++i) {
-              const std::uint32_t cls = postings.events[pbase + i];
-              if (cls == last) continue;
-              last = cls;
-              if (!active[cls]) continue;
-              if (sequence.size() == 2 ||
-                  ContainsSpan(arena.Seq(cls), arena.Len(cls),
-                               sequence.data(), sequence.size())) {
-                out.push_back(arena.views[cls].prefix_symbol);
-              }
-            }
-          });
-      for (std::size_t c = 0; c < pchunks; ++c) {
-        prefix_symbols.insert(prefix_symbols.end(),
-                              scratch.chunk_prefixes[c].begin(),
-                              scratch.chunk_prefixes[c].end());
-      }
-    }
-    std::sort(prefix_symbols.begin(), prefix_symbols.end());
-    prefix_symbols.erase(
-        std::unique(prefix_symbols.begin(), prefix_symbols.end()),
-        prefix_symbols.end());
-
-    // E: every active class whose prefix is in P, via the prefix posting
-    // lists — proportional to the component, not the window.  The
-    // deactivation sweep stays serial (it mutates shared flags); the
-    // subtract-on-removal pass shards the removed classes into
-    // input-derived chunks, each accumulating a dense per-chunk delta
-    // that merges in chunk order — so the persistent counts stay
-    // bit-identical at any thread count.
-    const std::uint32_t comp_id =
-        static_cast<std::uint32_t>(result.components.size());
-    scratch.removed.clear();
-    for (const SymbolId prefix_symbol : prefix_symbols) {
-      const std::uint32_t pend = postings.prefix_offsets[prefix_symbol + 1];
-      for (std::uint32_t pi = postings.prefix_offsets[prefix_symbol];
-           pi < pend; ++pi) {
-        const std::uint32_t cls = postings.prefix_classes[pi];
-        if (!active[cls]) continue;
-        active[cls] = 0;
-        class_component[cls] = comp_id;
-        active_count -= class_mult[cls];
-        scratch.removed.push_back(cls);
-      }
-    }
-    const std::size_t removal_grain =
-        std::max<std::size_t>(1, options.removal_grain);
-    const std::size_t rchunks =
-        util::ThreadPool::ChunksFor(scratch.removed.size(), removal_grain);
-    if (scratch.chunk_deltas.size() < rchunks) {
-      scratch.chunk_deltas.resize(rchunks);
-    }
-    par_extract += ParallelRegion(
-        pool, rchunks, [&](std::size_t c, std::size_t) {
-          std::vector<double>& delta = scratch.chunk_deltas[c];
-          delta.assign(n_bigrams, 0.0);
-          const auto [begin, end] = util::ThreadPool::ChunkRange(
-              scratch.removed.size(), removal_grain, c);
-          for (std::size_t i = begin; i < end; ++i) {
-            const EventView& view = arena.views[scratch.removed[i]];
-            const double weight = view.weight;
-            for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
-              delta[arena.pair_entries[view.begin + j]] += weight;
-            }
-          }
-        });
-    for (std::size_t c = 0; c < rchunks; ++c) {
-      const std::vector<double>& delta = scratch.chunk_deltas[c];
-      for (std::size_t e = 0; e < n_bigrams; ++e) {
-        bigram_counts[e] -= delta[e];
-      }
-    }
-
-    component.prefixes.reserve(prefix_symbols.size());
-    for (const SymbolId s : prefix_symbols) {
-      component.prefixes.push_back(result.symbols.PrefixOf(s));
-    }
-    std::sort(component.prefixes.begin(), component.prefixes.end());
-
-    result.components.push_back(std::move(component));
-  }
-
-  // Expand classes back to original events, in ascending event order —
-  // the same order (and the same floating-point accumulation sequence)
-  // in which a per-event recursion would have collected them.
-  for (std::size_t ei = 0; ei < events.size(); ++ei) {
-    const std::uint32_t comp_id = class_component[event_class[ei]];
-    if (comp_id == kNoComponent) continue;
-    Component& component = result.components[comp_id];
-    component.event_indices.push_back(ei);
-    component.event_weight += arena.views[event_class[ei]].unit_weight;
-  }
+  const std::size_t active_count = ExtractComponents(
+      arena, postings, result.symbols, class_mult, bigram_counts, active,
+      class_component, events.size(), result.total_weight, options,
+      [](std::vector<std::vector<SymbolId>>& survivors) {
+        return *std::min_element(survivors.begin(), survivors.end());
+      },
+      scratch, nullptr, result.components, &par_extract);
+  CollectEvents(arena, event_class, class_component, result.components);
 
   result.residual_events = active_count;
   result.stats.components = result.components.size();
@@ -1471,6 +1591,528 @@ StemmingResult Stem(std::span<const bgp::Event> events,
   RANOMALY_METRIC_OBSERVE("stemming_components_per_window",
                           (std::vector<double>{0, 1, 2, 4, 8, 16}),
                           static_cast<double>(result.components.size()));
+  RANOMALY_METRIC_OBSERVE("stemming_extract_seconds", obs::TimeBounds(),
+                          result.stats.extract_seconds);
+  if (result.stats.extract_seconds > 0.0) {
+    RANOMALY_METRIC_SET(
+        "stemming_extract_parallel_fraction",
+        std::min(1.0, par_extract / result.stats.extract_seconds));
+  }
+  return result;
+}
+
+
+// ---------------------------------------------------------------------------
+// Sliding-window stemming (DESIGN.md "Sliding-window stemming").
+
+namespace {
+
+// Postings over the persistent class set, append-only between
+// compactions.  A class joins the lists of its bigrams and the chain of
+// its prefix when it is created and stays there while it is out of the
+// window: dead classes are filtered through `active` at query time, like
+// claimed ones, and compaction drops them.  Classes are appended in id
+// order, so every list is ascending with a class's repeated bigram
+// positions adjacent — the order TopSubsequence and ExtractComponents
+// rely on.
+//
+// The bigram lists share one flat pool as chains of chunks, each chunk
+// [next chunk, capacity, used, classes...]; a full list grows by a chunk
+// twice the size of its last (at most kMaxChunk), so nothing moves and
+// no per-list allocation exists.  Compaction rewrites the pool with one
+// exact chunk per list.
+struct SlidingPostings {
+  static constexpr std::uint32_t kMaxChunk = 1024;
+
+  U64Map<std::uint32_t> bigram_index;  // packed pair -> entry id + 1
+  std::vector<std::uint64_t> bigram_keys;
+  std::vector<std::uint32_t> pool = {0};  // offset 0 is "no chunk"
+  std::vector<std::uint32_t> head;        // per entry: first chunk
+  std::vector<std::uint32_t> tail;        // per entry: last chunk
+  // Prefix chains: the first and last class per prefix symbol, and per
+  // class the next class with the same prefix.
+  std::vector<std::uint32_t> prefix_head;
+  std::vector<std::uint32_t> prefix_tail;
+  std::vector<std::uint32_t> next_same_prefix;
+
+  std::uint32_t EntryOf(SymbolId a, SymbolId b) const {
+    const std::uint32_t* entry = bigram_index.Find(PackPair(a, b));
+    return entry ? *entry - 1 : Postings::kNoEntry;
+  }
+  std::uint64_t Key(std::uint32_t entry) const { return bigram_keys[entry]; }
+  template <typename F>
+  void ForEachRange(std::uint32_t entry, const F& f) const {
+    for (std::uint32_t chunk = head[entry]; chunk != 0; chunk = pool[chunk]) {
+      f(pool.data() + chunk + 3, pool[chunk + 2]);
+    }
+  }
+  template <typename F>
+  void ForEachPrefixClass(SymbolId prefix, const F& f) const {
+    for (std::uint32_t cls = prefix_head[prefix]; cls != kNoIndex;
+         cls = next_same_prefix[cls]) {
+      f(cls);
+    }
+  }
+
+  std::uint32_t AddEntry(std::uint64_t key) {
+    const auto entry = static_cast<std::uint32_t>(bigram_keys.size());
+    bigram_keys.push_back(key);
+    bigram_index.At(key) = entry + 1;
+    head.push_back(0);
+    tail.push_back(0);
+    return entry;
+  }
+
+  // Appends `count` classes to the list of `entry`.
+  void Append(std::uint32_t entry, const std::uint32_t* classes,
+              std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::uint32_t chunk = tail[entry];
+      if (chunk == 0 || pool[chunk + 2] == pool[chunk + 1]) {
+        const std::uint32_t capacity =
+            chunk == 0 ? std::max<std::uint32_t>(2, count - i)
+                       : std::min(kMaxChunk, 2 * pool[chunk + 1]);
+        const auto fresh = static_cast<std::uint32_t>(pool.size());
+        pool.resize(pool.size() + 3 + capacity);
+        pool[fresh + 1] = capacity;
+        (chunk == 0 ? head[entry] : pool[chunk]) = fresh;
+        tail[entry] = chunk = fresh;
+      }
+      pool[chunk + 3 + pool[chunk + 2]++] = classes[i];
+    }
+  }
+
+  // Appends class `cls` (the next class id) to the chain of `prefix`.
+  void Chain(SymbolId prefix, std::uint32_t cls) {
+    if (prefix_head.size() <= prefix) {
+      prefix_head.resize(prefix + 1, kNoIndex);
+      prefix_tail.resize(prefix + 1, kNoIndex);
+    }
+    next_same_prefix.push_back(kNoIndex);
+    if (prefix_tail[prefix] == kNoIndex) {
+      prefix_head[prefix] = cls;
+    } else {
+      next_same_prefix[prefix_tail[prefix]] = cls;
+    }
+    prefix_tail[prefix] = cls;
+  }
+};
+
+// Everything keyed by class, symbol or bigram entry id: the part of the
+// sliding state that compaction renumbers.  Between calls, a class's
+// weight, `active` flag and bigram contributions reflect its
+// multiplicity in the cached window.  The arena keeps no raw values:
+// symbols.Raw recovers them.
+struct SlidingTables {
+  SymbolTable symbols;
+  Arena arena;                      // views[c].weight == mult[c]
+  std::vector<std::uint32_t> mult;  // events of the class in the window
+  SlidingPostings postings;
+  std::vector<double> counts;  // per entry: occurrences in the window
+  std::vector<char> active;
+  std::vector<std::uint32_t> class_component;
+  std::size_t live_classes = 0;
+  std::size_t dead_entries = 0;  // entries whose count is 0
+
+  std::size_t classes() const { return arena.views.size(); }
+
+  std::uint64_t RawAt(std::uint32_t cls, std::uint32_t j) const {
+    return symbols.Raw(arena.symbols[arena.views[cls].begin + j]);
+  }
+
+  // True iff class `cls` is the sequence of `e`.
+  bool Matches(const bgp::Event& e, std::uint32_t cls) const {
+    return SequenceMatches(e, arena.views[cls].length,
+                           [&](std::uint32_t j) { return RawAt(cls, j); });
+  }
+
+  // The class of raw sequence [raw, raw + len), or a new class with no
+  // events.  Lookup walks the classes sharing the sequence's prefix.
+  std::uint32_t FindOrAdd(const std::uint64_t* raw, std::uint32_t len) {
+    const SymbolId prefix = symbols.InternRaw(raw[len - 1]);
+    if (prefix < postings.prefix_head.size()) {
+      std::uint32_t found = kNoIndex;
+      postings.ForEachPrefixClass(prefix, [&](std::uint32_t cls) {
+        if (found != kNoIndex || arena.views[cls].length != len) return;
+        std::uint32_t j = 0;
+        while (j < len && raw[j] == RawAt(cls, j)) ++j;
+        if (j == len) found = cls;
+      });
+      if (found != kNoIndex) return found;
+    }
+    const auto cls = static_cast<std::uint32_t>(classes());
+    EventView view;
+    view.begin = static_cast<std::uint32_t>(arena.symbols.size());
+    view.length = len;
+    for (std::uint32_t j = 0; j < len; ++j) {
+      arena.symbols.push_back(symbols.InternRaw(raw[j]));
+    }
+    const SymbolId* seq = arena.symbols.data() + view.begin;
+    view.prefix_symbol = seq[len - 1];
+    for (std::uint32_t j = 0; j + 1 < len; ++j) {
+      const std::uint64_t key = PackPair(seq[j], seq[j + 1]);
+      const std::uint32_t* found = postings.bigram_index.Find(key);
+      std::uint32_t entry = found ? *found - 1 : kNoIndex;
+      if (entry == kNoIndex) {
+        entry = postings.AddEntry(key);
+        counts.push_back(0.0);
+        ++dead_entries;
+      }
+      arena.pair_entries.push_back(entry);
+      postings.Append(entry, &cls, 1);
+    }
+    arena.pair_entries.push_back(0);  // class-final position: no pair
+    postings.Chain(view.prefix_symbol, cls);
+    arena.views.push_back(view);
+    mult.push_back(0);
+    active.push_back(0);
+    class_component.push_back(kNoComponent);
+    return cls;
+  }
+
+  // Adds `delta` events (negative: removes them) to class `cls`, with
+  // its bigram counts and the live/dead tallies compaction keys on.
+  void AddEvents(std::uint32_t cls, std::int64_t delta) {
+    const std::uint32_t before = mult[cls];
+    const auto after = static_cast<std::uint32_t>(before + delta);
+    mult[cls] = after;
+    EventView& view = arena.views[cls];
+    view.weight = static_cast<double>(after);
+    for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+      double& count = counts[arena.pair_entries[view.begin + j]];
+      const bool was_dead = count == 0.0;
+      count += static_cast<double>(delta);
+      if (was_dead != (count == 0.0)) {
+        dead_entries = was_dead ? dead_entries - 1 : dead_entries + 1;
+      }
+    }
+    if (before == 0 && after > 0) {
+      ++live_classes;
+      active[cls] = 1;
+    } else if (before > 0 && after == 0) {
+      --live_classes;
+      active[cls] = 0;
+    }
+  }
+
+  // Drops dead classes, entries and symbols.  Survivors keep their
+  // relative order, so every posting list stays ascending.  Returns the
+  // new id of every old class (kNoIndex for dropped ones).
+  std::vector<std::uint32_t> Compact() {
+    SymbolTable kept_symbols;
+    std::vector<SymbolId> symbol_remap(symbols.size(), kNoIndex);
+    std::vector<std::uint32_t> class_remap(classes(), kNoIndex);
+    std::uint32_t live = 0;
+    std::uint32_t pos = 0;
+    for (std::uint32_t cls = 0; cls < classes(); ++cls) {
+      if (mult[cls] == 0) continue;
+      EventView view = arena.views[cls];
+      for (std::uint32_t j = 0; j < view.length; ++j) {
+        const SymbolId old_symbol = arena.symbols[view.begin + j];
+        SymbolId& symbol = symbol_remap[old_symbol];
+        if (symbol == kNoIndex) {
+          symbol = kept_symbols.InternRaw(symbols.Raw(old_symbol));
+        }
+        arena.symbols[pos + j] = symbol;
+        arena.pair_entries[pos + j] = arena.pair_entries[view.begin + j];
+      }
+      view.begin = pos;
+      view.prefix_symbol = arena.symbols[pos + view.length - 1];
+      pos += view.length;
+      arena.views[live] = view;
+      mult[live] = mult[cls];
+      class_remap[cls] = live++;
+    }
+    arena.symbols.resize(pos);
+    arena.pair_entries.resize(pos);
+    arena.views.resize(live);
+    mult.resize(live);
+    active.assign(live, 1);
+    class_component.assign(live, kNoComponent);
+    live_classes = live;
+    symbols = std::move(kept_symbols);
+
+    // An entry is live iff some live class holds it, i.e. its count is
+    // nonzero.  Its key is re-packed from the new symbol ids and its
+    // list rewritten as one chunk of its live classes.
+    SlidingPostings kept;
+    std::vector<std::uint32_t> entry_remap(counts.size(), kNoIndex);
+    std::vector<std::uint32_t> list;
+    std::uint32_t entries = 0;
+    for (std::uint32_t e = 0; e < counts.size(); ++e) {
+      if (counts[e] == 0.0) continue;
+      const std::uint64_t key = postings.bigram_keys[e];
+      entry_remap[e] = kept.AddEntry(
+          PackPair(symbol_remap[key >> 32], symbol_remap[key & 0xffffffffu]));
+      list.clear();
+      postings.ForEachRange(e, [&](const std::uint32_t* data,
+                                   std::uint32_t count) {
+        for (std::uint32_t i = 0; i < count; ++i) {
+          if (class_remap[data[i]] != kNoIndex) {
+            list.push_back(class_remap[data[i]]);
+          }
+        }
+      });
+      kept.Append(entries, list.data(), static_cast<std::uint32_t>(list.size()));
+      counts[entries++] = counts[e];
+    }
+    counts.resize(entries);
+    dead_entries = 0;
+    for (std::uint32_t cls = 0; cls < live; ++cls) {
+      const EventView& view = arena.views[cls];
+      for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+        std::uint32_t& entry = arena.pair_entries[view.begin + j];
+        entry = entry_remap[entry];
+      }
+      kept.Chain(view.prefix_symbol, cls);
+    }
+    postings = std::move(kept);
+    // Hand the memory of the dropped part back: the state then tracks
+    // the live window instead of keeping its largest size.
+    arena.symbols.shrink_to_fit();
+    arena.pair_entries.shrink_to_fit();
+    arena.views.shrink_to_fit();
+    mult.shrink_to_fit();
+    active.shrink_to_fit();
+    class_component.shrink_to_fit();
+    counts.shrink_to_fit();
+    return class_remap;
+  }
+};
+
+constexpr std::uint64_t kUnranked = ~0ULL;
+
+}  // namespace
+
+struct SlidingStemmer::State {
+  SlidingTables tables;
+  // The cached window, by position: sequence class and event time.
+  std::vector<std::uint32_t> pos_class;
+  std::vector<util::SimTime> pos_time;
+  std::size_t compactions = 0;
+
+  // Survivor ranking (Pick): a generation stamp per symbol marks the
+  // symbols being ranked without clearing per call.
+  std::vector<std::uint32_t> symbol_stamp;
+  std::vector<std::uint64_t> symbol_rank;
+  std::uint32_t stamp = 0;
+
+  // Batch Stem numbers symbols in order of first occurrence over the
+  // window (classes in first-event order, positions in sequence order),
+  // so batch's smallest id vector is the smallest vector under the rank
+  // (first window position whose sequence holds the symbol, offset of
+  // the symbol in that sequence).  Ranks are looked up only for the
+  // survivors' symbols, scanning the window until all are found.
+  std::vector<SymbolId> Pick(std::vector<std::vector<SymbolId>>& survivors) {
+    if (survivors.size() == 1) return std::move(survivors.front());
+    const Arena& arena = tables.arena;
+    if (++stamp == 0) {
+      std::fill(symbol_stamp.begin(), symbol_stamp.end(), 0u);
+      stamp = 1;
+    }
+    symbol_stamp.resize(tables.symbols.size(), 0);
+    symbol_rank.resize(tables.symbols.size());
+    std::size_t unranked = 0;
+    for (const std::vector<SymbolId>& seq : survivors) {
+      for (const SymbolId s : seq) {
+        if (symbol_stamp[s] == stamp) continue;
+        symbol_stamp[s] = stamp;
+        symbol_rank[s] = kUnranked;
+        ++unranked;
+      }
+    }
+    for (std::size_t p = 0; unranked > 0 && p < pos_class.size(); ++p) {
+      const SymbolId* seq = arena.Seq(pos_class[p]);
+      for (std::uint32_t j = 0; j < arena.Len(pos_class[p]); ++j) {
+        const SymbolId s = seq[j];
+        if (symbol_stamp[s] == stamp && symbol_rank[s] == kUnranked) {
+          symbol_rank[s] = (static_cast<std::uint64_t>(p) << 32) | j;
+          --unranked;
+        }
+      }
+    }
+    const auto rank_less = [this](SymbolId a, SymbolId b) {
+      return symbol_rank[a] < symbol_rank[b];
+    };
+    return *std::min_element(
+        survivors.begin(), survivors.end(),
+        [&](const std::vector<SymbolId>& a, const std::vector<SymbolId>& b) {
+          return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                              b.end(), rank_less);
+        });
+  }
+};
+
+SlidingStemmer::SlidingStemmer() : state_(std::make_unique<State>()) {}
+SlidingStemmer::~SlidingStemmer() = default;
+
+SlidingStemmer::Footprint SlidingStemmer::footprint() const {
+  const SlidingTables& t = state_->tables;
+  Footprint f;
+  f.window_events = state_->pos_class.size();
+  f.classes = t.classes();
+  f.live_classes = t.live_classes;
+  f.bigram_entries = t.counts.size();
+  f.dead_entries = t.dead_entries;
+  f.compactions = state_->compactions;
+  return f;
+}
+
+StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
+                                    const StemmingOptions& options) {
+  if (options.weight_fn) {
+    // Weighted sums depend on accumulation order, which only the batch
+    // encoder reproduces; the next unweighted call starts afresh.
+    *state_ = State{};
+    return stemming::Stem(events, options);
+  }
+  State& st = *state_;
+  StemmingResult result;
+  const std::size_t n = events.size();
+  result.total_events = n;
+  result.total_weight = static_cast<double>(n);
+
+  // ---- Encode: align with the cached window, then update the classes.
+  //
+  // The shared run starts at the first cached position holding events[0]
+  // (same time, same sequence) and lasts while positions keep matching.
+  // Matching compares each event's (peer, nexthop, collapsed AS path,
+  // prefix) with the cached class, so a changed event is never served a
+  // stale encoding; every cached position outside the run leaves the
+  // window and every event after it is encoded.
+  const util::StageTimer encode_timer;
+  obs::TraceSpan encode_span("stemming.encode");
+  encode_span.Annotate("events", static_cast<std::uint64_t>(n));
+  const std::size_t m = st.pos_class.size();
+  std::size_t shift = m;
+  for (std::size_t p = 0; n > 0 && p < m; ++p) {
+    if (st.pos_time[p] == events[0].time &&
+        st.tables.Matches(events[0], st.pos_class[p])) {
+      shift = p;
+      break;
+    }
+  }
+  std::size_t overlap = shift < m ? 1 : 0;
+  while (shift + overlap < m && overlap < n &&
+         st.pos_time[shift + overlap] == events[overlap].time &&
+         st.tables.Matches(events[overlap], st.pos_class[shift + overlap])) {
+    ++overlap;
+  }
+  if (overlap == 0) {
+    st.tables = SlidingTables{};
+    st.pos_class.clear();
+    st.pos_time.clear();
+  } else {
+    for (std::size_t p = 0; p < m; ++p) {
+      if (p < shift || p >= shift + overlap) {
+        st.tables.AddEvents(st.pos_class[p], -1);
+      }
+    }
+    st.pos_class.erase(st.pos_class.begin(), st.pos_class.begin() + shift);
+    st.pos_class.resize(overlap);
+    st.pos_time.erase(st.pos_time.begin(), st.pos_time.begin() + shift);
+    st.pos_time.resize(overlap);
+  }
+  SlidingTables& t = st.tables;
+  const std::size_t symbols_before = t.symbols.size();
+  const std::size_t arena_before = t.arena.symbols.size();
+  std::vector<std::uint64_t> raw;
+  for (std::size_t i = overlap; i < n; ++i) {
+    EncodeSequence(events[i], raw);
+    const std::uint32_t cls =
+        t.FindOrAdd(raw.data(), static_cast<std::uint32_t>(raw.size()));
+    t.AddEvents(cls, 1);
+    st.pos_class.push_back(cls);
+    st.pos_time.push_back(events[i].time);
+  }
+  result.stats.events_encoded = n - overlap;
+  result.stats.symbols_interned = t.symbols.size() - symbols_before;
+  result.stats.arena_symbols = t.arena.symbols.size() - arena_before;
+  result.stats.encode_seconds = encode_timer.Seconds();
+  encode_span.Annotate("encoded",
+                       static_cast<std::uint64_t>(result.stats.events_encoded));
+  encode_span.End();
+
+  // ---- Count: the counts already follow the window; reclaim dead
+  // classes and entries once they are as many as the live ones.
+  const util::StageTimer count_timer;
+  obs::TraceSpan count_span("stemming.count");
+  const std::size_t dead_classes = t.classes() - t.live_classes;
+  const std::size_t live_entries = t.counts.size() - t.dead_entries;
+  if ((dead_classes > 0 && dead_classes >= t.live_classes) ||
+      (t.dead_entries > 0 && t.dead_entries >= live_entries)) {
+    const std::vector<std::uint32_t> remap = t.Compact();
+    for (std::uint32_t& cls : st.pos_class) cls = remap[cls];
+    st.pos_class.shrink_to_fit();
+    st.pos_time.shrink_to_fit();
+    ++st.compactions;
+#ifdef __GLIBC__
+    // Compaction has just freed up to half the state at once; hand it
+    // to the OS so the resident size follows the live window, not the
+    // largest one seen.
+    malloc_trim(0);
+#endif
+  }
+  result.stats.distinct_sequences = t.live_classes;
+  result.stats.bigram_table_size = t.counts.size() - t.dead_entries;
+  result.stats.count_seconds = count_timer.Seconds();
+  count_span.Annotate("bigrams", static_cast<std::uint64_t>(t.counts.size()));
+  count_span.End();
+
+  // ---- Extract: the batch recursion on the persistent state, then undo
+  // its removals — O(removed positions), exact on integer counts.
+  const util::StageTimer extract_timer;
+  obs::TraceSpan extract_span("stemming.extract");
+  double par_extract = 0.0;
+  Scratch scratch;
+  std::vector<std::uint32_t> removed;
+  result.residual_events = ExtractComponents(
+      t.arena, t.postings, t.symbols, t.mult, t.counts, t.active,
+      t.class_component, n, result.total_weight, options,
+      [&st](std::vector<std::vector<SymbolId>>& survivors) {
+        return st.Pick(survivors);
+      },
+      scratch, &removed, result.components, &par_extract);
+  CollectEvents(t.arena, st.pos_class, t.class_component, result.components);
+  for (const std::uint32_t cls : removed) {
+    t.active[cls] = 1;
+    t.class_component[cls] = kNoComponent;
+    AddClassCounts(t.arena, cls, t.arena.views[cls].weight, t.counts);
+  }
+  // The result names its components' symbols in a table of its own.
+  for (Component& component : result.components) {
+    for (SymbolId& s : component.top_sequence) {
+      s = result.symbols.InternRaw(t.symbols.Raw(s));
+    }
+    const std::size_t len = component.top_sequence.size();
+    component.stem = {component.top_sequence[len - 2],
+                      component.top_sequence[len - 1]};
+  }
+  result.stats.components = result.components.size();
+  result.stats.extract_seconds = extract_timer.Seconds();
+  result.stats.parallel_seconds = par_extract;
+  extract_span.Annotate("components",
+                        static_cast<std::uint64_t>(result.components.size()));
+  extract_span.End();
+
+  RANOMALY_METRIC_COUNT("stemming_events_encoded_total",
+                        result.stats.events_encoded);
+  RANOMALY_METRIC_COUNT("stemming_distinct_sequences_total",
+                        result.stats.distinct_sequences);
+  RANOMALY_METRIC_COUNT("stemming_symbols_interned_total",
+                        result.stats.symbols_interned);
+  RANOMALY_METRIC_COUNT("stemming_arena_symbols_total",
+                        result.stats.arena_symbols);
+  RANOMALY_METRIC_COUNT("stemming_bigram_entries_total",
+                        result.stats.bigram_table_size);
+  RANOMALY_METRIC_COUNT("stemming_components_total", result.components.size());
+  RANOMALY_METRIC_OBSERVE("stemming_components_per_window",
+                          (std::vector<double>{0, 1, 2, 4, 8, 16}),
+                          static_cast<double>(result.components.size()));
+  RANOMALY_METRIC_OBSERVE("stemming_encode_seconds", obs::TimeBounds(),
+                          result.stats.encode_seconds);
+  RANOMALY_METRIC_OBSERVE("stemming_count_seconds", obs::TimeBounds(),
+                          result.stats.count_seconds);
   RANOMALY_METRIC_OBSERVE("stemming_extract_seconds", obs::TimeBounds(),
                           result.stats.extract_seconds);
   if (result.stats.extract_seconds > 0.0) {

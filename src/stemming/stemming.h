@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -182,5 +183,51 @@ struct StemmingResult {
 
 StemmingResult Stem(std::span<const bgp::Event> events,
                     const StemmingOptions& options = {});
+
+// Stems the successive windows of a sliding analysis window (DESIGN.md
+// "Sliding-window stemming").  The stemmer keeps the previous window's
+// per-position sequence classes and a persistent encoding of the
+// window: classes with their multiplicities, symbols, bigram entries
+// and counts, postings.  Each call verifies the events it shares with
+// the previous window against the cached classes, drops the events that
+// left, encodes only the events that entered, and runs the Stem
+// recursion on that state.  A window sharing no event with the previous
+// one is encoded into an emptied state, which costs about one Stem call.
+//
+// The result equals Stem(events, options) in everything Pipeline reads:
+// components in order with their stems and top sequences (as raw
+// symbols), counts, prefixes, event indices and weights, and the
+// residual.  Its SymbolTable holds only the components' symbols, so
+// component SymbolIds index that table, not batch first-occurrence ids.
+// Weighted options fall back to Stem.  In the stats (and the stemming_*
+// metrics), events_encoded, symbols_interned and arena_symbols count the
+// call's work — the events that entered, the symbols and positions
+// added — while distinct_sequences and bigram_table_size describe the
+// window as Stem's do.  Not thread-safe.
+class SlidingStemmer {
+ public:
+  SlidingStemmer();
+  ~SlidingStemmer();
+  SlidingStemmer(const SlidingStemmer&) = delete;
+  SlidingStemmer& operator=(const SlidingStemmer&) = delete;
+
+  StemmingResult Stem(std::span<const bgp::Event> events,
+                      const StemmingOptions& options = {});
+
+  // Size of the persistent state after the last call.
+  struct Footprint {
+    std::size_t window_events = 0;  // cached positions
+    std::size_t classes = 0;        // live and dead
+    std::size_t live_classes = 0;   // multiplicity > 0
+    std::size_t bigram_entries = 0;  // live and dead
+    std::size_t dead_entries = 0;    // count 0: in no live class
+    std::size_t compactions = 0;     // since construction
+  };
+  Footprint footprint() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 }  // namespace ranomaly::stemming

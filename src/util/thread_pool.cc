@@ -113,6 +113,9 @@ void ThreadPool::WorkerMain(std::size_t slot) {
       fn = fn_;
       end = end_;
     }
+    // A worker that wakes only after its job completed finds fn_ reset:
+    // the job is done, so there is nothing to claim.
+    if (fn == nullptr) continue;
     RunChunks(seen_generation, *fn, end, slot);
   }
 }

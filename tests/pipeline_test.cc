@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -188,6 +192,137 @@ TEST(EvidenceTest, ExtractsWithdrawFractionAndCycles) {
   EXPECT_DOUBLE_EQ(evidence.final_announce_fraction, 1.0);
   EXPECT_DOUBLE_EQ(evidence.dominant_prefix_fraction, 1.0);
   EXPECT_EQ(evidence.new_as_count, 0u);
+}
+
+// The per-prefix track-map implementation ExtractEvidence replaced, kept
+// as the reference its single grouped pass must reproduce exactly.
+IncidentEvidence ReferenceEvidence(std::span<const bgp::Event> events,
+                                   const stemming::Component& component) {
+  IncidentEvidence ev;
+  if (component.event_indices.empty()) return ev;
+
+  std::size_t withdraws = 0;
+  std::unordered_map<std::uint32_t, std::size_t> per_peer;
+  bool med = false;
+  struct PrefixTrack {
+    bool have_first = false;
+    bgp::AsPath first_path;
+    bgp::AsPath last_path;
+    bgp::EventType last_type = bgp::EventType::kAnnounce;
+    bgp::Ipv4Addr last_nexthop;
+    std::size_t transitions = 0;
+    std::size_t events = 0;
+  };
+  std::map<bgp::Prefix, PrefixTrack> tracks;
+
+  for (const std::size_t idx : component.event_indices) {
+    const bgp::Event& e = events[idx];
+    if (e.type == bgp::EventType::kWithdraw) ++withdraws;
+    ++per_peer[e.peer.value()];
+    if (e.attrs.med) med = true;
+
+    PrefixTrack& t = tracks[e.prefix];
+    if (!t.have_first) {
+      t.have_first = true;
+      t.first_path = e.attrs.as_path;
+      t.last_type = e.type;
+    } else if (e.type != t.last_type ||
+               (e.type == bgp::EventType::kAnnounce &&
+                e.attrs.nexthop != t.last_nexthop)) {
+      ++t.transitions;
+      t.last_type = e.type;
+    }
+    t.last_nexthop = e.attrs.nexthop;
+    t.last_path = e.attrs.as_path;
+    ++t.events;
+  }
+
+  const double n = static_cast<double>(component.event_indices.size());
+  ev.withdraw_fraction = static_cast<double>(withdraws) / n;
+  std::size_t busiest = 0;
+  for (const auto& [peer, count] : per_peer) {
+    busiest = std::max(busiest, count);
+  }
+  ev.single_peer_fraction = static_cast<double>(busiest) / n;
+  ev.med_present = med;
+
+  double cycles = 0.0;
+  double growth = 0.0;
+  std::size_t restored = 0;
+  std::size_t final_announce = 0;
+  std::size_t busiest_prefix_events = 0;
+  std::set<bgp::AsNumber> initial_ases;
+  std::set<bgp::AsNumber> final_ases;
+  for (const auto& [prefix, t] : tracks) {
+    if (t.events > busiest_prefix_events) ev.dominant_prefix = prefix;
+    cycles += static_cast<double>(t.transitions) / 2.0;
+    growth += static_cast<double>(t.last_path.Length()) -
+              static_cast<double>(t.first_path.Length());
+    if (t.last_path == t.first_path) ++restored;
+    if (t.last_type == bgp::EventType::kAnnounce) ++final_announce;
+    busiest_prefix_events = std::max(busiest_prefix_events, t.events);
+    for (const bgp::AsNumber a : t.first_path.asns()) initial_ases.insert(a);
+    for (const bgp::AsNumber a : t.last_path.asns()) final_ases.insert(a);
+  }
+  const double p = static_cast<double>(tracks.size());
+  ev.cycles_per_prefix = cycles / p;
+  ev.path_growth = growth / p;
+  ev.restored_fraction = static_cast<double>(restored) / p;
+  ev.final_announce_fraction = static_cast<double>(final_announce) / p;
+  ev.dominant_prefix_fraction = static_cast<double>(busiest_prefix_events) / n;
+  for (const bgp::AsNumber a : final_ases) {
+    if (!initial_ases.contains(a)) ++ev.new_as_count;
+  }
+  return ev;
+}
+
+// Random windows over a few prefixes, peers, nexthops and short paths
+// (prepends and repeats included) so groups, ties for the busiest prefix
+// and path changes are common; every evidence value, doubles included,
+// must equal the reference bit for bit.
+TEST(EvidenceTest, GroupedPassMatchesTrackMapReference) {
+  std::mt19937_64 rng(20050628);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int round = 0; round < 400; ++round) {
+    std::vector<bgp::Event> events(1 + pick(80));
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      bgp::Event& e = events[i];
+      e.time = static_cast<util::SimTime>(i) * kSecond;
+      e.peer = bgp::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(1 + pick(4)));
+      e.type = pick(3) == 0 ? bgp::EventType::kWithdraw
+                            : bgp::EventType::kAnnounce;
+      e.prefix = bgp::Prefix(
+          bgp::Ipv4Addr(20, static_cast<std::uint8_t>(pick(6)), 0, 0),
+          static_cast<std::uint8_t>(16 + 8 * pick(2)));
+      e.attrs.nexthop =
+          bgp::Ipv4Addr(10, 1, 0, static_cast<std::uint8_t>(1 + pick(3)));
+      std::vector<bgp::AsNumber> path(pick(6));
+      for (bgp::AsNumber& asn : path) {
+        asn = static_cast<bgp::AsNumber>(100 + pick(8));
+      }
+      e.attrs.as_path = bgp::AsPath(std::move(path));
+      if (pick(5) == 0) e.attrs.med = static_cast<std::uint32_t>(pick(3));
+    }
+    stemming::Component component;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (pick(4) != 0) component.event_indices.push_back(i);
+    }
+    const IncidentEvidence want = ReferenceEvidence(events, component);
+    const IncidentEvidence got = Pipeline::ExtractEvidence(events, component);
+    SCOPED_TRACE(round);
+    EXPECT_EQ(got.withdraw_fraction, want.withdraw_fraction);
+    EXPECT_EQ(got.single_peer_fraction, want.single_peer_fraction);
+    EXPECT_EQ(got.cycles_per_prefix, want.cycles_per_prefix);
+    EXPECT_EQ(got.path_growth, want.path_growth);
+    EXPECT_EQ(got.new_as_count, want.new_as_count);
+    EXPECT_EQ(got.med_present, want.med_present);
+    EXPECT_EQ(got.restored_fraction, want.restored_fraction);
+    EXPECT_EQ(got.final_announce_fraction, want.final_announce_fraction);
+    EXPECT_EQ(got.dominant_prefix_fraction, want.dominant_prefix_fraction);
+    EXPECT_EQ(got.dominant_prefix, want.dominant_prefix);
+  }
 }
 
 // The determinism contract at pipeline level: the threaded analysis

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -64,6 +66,21 @@ TEST(ThreadPoolTest, BackToBackJobsDoNotLeakChunks) {
     pool.ParallelFor(chunks, [&](std::size_t) { count.fetch_add(1); });
     ASSERT_EQ(count.load(), static_cast<int>(chunks)) << "round " << round;
   }
+}
+
+TEST(ThreadPoolTest, WorkerWakingAfterItsJobFinishedSkipsIt) {
+  // Two-chunk jobs on an eight-lane pool, with a pause between jobs: the
+  // caller usually finishes a job before most workers wake, and those
+  // then find the job already retired.  They must skip it rather than
+  // run its reset function (under -fno-sanitize-recover=undefined that
+  // is an abort).
+  ThreadPool pool(8);
+  std::atomic<int> count{0};
+  for (int round = 0; round < 2000; ++round) {
+    pool.ParallelFor(2, [&](std::size_t) { count.fetch_add(1); });
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  EXPECT_EQ(count.load(), 4000);
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
