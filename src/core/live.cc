@@ -412,7 +412,8 @@ LiveStats LiveRunner::Run(
       reject("section PROV: " + err);
     } else {
       st = std::move(restored);
-      // The sinks own the SERS/PROV contents now; snapshots export anew.
+      // The sinks own the SERS/PROV contents now; snapshots read them
+      // there.
       st.series_store = {};
       st.provenance = {};
       board.Restore(std::move(st.peers));
@@ -500,13 +501,15 @@ LiveStats LiveRunner::Run(
     st.flow.assign(next - st.flow_start, 0);
     for (const std::uint64_t i : window_idx) st.flow[i - st.flow_start] = 1;
     for (const std::uint64_t i : queue_idx) st.flow[i - st.flow_start] = 2;
-    // The series and ledger exports are the bulk of a snapshot; they
-    // exist only for this encode.
-    if (series_ != nullptr) st.series_store = series_->Export();
+    // The ledger export exists only for this encode; the series rings
+    // are encoded in place, without a copy.
     if (provenance_ != nullptr) st.provenance = provenance_->Export();
     collector::Checkpoint ck;
-    EncodeLiveState(st, ck);
-    st.series_store = {};
+    if (series_ != nullptr) {
+      EncodeLiveState(st, *series_, ck);
+    } else {
+      EncodeLiveState(st, ck);
+    }
     st.provenance = {};
     return ck;
   };
@@ -521,12 +524,14 @@ LiveStats LiveRunner::Run(
     return ok;
   };
 
-  // Periodic snapshots are cut on the replay thread (the state copy and
-  // encode are cheap and must be consistent) but written — fsync, rename,
-  // fsync — by a single background writer, so disk latency never stalls a
-  // tick.  The result is reaped at the *next* checkpoint boundary, which
-  // keeps every stats/backoff mutation tick-deterministic: a resumed run
-  // accounts writes on exactly the same ticks as an uninterrupted one.
+  // Periodic snapshots are cut on the replay thread, which alone mutates
+  // the state they capture, so a cut is consistent without pausing
+  // anything; they are written — CRC, fdatasync, rename, directory
+  // fsync — by a single background writer, so disk latency stalls a tick
+  // only when the next cut finds the previous write still running.  The
+  // result is reaped at the *next* checkpoint boundary, which keeps every
+  // stats/backoff mutation tick-deterministic: a resumed run accounts
+  // writes on exactly the same ticks as an uninterrupted one.
   std::mutex ck_mu;
   std::condition_variable ck_cv;
   std::optional<collector::Checkpoint> ck_job;

@@ -1,9 +1,14 @@
 #include "core/live_checkpoint.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <span>
 #include <string_view>
+#include <type_traits>
 
 #include "collector/binary_io.h"
 #include "stemming/stemming.h"
@@ -26,8 +31,9 @@ constexpr std::uint64_t kMaxEntries = 1u << 24;
 // two directions cannot disagree.  Verbs name the wire type: U8 / U32 /
 // U64 / I64 / F64 (IEEE-754 bits), Bool (u8 0|1), Addr (u32), Str (u32
 // length + bytes).  Count32/Count64 carry a container's element count
-// and Each runs the element layout once per element.  Check states a
-// decode-time validation; the Writer ignores it.
+// and Each runs the element layout once per element; Points is Each for
+// time-series ring buckets.  Check states a decode-time validation; the
+// Writer ignores it.
 
 // A Writer sink that only counts, so a section can be sized before it
 // is written.
@@ -37,6 +43,27 @@ struct ByteCounter {
     size += static_cast<std::size_t>(n);
   }
 };
+
+// A SERS point is {i64 t, f64 value, f64 min, f64 max}, little-endian:
+// on a little-endian host, exactly a SeriesPoint's memory.
+static_assert(sizeof(obs::SeriesPoint) == 32 &&
+              offsetof(obs::SeriesPoint, t) == 0 &&
+              offsetof(obs::SeriesPoint, value) == 8 &&
+              offsetof(obs::SeriesPoint, min) == 16 &&
+              offsetof(obs::SeriesPoint, max) == 24);
+static_assert(std::is_trivially_copyable_v<obs::SeriesPoint> &&
+              std::numeric_limits<double>::is_iec559);
+
+// A ring's points oldest first, as contiguous runs: a decoded ring is
+// one run, a live ring two once it has wrapped.
+std::array<std::span<const obs::SeriesPoint>, 2> Segments(
+    const std::vector<obs::SeriesPoint>& points) {
+  return {std::span<const obs::SeriesPoint>(points), {}};
+}
+std::array<std::span<const obs::SeriesPoint>, 2> Segments(
+    const obs::SeriesRing& ring) {
+  return ring.segments();
+}
 
 // Sink is io::StringSink (encode) or ByteCounter (size the encode).
 template <typename Sink>
@@ -75,6 +102,20 @@ class Writer {
   template <typename V, typename Fn>
   void Each(const V& v, std::size_t, const char*, Fn&& fn) {
     for (std::size_t i = 0; i < v.size(); ++i) fn(v[i], i);
+  }
+  // Where a run's memory already is its wire bytes it goes out in one
+  // write (and a ByteCounter sizes it arithmetically); elsewhere `fn`
+  // writes each point's fields.
+  template <typename Ring, typename Fn>
+  void Points(const Ring& ring, std::size_t, Fn&& fn) {
+    for (const std::span<const obs::SeriesPoint> run : Segments(ring)) {
+      if constexpr (std::endian::native == std::endian::little) {
+        sink_.write(reinterpret_cast<const char*>(run.data()),
+                    static_cast<std::streamsize>(run.size_bytes()));
+      } else {
+        for (const obs::SeriesPoint& p : run) fn(p);
+      }
+    }
   }
   template <typename... Args>
   void Check(bool, const char*, Args...) {}
@@ -144,6 +185,10 @@ class Reader {
       fn(v.emplace_back(), i);
       at_.pop_back();
     }
+  }
+  template <typename Fn>
+  void Points(std::vector<obs::SeriesPoint>& ring, std::size_t n, Fn&& fn) {
+    Each(ring, n, "point", [&](obs::SeriesPoint& p, std::size_t) { fn(p); });
   }
   template <typename... Args>
   void Check(bool cond, const char* fmt, Args... args) {
@@ -377,6 +422,8 @@ void SloHistogram(Io& io, S& s) {
           [&](auto& count, std::size_t) { io.U64(count); });
 }
 
+// P is TimeSeriesStore::Persisted (decode, or encode of a decoded
+// state) or TimeSeriesStore::View (encode of the live rings).
 template <typename Io, typename P>
 void SeriesStore(Io& io, P& st) {
   const std::size_t tiers = io.Count32(st.tiers);
@@ -398,7 +445,7 @@ void SeriesStore(Io& io, P& st) {
         io.Check(points <= st.tiers[t].capacity,
                  "series %zu tier %zu overfull", i, t);
       }
-      io.Each(ring, points, "point", [&](auto& p, std::size_t) {
+      io.Points(ring, points, [&](auto& p) {
         io.I64(p.t);
         io.F64(p.value);
         io.F64(p.min);
@@ -406,6 +453,17 @@ void SeriesStore(Io& io, P& st) {
       });
     });
   });
+}
+
+// The live store: the layout above over its rings, under its lock.  Each
+// pass (sizing, then writing) takes the lock, so the bytes always show
+// one state.  A sample landing between the passes would only leave the
+// reservation short; the runner makes none, as it samples and encodes on
+// one thread.
+template <typename Io>
+void SeriesStore(Io& io, const obs::TimeSeriesStore& store) {
+  store.Read(
+      [&](const obs::TimeSeriesStore::View& view) { SeriesStore(io, view); });
 }
 
 template <typename Io, typename P>
@@ -465,8 +523,8 @@ void Provenance(Io& io, P& st) {
 // decodes one section; returning false stops the walk.  (Tags WIND and
 // QUEU carried full in-flight event records in earlier builds; they are
 // retired and must never be reused for new layouts.)
-template <typename S, typename V, typename Run>
-bool ForEachSection(S& s, V& incidents, Run&& run) {
+template <typename S, typename V, typename Series, typename Run>
+bool ForEachSection(S& s, V& incidents, Series& series, Run&& run) {
   return run("LIVE", [&](auto& io) { Live(io, s); }) &&
          run("SHED", [&](auto& io) { Shed(io, s); }) &&
          run("STEM", [&](auto& io) { Stem(io, s); }) &&
@@ -476,7 +534,7 @@ bool ForEachSection(S& s, V& incidents, Run&& run) {
          run("INCD",
              [&](auto& io) { Incidents(io, incidents, s.stats.clock); }) &&
          run("SLOH", [&](auto& io) { SloHistogram(io, s); }) &&
-         run("SERS", [&](auto& io) { SeriesStore(io, s.series_store); }) &&
+         run("SERS", [&](auto& io) { SeriesStore(io, series); }) &&
          run("PROV", [&](auto& io) { Provenance(io, s.provenance); });
 }
 
@@ -493,20 +551,15 @@ std::vector<std::uint64_t> CountsFromIncidents(
   return counts;
 }
 
-}  // namespace
-
-void EncodeLiveState(const LiveCheckpointState& state,
-                     collector::Checkpoint& checkpoint) {
-  EncodeLiveState(state, state.incidents, checkpoint);
-}
-
-void EncodeLiveState(const LiveCheckpointState& state,
-                     const std::vector<IncidentLog::Entry>& incidents,
-                     collector::Checkpoint& checkpoint) {
+template <typename Series>
+void Encode(const LiveCheckpointState& state,
+            const std::vector<IncidentLog::Entry>& incidents,
+            const Series& series, collector::Checkpoint& checkpoint) {
   checkpoint.time = state.stats.clock;
   checkpoint.event_offset = state.next_event;
   checkpoint.sections.clear();
-  ForEachSection(state, incidents, [&](const char* tag, const auto& layout) {
+  ForEachSection(state, incidents, series, [&](const char* tag,
+                                               const auto& layout) {
     // Size the section first and allocate it once: growing a multi-MB
     // string by doubling costs more or less depending on the allocator's
     // history (e.g. whether this process restored a checkpoint).
@@ -523,6 +576,25 @@ void EncodeLiveState(const LiveCheckpointState& state,
     checkpoint.sections.push_back({tag, std::move(bytes)});
     return true;
   });
+}
+
+}  // namespace
+
+void EncodeLiveState(const LiveCheckpointState& state,
+                     collector::Checkpoint& checkpoint) {
+  Encode(state, state.incidents, state.series_store, checkpoint);
+}
+
+void EncodeLiveState(const LiveCheckpointState& state,
+                     const std::vector<IncidentLog::Entry>& incidents,
+                     collector::Checkpoint& checkpoint) {
+  Encode(state, incidents, state.series_store, checkpoint);
+}
+
+void EncodeLiveState(const LiveCheckpointState& state,
+                     const obs::TimeSeriesStore& series,
+                     collector::Checkpoint& checkpoint) {
+  Encode(state, state.incidents, series, checkpoint);
 }
 
 bool DecodeLiveState(const collector::Checkpoint& checkpoint,
@@ -546,7 +618,9 @@ bool DecodeLiveState(const collector::Checkpoint& checkpoint,
     reader.End();
     return reader.ok() || fail(tag, reader.error());
   };
-  if (!ForEachSection(out, out.incidents, decode)) return false;
+  if (!ForEachSection(out, out.incidents, out.series_store, decode)) {
+    return false;
+  }
 
   // Cross-field and cross-section invariants.  The outer envelope
   // duplicates the cursor; disagreement means the sections do not belong

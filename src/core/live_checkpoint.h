@@ -92,13 +92,15 @@ struct LiveCheckpointState {
   std::vector<IncidentLog::Entry> incidents;
   // SLOH: one count per DetectionLatencyBounds() bucket plus overflow.
   std::vector<std::uint64_t> latency_counts;
-  // SERS: the dashboard history (empty tiers when the runner has no
-  // store attached — encoded as a zero-tier section either way).  The
-  // runner exports it for each snapshot only and keeps it empty between.
+  // SERS: the dashboard history as decoded, for TimeSeriesStore::Restore
+  // (empty tiers encode as a zero-tier section).  The runner leaves it
+  // empty: its snapshots encode SERS straight from the live store's
+  // rings (the EncodeLiveState overload taking the store).
   obs::TimeSeriesStore::Persisted series_store;
   // PROV: the provenance ledger (zeroed caps and no records when the
   // runner has no ledger attached — encoded as a section either way).
-  // Exported per snapshot like SERS.
+  // The runner exports it for each snapshot only and keeps it empty
+  // between.
   obs::ProvenanceLedger::Persisted provenance;
 };
 
@@ -115,6 +117,14 @@ void EncodeLiveState(const LiveCheckpointState& state,
 // Byte-identical to the other overload given equal contents.
 void EncodeLiveState(const LiveCheckpointState& state,
                      const std::vector<IncidentLog::Entry>& incidents,
+                     collector::Checkpoint& checkpoint);
+
+// The runner's snapshot: SERS is written from `series`' rings in place,
+// under the store's lock, and `state.series_store` is ignored.
+// Byte-identical to the first overload with series_store set to
+// series.Export().
+void EncodeLiveState(const LiveCheckpointState& state,
+                     const obs::TimeSeriesStore& series,
                      collector::Checkpoint& checkpoint);
 
 // Inverse of EncodeLiveState with full validation.  Returns false and

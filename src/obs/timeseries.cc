@@ -70,6 +70,20 @@ double HistogramQuantile(const HistogramSnapshot& histogram, double q) {
   return histogram.bounds.empty() ? 0.0 : histogram.bounds.back();
 }
 
+void SeriesRing::Push(const SeriesPoint& p, std::size_t capacity) {
+  if (points_.size() < capacity) {
+    if (points_.size() == points_.capacity()) {
+      // Grow geometrically, but never past the tier's capacity.
+      points_.reserve(
+          std::min(capacity, std::max<std::size_t>(16, 2 * points_.size())));
+    }
+    points_.push_back(p);
+  } else if (!points_.empty()) {
+    points_[head_] = p;
+    if (++head_ == points_.size()) head_ = 0;
+  }
+}
+
 TimeSeriesStore::TimeSeriesStore(TimeSeriesOptions options)
     : options_(std::move(options)) {}
 
@@ -95,14 +109,13 @@ void TimeSeriesStore::RecordLocked(Series& series, std::int64_t t,
                                    double value) {
   for (std::size_t i = 0; i < options_.tiers.size(); ++i) {
     const TierSpec& tier = options_.tiers[i];
-    std::vector<SeriesPoint>& ring = series.tiers[i];
+    SeriesRing& ring = series.tiers[i];
     const std::int64_t bucket = BucketStart(t, tier.resolution_us);
-    if (ring.empty() || bucket > ring.back().t) {
-      ring.push_back(SeriesPoint{bucket, value, value, value});
-      if (ring.size() > tier.capacity) ring.erase(ring.begin());
+    if (ring.empty() || bucket > ring.newest().t) {
+      ring.Push(SeriesPoint{bucket, value, value, value}, tier.capacity);
     } else {
       // Same bucket (or a late sample): fold into the newest point.
-      SeriesPoint& p = ring.back();
+      SeriesPoint& p = ring.newest();
       p.value = value;
       p.min = std::min(p.min, value);
       p.max = std::max(p.max, value);
@@ -216,7 +229,7 @@ std::optional<std::string> TimeSeriesStore::SeriesJson(
   }
   if (tier == options_.tiers.size()) return std::nullopt;
   const Series& s = series_[it->second];
-  const std::vector<SeriesPoint>& ring = s.tiers[tier];
+  const SeriesRing& ring = s.tiers[tier];
 
   std::string out = "{\"name\":\"" + EscapeName(s.name) + "\",\"kind\":\"" +
                     ToString(s.kind) + "\",\"resolution_sec\":" +
@@ -259,8 +272,16 @@ TimeSeriesStore::Persisted TimeSeriesStore::Export() const {
   p.dropped_series = dropped_series_;
   p.series.reserve(series_.size());
   for (const Series& s : series_) {
-    p.series.push_back(PersistedSeries{
-        s.name, static_cast<std::uint8_t>(s.kind), s.tiers});
+    PersistedSeries& ps = p.series.emplace_back();
+    ps.name = s.name;
+    ps.kind = static_cast<std::uint8_t>(s.kind);
+    for (const SeriesRing& ring : s.tiers) {
+      std::vector<SeriesPoint>& points = ps.tiers.emplace_back();
+      points.reserve(ring.size());
+      for (const std::span<const SeriesPoint> run : ring.segments()) {
+        points.insert(points.end(), run.begin(), run.end());
+      }
+    }
   }
   return p;
 }
@@ -332,8 +353,15 @@ bool TimeSeriesStore::Restore(Persisted p, std::string* error) {
     Series s;
     s.name = std::move(ps.name);
     s.kind = static_cast<SeriesKind>(ps.kind);
-    s.tiers = std::move(ps.tiers);
-    if (s.tiers.empty()) s.tiers.resize(options_.tiers.size());
+    s.tiers.resize(options_.tiers.size());
+    for (std::size_t i = 0; i < ps.tiers.size(); ++i) {
+      // Decoding grew each ring by doubling; hold it to its capacity.
+      std::vector<SeriesPoint>& points = s.tiers[i].points_;
+      points = std::move(ps.tiers[i]);
+      if (points.capacity() > options_.tiers[i].capacity) {
+        points.shrink_to_fit();
+      }
+    }
     index_.emplace(s.name, series_.size());
     series_.push_back(std::move(s));
   }

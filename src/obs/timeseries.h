@@ -11,9 +11,11 @@
 // docs/OBSERVABILITY.md, Dashboard).
 //
 // Memory is bounded by construction: a fixed set of downsample tiers
-// (default 1s x 600, 10s x 720, 60s x 1440 points), each a ring that
-// evicts its oldest bucket on overflow, and a hard cap on the number of
-// distinct series (further names are counted as dropped, never stored).
+// (default 1s x 600, 10s x 720, 60s x 1440 points), each a fixed-
+// capacity ring whose newest bucket overwrites its oldest in place once
+// full, and a hard cap on the number of distinct series (further names
+// are counted as dropped, never stored).  A sample therefore costs the
+// same however much history the store retains.
 // Samples land in the bucket containing their timestamp; re-samples
 // within a bucket overwrite the last value and widen min/max, so a
 // coarse tier is a true downsample of the fine one.
@@ -27,17 +29,20 @@
 //               name:count (counter), name:sum and name:p50/p90/p99
 //               (gauges, linear-interpolation quantiles)
 //
-// Export/Restore round-trips the full state for the RNC1 SERS section
-// (docs/FORMATS.md), so `serve --checkpoint` restarts resume with
-// byte-identical /api/series responses.
+// The RNC1 SERS section (docs/FORMATS.md) persists the full state, so
+// `serve --checkpoint` restarts resume with byte-identical /api/series
+// responses: the checkpoint encoder writes it straight from the rings
+// through Read, and Restore takes the decoded Persisted form.
 //
 // Standard-library-only, like metrics.h.  Thread-safe: the replay
 // thread samples while the HTTP thread renders.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -57,6 +62,42 @@ struct SeriesPoint {
   double value = 0.0;   // counter: cumulative at bucket close; gauge: last
   double min = 0.0;     // bucket-wide extrema (== value for counters)
   double max = 0.0;
+};
+
+// One tier's retained buckets, oldest first: a ring of at most the
+// tier's capacity.  It grows until full, never allocating past that
+// capacity; then a sample that opens a new bucket overwrites the oldest
+// bucket in place.
+class SeriesRing {
+ public:
+  std::size_t size() const { return points_.size(); }
+  bool empty() const { return points_.empty(); }
+
+  // i = 0 is the oldest retained bucket.
+  const SeriesPoint& operator[](std::size_t i) const {
+    const std::size_t slot = head_ + i;
+    return points_[slot < points_.size() ? slot : slot - points_.size()];
+  }
+
+  // The buckets oldest -> newest as two contiguous runs (the second
+  // empty until the ring wraps).
+  std::array<std::span<const SeriesPoint>, 2> segments() const {
+    const std::span<const SeriesPoint> all(points_);
+    return {all.subspan(head_), all.first(head_)};
+  }
+
+ private:
+  friend class TimeSeriesStore;
+
+  // Appends `p` as the newest bucket, overwriting the oldest once the
+  // ring holds `capacity` buckets.
+  void Push(const SeriesPoint& p, std::size_t capacity);
+  SeriesPoint& newest() {
+    return points_[head_ == 0 ? points_.size() - 1 : head_ - 1];
+  }
+
+  std::vector<SeriesPoint> points_;
+  std::size_t head_ = 0;  // the oldest bucket's slot; 0 until full
 };
 
 struct TierSpec {
@@ -120,6 +161,30 @@ class TimeSeriesStore {
                                         std::int64_t resolution_us,
                                         std::int64_t since_us) const;
 
+  // A retained series as the store holds it: one ring per tier.
+  struct Series {
+    std::string name;
+    SeriesKind kind = SeriesKind::kCounter;
+    std::vector<SeriesRing> tiers;
+  };
+
+  // The whole store, borrowed: Persisted's fields, with the live rings
+  // in place of copies.
+  struct View {
+    const std::vector<TierSpec>& tiers;
+    std::int64_t last_sample;
+    std::uint64_t dropped_series;
+    const std::vector<Series>& series;  // first-seen order
+  };
+
+  // Calls fn(view) under the store's lock.  The checkpoint encoder
+  // writes the SERS section this way, without copying a ring.
+  template <typename Fn>
+  void Read(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    fn(View{options_.tiers, last_sample_, dropped_series_, series_});
+  }
+
   // Checkpoint state (the RNC1 SERS section).  Series ride in
   // first-seen order so restore preserves max_series admission.
   struct PersistedSeries {
@@ -133,6 +198,8 @@ class TimeSeriesStore {
     std::uint64_t dropped_series = 0;
     std::vector<PersistedSeries> series;
   };
+  // A copy of the whole store in Persisted form: the reference the
+  // tests hold the in-place SERS encode and the rings against.
   Persisted Export() const;
 
   // Structural validation shared by Restore and the checkpoint decoder:
@@ -147,12 +214,6 @@ class TimeSeriesStore {
   const TimeSeriesOptions& options() const { return options_; }
 
  private:
-  struct Series {
-    std::string name;
-    SeriesKind kind = SeriesKind::kCounter;
-    std::vector<std::vector<SeriesPoint>> tiers;
-  };
-
   Series* FindOrCreateLocked(std::string_view name, SeriesKind kind);
   void RecordLocked(Series& series, std::int64_t t, double value);
 

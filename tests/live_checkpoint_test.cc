@@ -12,8 +12,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "collector/binary_io.h"
@@ -289,6 +291,64 @@ TEST(LiveCheckpointTest, PinnedBytes) {
             std::make_pair(std::size_t{465}, std::uint32_t{0x77fcf065}));
 }
 
+std::string CheckpointBytes(const collector::Checkpoint& ck) {
+  std::stringstream ss;
+  EXPECT_TRUE(collector::SaveCheckpoint(ck, ss));
+  return ss.str();
+}
+
+// The runner's snapshot writes SERS from the live rings in place; it must
+// be byte-identical to encoding a copy of them, for empty, partly filled,
+// exactly full and wrapped rings.
+TEST(LiveCheckpointTest, InPlaceSeriesEncodeEqualsEncodingTheExport) {
+  obs::TimeSeriesOptions options;
+  options.tiers = {{kSecond, 4}, {10 * kSecond, 3}};
+  const auto sample = [](obs::TimeSeriesStore& store,
+                         const std::vector<std::int64_t>& times) {
+    for (const std::int64_t t : times) {
+      store.Record("c", obs::SeriesKind::kCounter, t,
+                   static_cast<double>(t / 1000));
+      store.Record("g", obs::SeriesKind::kGauge, t,
+                   static_cast<double>(t % 7'000'000) / 3.0);
+    }
+  };
+  std::vector<std::int64_t> wrapped;  // 66 1s buckets, 7 10s buckets
+  for (std::int64_t t = 0; t <= 65 * kSecond; t += kSecond / 2) {
+    wrapped.push_back(t);
+  }
+  const std::vector<std::pair<const char*, std::vector<std::int64_t>>> cases =
+      {{"empty", {}},
+       {"partial", {0, kSecond / 2, kSecond}},
+       {"full", {0, 10 * kSecond, 20 * kSecond, 21 * kSecond}},
+       {"wrapped", wrapped}};
+  for (const auto& [label, times] : cases) {
+    obs::TimeSeriesStore store(options);
+    sample(store, times);
+    LiveCheckpointState st = BoundaryState();
+    collector::Checkpoint in_place;
+    EncodeLiveState(st, store, in_place);
+    st.series_store = store.Export();
+    collector::Checkpoint copied;
+    EncodeLiveState(st, copied);
+    EXPECT_EQ(CheckpointBytes(in_place), CheckpointBytes(copied)) << label;
+
+    // And it decodes back into the same rings.
+    LiveCheckpointState out;
+    std::string error;
+    ASSERT_TRUE(DecodeLiveState(in_place, &out, &error)) << label << error;
+    obs::TimeSeriesStore restored(options);
+    ASSERT_TRUE(restored.Restore(std::move(out.series_store), &error))
+        << label << error;
+    for (const char* name : {"c", "g"}) {
+      for (const std::int64_t res : {kSecond, 10 * kSecond}) {
+        EXPECT_EQ(restored.SeriesJson(name, res, -1),
+                  store.SeriesJson(name, res, -1))
+            << label << " " << name << " @ " << res;
+      }
+    }
+  }
+}
+
 // Every rejection must name the failing section — no silent partial
 // restore, and no guessing which state was bad.
 TEST(LiveCheckpointTest, RejectionNamesTheFailingSection) {
@@ -431,6 +491,11 @@ TEST(LiveCheckpointTest, CraftedCountsDoNotDriveAllocation) {
     EXPECT_NE(error.find("section " + bad.tag + ": truncated"),
               std::string::npos)
         << error;
+    // Points are read one at a time, so the error names the first one
+    // whose bytes are missing.
+    if (bad.tag == "SERS") {
+      EXPECT_EQ(error, "section SERS: truncated at series 0 tier 0 point 0");
+    }
   }
 }
 
@@ -720,6 +785,119 @@ TEST(LiveCheckpointTest, ResumedRunIsBitIdenticalToUninterruptedRun) {
     }
   }
   fs::remove(path);
+}
+
+// As above, with retention tiers so small that every ring has wrapped
+// (its oldest bucket is not in slot 0) when the first life's final
+// snapshot is cut, and wraps again after the restore.
+TEST(LiveCheckpointTest, ResumeAcrossWrappedRingsIsBitIdentical) {
+  const collector::EventStream stream = ResetCapture();
+  const LiveOptions plain = BaseOptions();
+  obs::TimeSeriesOptions tiny;
+  tiny.tiers = {{kSecond, 3}, {10 * kSecond, 7}, {60 * kSecond, 3}};
+
+  IncidentLog uninterrupted;
+  obs::TimeSeriesStore want_store(tiny);
+  const RunResult want = RunLive(plain, stream, &uninterrupted, 0, &want_store);
+
+  const std::string path = TempPath("wrapped");
+  fs::remove(path);
+  LiveOptions durable = plain;
+  durable.checkpoint_path = path;
+  durable.checkpoint_every_ticks = 4;
+  IncidentLog first_life;
+  obs::TimeSeriesStore first_store(tiny);
+  const RunResult partial =
+      RunLive(durable, stream, &first_life, 23, &first_store);
+  ASSERT_TRUE(fs::exists(path));
+
+  // Each tick samples once, at t0 + k * tick: count the buckets every
+  // tier had opened by the final snapshot.  More than the capacity, and
+  // not a multiple of it, puts the oldest bucket off slot 0.
+  const util::SimTime t0 = stream.front().time;
+  for (const obs::TierSpec& tier : tiny.tiers) {
+    std::set<std::int64_t> buckets;
+    for (std::uint64_t k = 1; k <= partial.stats.ticks; ++k) {
+      buckets.insert((t0 + static_cast<util::SimTime>(k) * plain.tick) /
+                     tier.resolution_us);
+    }
+    EXPECT_GT(buckets.size(), tier.capacity) << tier.resolution_us;
+    EXPECT_NE(buckets.size() % tier.capacity, 0u) << tier.resolution_us;
+  }
+
+  IncidentLog second_life;
+  obs::TimeSeriesStore second_store(tiny);
+  const RunResult resumed =
+      RunLive(durable, stream, &second_life, 0, &second_store);
+  EXPECT_TRUE(resumed.stats.restored);
+  EXPECT_EQ(resumed.incidents_json, want.incidents_json);
+  EXPECT_GT(resumed.stats.ticks - partial.stats.ticks,
+            std::uint64_t{6 * 3 * 2});  // the 60s ring wraps again
+  for (const char* name :
+       {"serve_events_ingested_total", "serve_ticks_total",
+        "serve_incidents_total", "serve_queue_depth", "serve_shed_level",
+        "serve_replay_position_seconds",
+        "incident_detection_latency_seconds:count",
+        "incident_detection_latency_seconds:p50",
+        "incident_detection_latency_seconds:p90",
+        "incident_detection_latency_seconds:p99"}) {
+    for (const obs::TierSpec& tier : tiny.tiers) {
+      const auto got = second_store.SeriesJson(name, tier.resolution_us, -1);
+      const auto expected =
+          want_store.SeriesJson(name, tier.resolution_us, -1);
+      ASSERT_TRUE(got.has_value()) << name;
+      ASSERT_TRUE(expected.has_value()) << name;
+      EXPECT_EQ(*got, *expected) << name << " @ " << tier.resolution_us;
+    }
+  }
+  fs::remove(path);
+}
+
+// The HTTP thread renders while the replay thread samples and cuts
+// snapshots: the renders must always see a consistent store (run under
+// the tsan-obs preset), and every snapshot must decode.
+TEST(LiveCheckpointTest, RenderingConcurrentWithSamplingAndEncoding) {
+  obs::TimeSeriesOptions options;
+  options.tiers = {{kSecond, 8}, {10 * kSecond, 4}};
+  obs::TimeSeriesStore store(options);
+  obs::MetricsRegistry registry;
+  const obs::MetricId ticks = registry.Counter("ticks_total");
+  const obs::MetricId depth = registry.Gauge("depth");
+  const obs::MetricId latency = registry.Histogram("latency_seconds", {1, 4});
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> renders{0};
+  std::thread renderer([&] {
+    while (!done.load()) {
+      const std::string list = store.ListJson();
+      EXPECT_NE(list.find("\"series\":["), std::string::npos);
+      for (const char* name : {"ticks_total", "depth", "latency_seconds:p50"}) {
+        if (const auto json = store.SeriesJson(name, kSecond, -1)) {
+          EXPECT_EQ(json->back(), '}');
+        }
+      }
+      ++renders;
+    }
+  });
+  while (renders.load() == 0) std::this_thread::yield();
+  LiveCheckpointState st = BoundaryState();
+  for (int tick = 1; tick <= 200; ++tick) {
+    registry.Add(ticks, 1);
+    registry.Set(depth, tick % 13);
+    registry.Observe(latency, 0.5 * (tick % 9));
+    st.stats.clock = tick * kSecond;
+    store.Sample(registry, st.stats.clock);
+    if (tick % 10 == 0) {
+      collector::Checkpoint ck;
+      EncodeLiveState(st, store, ck);
+      LiveCheckpointState out;
+      std::string error;
+      EXPECT_TRUE(DecodeLiveState(ck, &out, &error)) << error;
+    }
+  }
+  done.store(true);
+  renderer.join();
+  EXPECT_EQ(store.series_count(), 7u);  // 2 plain + 5 histogram-derived
 }
 
 // Restore across several successive kills (each life advances a little)

@@ -1,17 +1,19 @@
 // The dashboard time-series store: bucket/tier boundaries, ring
-// retention, counter-reset rate derivation, histogram quantiles and
-// expansion, the series cap, Export/Restore round-trips, and the
-// determinism contract — /api/series bytes identical at any
-// RANOMALY_THREADS setting.
+// retention (against an erase-front reference model), counter-reset
+// rate derivation, histogram quantiles and expansion, the series cap,
+// Export/Restore round-trips, and the determinism contract —
+// /api/series bytes identical at any RANOMALY_THREADS setting.
 #include "obs/timeseries.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/live.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 #include "util/time.h"
 #include "workload/eventgen.h"
 
@@ -200,6 +202,151 @@ TEST(TimeSeriesStoreTest, ExportRestoreRoundTripsBytes) {
       EXPECT_EQ(copy.SeriesJson(name, res, -1), store.SeriesJson(name, res, -1))
           << name << " @ " << res;
     }
+  }
+}
+
+// The retention rule stated the plain way: a vector per tier whose
+// overflow erases the front.  The store's rings must be
+// indistinguishable from it.
+class EraseFrontModel {
+ public:
+  EraseFrontModel(std::string name, SeriesKind kind,
+                  std::vector<TierSpec> tiers)
+      : name_(std::move(name)),
+        kind_(kind),
+        tiers_(std::move(tiers)),
+        rings_(tiers_.size()) {}
+
+  void Record(std::int64_t t, double value) {  // t >= 0
+    for (std::size_t i = 0; i < tiers_.size(); ++i) {
+      std::vector<SeriesPoint>& ring = rings_[i];
+      const std::int64_t bucket =
+          t / tiers_[i].resolution_us * tiers_[i].resolution_us;
+      if (ring.empty() || bucket > ring.back().t) {
+        ring.push_back({bucket, value, value, value});
+        if (ring.size() > tiers_[i].capacity) ring.erase(ring.begin());
+      } else {
+        ring.back().value = value;
+        ring.back().min = std::min(ring.back().min, value);
+        ring.back().max = std::max(ring.back().max, value);
+      }
+    }
+  }
+
+  const std::vector<SeriesPoint>& ring(std::size_t tier) const {
+    return rings_[tier];
+  }
+
+  // What /api/series must serve for this ring.
+  std::string Json(std::size_t tier, std::int64_t since_us) const {
+    const auto sec = [](std::int64_t us) {
+      return JsonDouble(static_cast<double>(us) / 1e6);
+    };
+    const std::vector<SeriesPoint>& ring = rings_[tier];
+    std::string out = "{\"name\":\"" + name_ + "\",\"kind\":\"" +
+                      ToString(kind_) + "\",\"resolution_sec\":" +
+                      sec(tiers_[tier].resolution_us) + ",\"points\":[";
+    bool first = true;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const SeriesPoint& p = ring[i];
+      if (p.t <= since_us) continue;
+      out += first ? "[" : ",[";
+      first = false;
+      out += sec(p.t) + "," + JsonDouble(p.value);
+      if (kind_ == SeriesKind::kGauge) {
+        out += "," + JsonDouble(p.min) + "," + JsonDouble(p.max) + "]";
+      } else if (i == 0) {
+        out += ",null]";
+      } else {
+        const SeriesPoint& prev = ring[i - 1];
+        const double dv =
+            p.value >= prev.value ? p.value - prev.value : p.value;
+        out += "," +
+               JsonDouble(dv / (static_cast<double>(p.t - prev.t) / 1e6)) +
+               "]";
+      }
+    }
+    return out + "]}";
+  }
+
+ private:
+  std::string name_;
+  SeriesKind kind_;
+  std::vector<TierSpec> tiers_;
+  std::vector<std::vector<SeriesPoint>> rings_;
+};
+
+bool SamePoints(const std::vector<SeriesPoint>& a,
+                const std::vector<SeriesPoint>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const SeriesPoint& x, const SeriesPoint& y) {
+                      return x.t == y.t && x.value == y.value &&
+                             x.min == y.min && x.max == y.max;
+                    });
+}
+
+// Sampling runs every tier past three times its capacity (some samples
+// fold into an open bucket, some skip buckets), and halfway through a
+// second store restores the first's full rings and samples on.  After
+// every sample both stores' Export and SeriesJson — whole and paged —
+// must equal the model's.
+TEST(TimeSeriesStoreTest, RingsMatchEraseFrontModel) {
+  TimeSeriesOptions options;
+  options.tiers = {{kSecond, 4}, {10 * kSecond, 3}, {60 * kSecond, 3}};
+  TimeSeriesStore store(options);
+  TimeSeriesStore restored(options);
+  std::vector<EraseFrontModel> models = {
+      {"c", SeriesKind::kCounter, options.tiers},
+      {"g", SeriesKind::kGauge, options.tiers}};
+
+  const auto check = [&](const TimeSeriesStore& s, const char* which,
+                         std::int64_t now) {
+    const TimeSeriesStore::Persisted p = s.Export();
+    ASSERT_EQ(p.series.size(), models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const char* name = m == 0 ? "c" : "g";
+      for (std::size_t tier = 0; tier < options.tiers.size(); ++tier) {
+        ASSERT_TRUE(SamePoints(p.series[m].tiers[tier], models[m].ring(tier)))
+            << which << " " << name << " tier " << tier << " at " << now;
+        const std::int64_t res = options.tiers[tier].resolution_us;
+        for (const std::int64_t since : {std::int64_t{-1}, now - 3 * res}) {
+          ASSERT_EQ(s.SeriesJson(name, res, since).value_or("(none)"),
+                    models[m].Json(tier, since))
+              << which << " since " << since << " at " << now;
+        }
+      }
+    }
+  };
+
+  util::Rng rng(14);
+  // The restore comes after three times the 60s tier's capacity.
+  const std::int64_t end = 2 * 3 * 3 * kMinute + kMinute;
+  bool restoring = false;
+  double counter = 0;
+  for (std::int64_t t = 0; t < end;
+       t += static_cast<std::int64_t>(rng.NextBelow(2500)) * 1000) {
+    counter = rng.NextBelow(50) == 0 ? 1.0 : counter + rng.NextBelow(7);
+    const double gauge = static_cast<double>(rng.NextBelow(1000)) - 500;
+    for (TimeSeriesStore* s : {&store, &restored}) {
+      if (s == &restored && !restoring) continue;
+      s->Record("c", SeriesKind::kCounter, t, counter);
+      s->Record("g", SeriesKind::kGauge, t, gauge);
+    }
+    models[0].Record(t, counter);
+    models[1].Record(t, gauge);
+    check(store, "store", t);
+    if (!restoring && t >= end / 2) {
+      std::string error;
+      ASSERT_TRUE(restored.Restore(store.Export(), &error)) << error;
+      restoring = true;
+    }
+    if (restoring) check(restored, "restored", t);
+  }
+  // Every tier had wrapped at least three times by the restore.
+  for (std::size_t tier = 0; tier < options.tiers.size(); ++tier) {
+    EXPECT_GE(end / 2 / options.tiers[tier].resolution_us,
+              3 * options.tiers[tier].capacity);
+    EXPECT_EQ(models[0].ring(tier).size(), options.tiers[tier].capacity);
   }
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/flat_set.h"
 #include "util/intern.h"
 #include "util/rng.h"
@@ -11,6 +15,55 @@
 
 namespace ranomaly::util {
 namespace {
+
+// --- Crc32 --------------------------------------------------------------
+
+// The textbook bit-at-a-time CRC-32 (reflected 0xedb88320), one byte at
+// a time: the definition the table-driven loop must reproduce.
+std::uint32_t ReferenceCrc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> NoiseBytes(std::size_t size) {
+  Rng rng(20261017);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Every length around the 16-byte stride, at every start alignment.
+TEST(Crc32Test, MatchesByteAtATimeReferenceAtEveryOffset) {
+  const std::vector<unsigned char> bytes = NoiseBytes(16 + 257);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t size = 0; size <= 257; ++size) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, size),
+                ReferenceCrc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+TEST(Crc32Test, AccumulatorSplitAnywhereEqualsOneShot) {
+  const std::vector<unsigned char> bytes = NoiseBytes(300);
+  const std::uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    Crc32Accumulator acc;
+    acc.Update(bytes.data(), split);
+    acc.Update(bytes.data() + split, bytes.size() - split);
+    ASSERT_EQ(acc.value(), whole) << "split at " << split;
+  }
+}
 
 // --- Rng ----------------------------------------------------------------
 
