@@ -3,8 +3,8 @@
 // optionally sharded Stem, on the Table I Berkeley stemming workloads
 // (12k / 57k / 330k events), plus the thread-count curve at 330k.
 //
-// tools/run_bench.sh runs this binary and distils BENCH_stemming.json
-// (ns/op per size, serial vs parallel, speedup) at the repo root.
+// tools/run_bench.py runs this binary and distils the stemming_opt row
+// of BENCH_stemming.json (ns/op per size, serial vs parallel, speedup).
 //
 // Before benchmarking, main() asserts that legacy and optimized agree on
 // the 12k workload — the timing comparison is only meaningful if both

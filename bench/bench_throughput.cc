@@ -9,8 +9,8 @@
 // it — the events/s figure charges that full cost, not just parsing.
 //
 // `--json` bypasses Google Benchmark and prints one JSON object for
-// tools/run_bench.sh --throughput: per-thread-count best-of-reps
-// events/s, the host CPU count (thread counts beyond it time-slice one
+// tools/run_bench.py --throughput: every rep's events/s per thread
+// count, the host CPU count (thread counts beyond it time-slice one
 // core and cannot speed up wall time), and a cross-thread determinism
 // verdict — every thread count must produce a byte-identical incident
 // stream, which the harness refuses to record otherwise.
@@ -156,9 +156,9 @@ BENCHMARK(BM_LiveThroughput)
 }  // namespace
 
 // Runs the full replay `reps` times per thread count (after one warm-up
-// at the first count), keeps each count's best run, and prints one JSON
-// object to stdout; progress goes to stderr.  Exits non-zero if any
-// thread count's incident stream differs from the 1-thread stream.
+// at the first count) and prints every run in one JSON object to
+// stdout; progress goes to stderr.  Exits non-zero if any run's
+// incident stream differs from the first run's.
 int RunJson(const collector::EventStream& stream, int reps,
             const std::vector<std::size_t>& thread_counts) {
   RunOnce(stream, thread_counts.front());  // warm caches and allocator
@@ -169,25 +169,25 @@ int RunJson(const collector::EventStream& stream, int reps,
               std::thread::hardware_concurrency());
   bool first = true;
   for (const std::size_t threads : thread_counts) {
-    RunResult best;
+    std::printf("%s{\"threads\": %zu, \"reps\": [", first ? "" : ", ",
+                threads);
     for (int r = 0; r < reps; ++r) {
       const RunResult run = RunOnce(stream, threads);
       if (reference.empty()) reference = run.incident_json;
       if (run.incident_json != reference) identical = false;
-      if (best.seconds == 0.0 || run.seconds < best.seconds) best = run;
+      const double events_per_sec =
+          static_cast<double>(run.events) / run.seconds;
+      std::printf("%s{\"seconds\": %.4f, \"events_per_sec\": %.0f, "
+                  "\"incidents\": %llu}",
+                  r == 0 ? "" : ", ", run.seconds, events_per_sec,
+                  static_cast<unsigned long long>(run.incidents));
       std::fprintf(stderr,
                    "threads %zu rep %d/%d: %.2f s, %.0f events/s, "
                    "%llu incidents\n",
-                   threads, r + 1, reps, run.seconds,
-                   static_cast<double>(run.events) / run.seconds,
+                   threads, r + 1, reps, run.seconds, events_per_sec,
                    static_cast<unsigned long long>(run.incidents));
     }
-    std::printf(
-        "%s{\"threads\": %zu, \"seconds\": %.4f, \"events_per_sec\": %.0f, "
-        "\"incidents\": %llu}",
-        first ? "" : ", ", threads, best.seconds,
-        static_cast<double>(best.events) / best.seconds,
-        static_cast<unsigned long long>(best.incidents));
+    std::printf("]}");
     first = false;
   }
   std::printf("], \"incident_streams_identical\": %s}\n",

@@ -21,27 +21,6 @@ namespace ranomaly::core {
 
 namespace {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::StrPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string PeerComponentName(bgp::Ipv4Addr peer) {
   return "peer/" + peer.ToString();
 }
@@ -112,8 +91,8 @@ std::string IncidentLog::ToJson(std::uint64_t since) const {
         "\"load_shed\":%s}",
         static_cast<unsigned long long>(e.seq), ToString(inc.kind),
         util::ToSeconds(inc.begin), util::ToSeconds(inc.end), inc.event_count,
-        inc.prefix_count, JsonEscape(inc.stem_label).c_str(),
-        JsonEscape(inc.summary).c_str(), util::ToSeconds(inc.detected_at),
+        inc.prefix_count, obs::JsonEscape(inc.stem_label).c_str(),
+        obs::JsonEscape(inc.summary).c_str(), util::ToSeconds(inc.detected_at),
         inc.detection_latency_sec, inc.feed_degraded ? "true" : "false",
         inc.load_shed ? "true" : "false");
   }
@@ -963,26 +942,21 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
       response.content_type = "text/plain; version=0.0.4; charset=utf-8";
       response.body = metrics->ToPrometheus();
     } else if (request.path == "/varz") {
-      std::string body = "{\"build\":{\"project\":\"ranomaly\",\"tracing\":";
-#ifdef RANOMALY_NO_TRACING
-      body += "false";
-#else
-      body += "true";
-#endif
-      body += util::StrPrintf(
-          "},\"config\":{\"stream\":\"%s\",\"threads\":%zu,"
+      std::string body = util::StrPrintf(
+          "{\"build\":{\"project\":\"ranomaly\"},"
+          "\"config\":{\"stream\":\"%s\",\"threads\":%zu,"
           "\"tick_sec\":%.3f,\"window_sec\":%.3f,\"slo_target_sec\":%.3f,"
           "\"checkpoint\":\"%s\",\"queue_capacity\":%zu},",
-          JsonEscape(info.stream_path).c_str(), info.threads, info.tick_sec,
-          info.window_sec, info.slo_target_sec,
-          JsonEscape(info.checkpoint_path).c_str(), info.queue_capacity);
+          obs::JsonEscape(info.stream_path).c_str(), info.threads,
+          info.tick_sec, info.window_sec, info.slo_target_sec,
+          obs::JsonEscape(info.checkpoint_path).c_str(), info.queue_capacity);
       body += "\"health\":{";
       if (health != nullptr) {
         const obs::HealthRegistry::Aggregate agg = health->Aggregated();
         body += util::StrPrintf("\"state\":\"%s\",\"reason\":\"%s\","
                                 "\"components\":[",
                                 obs::ToString(agg.state),
-                                JsonEscape(agg.reason).c_str());
+                                obs::JsonEscape(agg.reason).c_str());
         bool first = true;
         for (const auto& c : health->Snapshot()) {
           if (!first) body += ',';
@@ -990,8 +964,8 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
           body += util::StrPrintf(
               "{\"name\":\"%s\",\"state\":\"%s\",\"reason\":\"%s\","
               "\"heartbeat_age_sec\":%.3f}",
-              JsonEscape(c.name).c_str(), obs::ToString(c.state),
-              JsonEscape(c.reason).c_str(), c.heartbeat_age_sec);
+              obs::JsonEscape(c.name).c_str(), obs::ToString(c.state),
+              obs::JsonEscape(c.reason).c_str(), c.heartbeat_age_sec);
         }
         body += ']';
       } else {
@@ -1117,9 +1091,9 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
               obs::JsonDouble(util::ToSeconds(inc.end)).c_str(),
               obs::JsonDouble(util::ToSeconds(inc.detected_at)).c_str(),
               obs::JsonDouble(inc.detection_latency_sec).c_str(),
-              JsonEscape(inc.stem_label).c_str(),
-              JsonEscape(inc.top_sequence).c_str(),
-              JsonEscape(inc.summary).c_str(),
+              obs::JsonEscape(inc.stem_label).c_str(),
+              obs::JsonEscape(inc.top_sequence).c_str(),
+              obs::JsonEscape(inc.summary).c_str(),
               inc.feed_degraded ? "true" : "false",
               inc.load_shed ? "true" : "false",
               static_cast<long long>(tick_index));

@@ -55,28 +55,6 @@ std::string FormatBound(double v) {
   return best[0] == '\0' ? buf : best;
 }
 
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Splits a registered name into its family (before any '{') and the raw
 // label block including braces ("" if unlabeled).
 std::pair<std::string_view, std::string_view> SplitFamily(
@@ -91,6 +69,29 @@ std::pair<std::string_view, std::string_view> SplitFamily(
 std::string JsonDouble(double v) {
   if (!std::isfinite(v)) return "null";
   return FormatBound(v);
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 std::string PromEscape(std::string_view value) {
@@ -660,7 +661,7 @@ std::string ToVarzJson(const std::vector<MetricSnapshot>& snapshot) {
     if (m.kind != MetricKind::kCounter) continue;
     if (!first) out += ',';
     first = false;
-    out += "\"" + EscapeJson(m.name) + "\":" + std::to_string(m.counter);
+    out += "\"" + JsonEscape(m.name) + "\":" + std::to_string(m.counter);
   }
   out += "},\"gauges\":{";
   first = true;
@@ -668,7 +669,7 @@ std::string ToVarzJson(const std::vector<MetricSnapshot>& snapshot) {
     if (m.kind != MetricKind::kGauge) continue;
     if (!first) out += ',';
     first = false;
-    out += "\"" + EscapeJson(m.name) + "\":" + JsonDouble(m.gauge);
+    out += "\"" + JsonEscape(m.name) + "\":" + JsonDouble(m.gauge);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -676,7 +677,7 @@ std::string ToVarzJson(const std::vector<MetricSnapshot>& snapshot) {
     if (m.kind != MetricKind::kHistogram) continue;
     if (!first) out += ',';
     first = false;
-    out += "\"" + EscapeJson(m.name) + "\":{\"bounds\":[";
+    out += "\"" + JsonEscape(m.name) + "\":{\"bounds\":[";
     for (std::size_t b = 0; b < m.histogram.bounds.size(); ++b) {
       if (b > 0) out += ',';
       out += FormatBound(m.histogram.bounds[b]);
@@ -705,7 +706,7 @@ std::string ToVarzJson(
   for (const auto& [family, text] : help) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + EscapeJson(family) + "\":\"" + EscapeJson(text) + "\"";
+    out += "\"" + JsonEscape(family) + "\":\"" + JsonEscape(text) + "\"";
   }
   out += "}}";
   return out;

@@ -14,10 +14,6 @@
 //
 // This library is standard-library-only (no ranomaly deps): it sits
 // below util so even util::ThreadPool can be instrumented.
-//
-// Building with -DRANOMALY_NO_TRACING=ON compiles the RANOMALY_METRIC_*
-// macros (and TraceSpan bodies, trace.h) down to nothing; the registry
-// API itself stays available so tools still link.
 #pragma once
 
 #include <atomic>
@@ -85,6 +81,11 @@ std::string ToVarzJson(
 // deterministic state renders to deterministic bytes.  Non-finite
 // values render as `null`.
 std::string JsonDouble(double v);
+
+// JSON string-body escaping: `"`, `\`, newline, carriage return and tab
+// get their short escapes, other bytes below 0x20 become \u00XX; every
+// other byte (UTF-8 included) passes through.
+std::string JsonEscape(std::string_view s);
 
 // Prometheus label-value escaping: backslash, double quote, and newline
 // become \\, \", and \n per the exposition format.
@@ -161,10 +162,7 @@ class MetricsRegistry {
 }  // namespace ranomaly::obs
 
 // Convenience macros: register once per call site (thread-safe
-// function-local static), then record.  Compiled out entirely under
-// RANOMALY_NO_TRACING.
-#ifndef RANOMALY_NO_TRACING
-
+// function-local static), then record.
 #define RANOMALY_METRIC_COUNT(name, delta)                                 \
   do {                                                                     \
     static const ::ranomaly::obs::MetricId ranomaly_metric_id_ =           \
@@ -191,17 +189,3 @@ class MetricsRegistry {
     ::ranomaly::obs::MetricsRegistry::Global().Observe(ranomaly_metric_id_,\
                                                        (value));           \
   } while (0)
-
-#else  // RANOMALY_NO_TRACING
-
-#define RANOMALY_METRIC_COUNT(name, delta) \
-  do {                                     \
-  } while (0)
-#define RANOMALY_METRIC_SET(name, value) \
-  do {                                   \
-  } while (0)
-#define RANOMALY_METRIC_OBSERVE(name, bounds, value) \
-  do {                                               \
-  } while (0)
-
-#endif  // RANOMALY_NO_TRACING

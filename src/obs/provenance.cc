@@ -1,35 +1,12 @@
 #include "obs/provenance.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace ranomaly::obs {
 namespace {
-
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* AdmissionName(std::uint8_t admission) {
   return admission == 1 ? "shed" : "direct";
@@ -80,14 +57,14 @@ std::optional<std::string> ProvenanceLedger::EvidenceJson(
   const IncidentProvenance& r = *it;
 
   std::string out = "{\"seq\":" + std::to_string(r.seq);
-  out += ",\"kind\":\"" + EscapeJson(r.kind) + "\"";
-  out += ",\"stem\":\"" + EscapeJson(r.stem) + "\"";
+  out += ",\"kind\":\"" + JsonEscape(r.kind) + "\"";
+  out += ",\"stem\":\"" + JsonEscape(r.stem) + "\"";
   out += ",\"stem_key\":[" + std::to_string(r.stem_first) + "," +
          std::to_string(r.stem_second) + "]";
   out += ",\"path\":[";
   for (std::size_t i = 0; i < r.path.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + EscapeJson(r.path[i]) + "\"";
+    out += "\"" + JsonEscape(r.path[i]) + "\"";
   }
   out += "]";
   out += ",\"window_events\":" + std::to_string(r.window_events);
@@ -98,7 +75,7 @@ std::optional<std::string> ProvenanceLedger::EvidenceJson(
   out += ",\"stages\":[";
   for (std::size_t i = 0; i < r.stages.size(); ++i) {
     if (i != 0) out += ",";
-    out += "{\"stage\":\"" + EscapeJson(r.stages[i].stage) +
+    out += "{\"stage\":\"" + JsonEscape(r.stages[i].stage) +
            "\",\"seconds\":" + JsonDouble(r.stages[i].seconds) + "}";
   }
   out += "]";
@@ -109,9 +86,9 @@ std::optional<std::string> ProvenanceLedger::EvidenceJson(
     if (i != 0) out += ",";
     out += "{\"id\":" + std::to_string(e.stream_index);
     out += ",\"time_sec\":" + JsonDouble(e.time_sec);
-    out += ",\"type\":\"" + EscapeJson(e.type) + "\"";
-    out += ",\"peer\":\"" + EscapeJson(e.peer) + "\"";
-    out += ",\"prefix\":\"" + EscapeJson(e.prefix) + "\"";
+    out += ",\"type\":\"" + JsonEscape(e.type) + "\"";
+    out += ",\"peer\":\"" + JsonEscape(e.peer) + "\"";
+    out += ",\"prefix\":\"" + JsonEscape(e.prefix) + "\"";
     out += ",\"admission\":\"";
     out += AdmissionName(e.admission);
     out += "\"}";
@@ -125,7 +102,7 @@ std::optional<std::string> ProvenanceLedger::EvidenceJson(
     out += "{\"id\":" + std::to_string(c.id);
     out += ",\"weight\":" + JsonDouble(c.weight);
     out += ",\"score\":" + JsonDouble(c.score);
-    out += ",\"sequence\":\"" + EscapeJson(c.sequence) + "\"}";
+    out += ",\"sequence\":\"" + JsonEscape(c.sequence) + "\"}";
   }
   out += "]}";
   return out;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <set>
 
 namespace ranomaly::obs {
@@ -15,26 +14,6 @@ std::int64_t BucketStart(std::int64_t t, std::int64_t resolution) {
   std::int64_t q = t / resolution;
   if (t % resolution != 0 && t < 0) --q;
   return q * resolution;
-}
-
-std::string EscapeName(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string SecondsJson(std::int64_t us) {
@@ -210,7 +189,7 @@ std::string TimeSeriesStore::ListJson() const {
             [](const Series* a, const Series* b) { return a->name < b->name; });
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     if (i > 0) out += ',';
-    out += "{\"name\":\"" + EscapeName(sorted[i]->name) + "\",\"kind\":\"" +
+    out += "{\"name\":\"" + JsonEscape(sorted[i]->name) + "\",\"kind\":\"" +
            ToString(sorted[i]->kind) + "\"}";
   }
   out += "]}";
@@ -231,7 +210,7 @@ std::optional<std::string> TimeSeriesStore::SeriesJson(
   const Series& s = series_[it->second];
   const SeriesRing& ring = s.tiers[tier];
 
-  std::string out = "{\"name\":\"" + EscapeName(s.name) + "\",\"kind\":\"" +
+  std::string out = "{\"name\":\"" + JsonEscape(s.name) + "\",\"kind\":\"" +
                     ToString(s.kind) + "\",\"resolution_sec\":" +
                     SecondsJson(resolution_us) + ",\"points\":[";
   bool first = true;

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace ranomaly::obs {
 namespace {
 
@@ -12,28 +14,6 @@ std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string FormatMicros(std::uint64_t ts_ns) {
@@ -231,11 +211,11 @@ std::string Tracer::ExportChromeJson() const {
       if (!buffer->thread_name.empty()) {
         append("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
                std::to_string(buffer->tid) + ",\"args\":{\"name\":\"" +
-               EscapeJson(buffer->thread_name) + "\"}}");
+               JsonEscape(buffer->thread_name) + "\"}}");
       }
     }
     for (const TraceEvent& event : impl_->SanitizedEvents(*buffer)) {
-      std::string line = "{\"name\":\"" + EscapeJson(event.name) +
+      std::string line = "{\"name\":\"" + JsonEscape(event.name) +
                          "\",\"cat\":\"ranomaly\",\"ph\":\"";
       line += event.phase;
       line += "\",\"pid\":1,\"tid\":" + std::to_string(buffer->tid) +
@@ -254,7 +234,7 @@ std::string Tracer::ExportJsonl() const {
   std::string out;
   for (const auto& buffer : impl_->buffers) {
     for (const TraceEvent& event : impl_->SanitizedEvents(*buffer)) {
-      out += "{\"name\":\"" + EscapeJson(event.name) + "\",\"ph\":\"";
+      out += "{\"name\":\"" + JsonEscape(event.name) + "\",\"ph\":\"";
       out += event.phase;
       out += "\",\"tid\":" + std::to_string(buffer->tid) +
              ",\"ts_us\":" + FormatMicros(event.ts_ns);
@@ -265,15 +245,13 @@ std::string Tracer::ExportJsonl() const {
   return out;
 }
 
-#ifndef RANOMALY_NO_TRACING
-
 void TraceSpan::Annotate(std::string_view key, std::string_view value) {
   if (name_ == nullptr) return;
   if (!args_.empty()) args_ += ',';
   args_ += '"';
-  args_ += EscapeJson(key);
+  args_ += JsonEscape(key);
   args_ += "\":\"";
-  args_ += EscapeJson(value);
+  args_ += JsonEscape(value);
   args_ += '"';
 }
 
@@ -281,7 +259,7 @@ void TraceSpan::Annotate(std::string_view key, std::uint64_t value) {
   if (name_ == nullptr) return;
   if (!args_.empty()) args_ += ',';
   args_ += '"';
-  args_ += EscapeJson(key);
+  args_ += JsonEscape(key);
   args_ += "\":";
   args_ += std::to_string(value);
 }
@@ -290,13 +268,11 @@ void TraceSpan::Annotate(std::string_view key, double value) {
   if (name_ == nullptr) return;
   if (!args_.empty()) args_ += ',';
   args_ += '"';
-  args_ += EscapeJson(key);
+  args_ += JsonEscape(key);
   args_ += "\":";
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   args_ += buf;
 }
-
-#endif  // RANOMALY_NO_TRACING
 
 }  // namespace ranomaly::obs

@@ -4,8 +4,7 @@
 // and an "E" (end) at destruction; nesting follows scope nesting, so
 // parent/child structure falls out of B/E pairing.  Annotate() attaches
 // key=value arguments to the end event.  Recording is ~one relaxed
-// atomic load when the tracer is disabled (the default), and the spans
-// compile to empty structs under -DRANOMALY_NO_TRACING=ON.
+// atomic load when the tracer is disabled (the default).
 //
 // Events land in a fixed-capacity ring per thread (oldest overwritten;
 // the drop count is kept so truncation is visible).  Export produces
@@ -78,7 +77,6 @@ class Tracer {
 // RAII span.  The name must be a string literal (stored by pointer).
 class TraceSpan {
  public:
-#ifndef RANOMALY_NO_TRACING
   explicit TraceSpan(const char* name) {
     Tracer& tracer = Tracer::Global();
     if (tracer.enabled()) {
@@ -98,23 +96,13 @@ class TraceSpan {
   void Annotate(std::string_view key, std::string_view value);
   void Annotate(std::string_view key, std::uint64_t value);
   void Annotate(std::string_view key, double value);
-#else
-  explicit TraceSpan(const char*) {}
-  ~TraceSpan() = default;
-  void End() {}
-  void Annotate(std::string_view, std::string_view) {}
-  void Annotate(std::string_view, std::uint64_t) {}
-  void Annotate(std::string_view, double) {}
-#endif
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-#ifndef RANOMALY_NO_TRACING
   const char* name_ = nullptr;
   std::string args_;  // accumulated `"key":value` pairs
-#endif
 };
 
 }  // namespace ranomaly::obs

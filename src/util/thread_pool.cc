@@ -40,10 +40,8 @@ ThreadPool::ThreadPool(std::size_t threads)
   for (std::size_t i = 0; i + 1 < threads_; ++i) {
     const std::size_t worker_index = i + 1;  // caller thread is worker 0
     workers_.emplace_back([this, worker_index] {
-#ifndef RANOMALY_NO_TRACING
       obs::Tracer::Global().SetCurrentThreadName(
           "pool-worker-" + std::to_string(worker_index));
-#endif
       WorkerMain(worker_index);
     });
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -342,6 +343,28 @@ TEST(MetricsTest, JsonDoubleShortestRoundTrip) {
   EXPECT_EQ(JsonDouble(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(JsonDouble(-std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(JsonDouble(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+TEST(MetricsTest, JsonEscapeEveryControlByteQuoteAndBackslash) {
+  std::string input;
+  std::string expected;
+  for (int c = 0; c < 0x20; ++c) {
+    input += static_cast<char>(c);
+    switch (c) {
+      case '\n': expected += "\\n"; break;
+      case '\r': expected += "\\r"; break;
+      case '\t': expected += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        expected += buf;
+      }
+    }
+  }
+  input += "\"\\ \x7f\xc3\xa9";
+  expected += "\\\"\\\\ \x7f\xc3\xa9";  // DEL and UTF-8 pass through
+  EXPECT_EQ(JsonEscape(input), expected);
+  EXPECT_EQ(JsonEscape(std::string_view("\x01\x1f", 2)), "\\u0001\\u001f");
 }
 
 // --- tracer ------------------------------------------------------------------
