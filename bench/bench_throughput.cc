@@ -8,14 +8,12 @@
 // window), so each event is analyzed in every window that slides over
 // it — the events/s figure charges that full cost, not just parsing.
 //
-// `--json` bypasses Google Benchmark and prints one JSON object for
-// tools/run_bench.py --throughput: every rep's events/s per thread
-// count, the host CPU count (thread counts beyond it time-slice one
-// core and cannot speed up wall time), and a cross-thread determinism
-// verdict — every thread count must produce a byte-identical incident
-// stream, which the harness refuses to record otherwise.
-#include <benchmark/benchmark.h>
-
+// It prints one JSON object for tools/run_bench.py --throughput: every
+// rep's events/s per thread count, the host CPU count (thread counts
+// beyond it time-slice one core and cannot speed up wall time), and a
+// cross-thread determinism verdict — every thread count must produce a
+// byte-identical incident stream, which the harness refuses to record
+// otherwise.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -129,30 +127,6 @@ RunResult RunOnce(const collector::EventStream& stream, std::size_t threads) {
   return result;
 }
 
-void BM_LiveThroughput(benchmark::State& state) {
-  const collector::EventStream& stream = Workload(200'000);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::uint64_t events = 0;
-  std::uint64_t incidents = 0;
-  for (auto _ : state) {
-    const RunResult r = RunOnce(stream, threads);
-    events = r.events;
-    incidents = r.incidents;
-    state.SetIterationTime(r.seconds);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["incidents"] = static_cast<double>(incidents);
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_LiveThroughput)
-    ->Unit(benchmark::kMillisecond)
-    ->UseManualTime()
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
-
 }  // namespace
 
 // Runs the full replay `reps` times per thread count (after one warm-up
@@ -206,16 +180,13 @@ int main(int argc, char** argv) {
   std::size_t events = 200'000;
   int reps = 2;
   std::vector<std::size_t> threads = {1, 2, 4, 8};
-  bool json = false;
   bool internet = false;
   std::size_t ases = 32'000;
   std::size_t prefixes = 210'000;
   std::size_t peers = 5;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--internet") {
+    if (arg == "--internet") {
       internet = true;
     } else if (arg == "--ases" && i + 1 < argc) {
       ases = static_cast<std::size_t>(std::atoll(argv[++i]));
@@ -236,15 +207,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (json) {
-    const ranomaly::collector::EventStream& stream =
-        internet ? ranomaly::bench::InternetWorkload(ases, prefixes, peers)
-                 : ranomaly::bench::Workload(events);
-    return ranomaly::bench::RunJson(stream, reps < 1 ? 1 : reps, threads);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  const ranomaly::collector::EventStream& stream =
+      internet ? ranomaly::bench::InternetWorkload(ases, prefixes, peers)
+               : ranomaly::bench::Workload(events);
+  return ranomaly::bench::RunJson(stream, reps < 1 ? 1 : reps, threads);
 }

@@ -21,6 +21,14 @@ namespace ranomaly::core {
 
 namespace {
 
+// Queue fill (fraction of ShedOptions::queue_capacity) at which the
+// degradation ladder escalates to each stage.
+constexpr double kL1Watermark = 0.50;
+constexpr double kL2Watermark = 0.75;
+constexpr double kL3Watermark = 0.90;
+// Cap of the failed-checkpoint retry backoff.
+constexpr std::uint64_t kCheckpointRetryMaxBackoffTicks = 32;
+
 std::string PeerComponentName(bgp::Ipv4Addr peer) {
   return "peer/" + peer.ToString();
 }
@@ -677,11 +685,11 @@ LiveStats LiveRunner::Run(
       const double fill = static_cast<double>(queue.size()) /
                           static_cast<double>(so.queue_capacity);
       int target = 0;
-      if (fill >= so.l3_watermark) {
+      if (fill >= kL3Watermark) {
         target = 3;
-      } else if (fill >= so.l2_watermark) {
+      } else if (fill >= kL2Watermark) {
         target = 2;
-      } else if (fill >= so.l1_watermark) {
+      } else if (fill >= kL1Watermark) {
         target = 1;
       }
       if (target > st.shed_level) {
@@ -854,7 +862,7 @@ LiveStats LiveRunner::Run(
             retry_backoff == 0
                 ? 1
                 : std::min(retry_backoff * 2,
-                           options_.checkpoint_retry_max_backoff_ticks);
+                           kCheckpointRetryMaxBackoffTicks);
         next_checkpoint_tick = stats.ticks + retry_backoff;
         RANOMALY_LOG_EVERY_N(
             util::LogLevel::kWarn, 4,

@@ -156,11 +156,11 @@ struct ShedWindow {
 // the end-of-ingest queue depth crosses a watermark fraction of
 // capacity, and de-escalates one stage after `recovery_ticks`
 // consecutive ticks below the stage's watermark (hysteresis):
-//   L1 (>= l1_watermark): suspend span tracing
-//   L2 (>= l2_watermark): halve the analysis cadence (each analysis
-//       covers two ingest batches — a widened batch window)
-//   L3 (>= l3_watermark): deterministically sample arrivals, keeping 1
-//       in sample_stride routing events, inside a marked shed window
+//   L1 (>= 50 %): suspend span tracing
+//   L2 (>= 75 %): halve the analysis cadence (each analysis covers two
+//       ingest batches — a widened batch window)
+//   L3 (>= 90 %): deterministically sample arrivals, keeping 1 in
+//       sample_stride routing events, inside a marked shed window
 // Markers (GAP/SYNC) are never shed: feed-health bookkeeping stays
 // exact under overload.  The queue never exceeds queue_capacity;
 // arrivals beyond it are dropped and counted as shed.
@@ -169,9 +169,6 @@ struct ShedOptions {
   // Max routing events drained from the queue into the analysis window
   // per tick; 0 = unlimited (the queue then never grows).
   std::size_t service_rate = 0;
-  double l1_watermark = 0.50;
-  double l2_watermark = 0.75;
-  double l3_watermark = 0.90;
   std::size_t sample_stride = 4;   // keep 1 in N at L3
   std::uint64_t recovery_ticks = 3;
 };
@@ -193,11 +190,10 @@ struct LiveOptions {
   // Analysis-tier durability: when non-empty, restore from this RNC1
   // checkpoint at startup (if present and valid) and persist the live
   // state there every `checkpoint_every_ticks` ticks plus once on exit.
+  // A failed write retries with exponential backoff (1, 2, 4, ... ticks,
+  // at most 32); the daemon keeps analyzing throughout.
   std::string checkpoint_path;
   std::uint64_t checkpoint_every_ticks = 16;
-  // Failed writes retry with exponential backoff (1, 2, 4, ... ticks)
-  // capped at this bound; the daemon keeps analyzing throughout.
-  std::uint64_t checkpoint_retry_max_backoff_ticks = 32;
 };
 
 struct LiveStats {

@@ -24,6 +24,13 @@ const char* ToString(IncidentKind kind) {
   return "?";
 }
 
+namespace {
+
+// Each spike window is padded by this margin on both sides.
+constexpr util::SimDuration kSpikeMargin = 30 * util::kSecond;
+
+}  // namespace
+
 struct Pipeline::Sliding {
   std::mutex mu;
   stemming::SlidingStemmer stemmer;  // guarded by mu
@@ -35,7 +42,7 @@ Pipeline::Pipeline(PipelineOptions options)
                                   ? options_.threads
                                   : util::ThreadPool::DefaultThreadCount();
   pool_ = std::make_unique<util::ThreadPool>(threads);
-  // Stemming shares the pipeline's pool for its sharded bigram count.
+  // Stemming shares the pipeline's pool for the recursion's chunked scans.
   options_.stemming.pool = pool_.get();
 }
 
@@ -383,8 +390,8 @@ std::vector<Incident> Pipeline::Analyze(
   std::vector<std::vector<Incident>> per_spike(spikes.size());
   const auto analyze_spike = [&](std::size_t i) {
     const auto window =
-        stream.Window(spikes[i].begin - options_.spike_margin,
-                      spikes[i].end + options_.spike_margin);
+        stream.Window(spikes[i].begin - kSpikeMargin,
+                      spikes[i].end + kSpikeMargin);
     per_spike[i] = AnalyzeWindow(window, /*sliding=*/false);
   };
   pool_->ParallelFor(spikes.size(), analyze_spike);
@@ -402,7 +409,7 @@ std::vector<Incident> Pipeline::Analyze(
   // windows (spikes were handled at their own timescale above; leaving
   // them in would let their mass drown the low-grade persistent
   // anomalies this pass exists to catch).
-  if (options_.long_window_pass) {
+  {
     const util::StageTimer grass_timer;
     obs::TraceSpan grass_span("pipeline.grass_pass");
     std::vector<bgp::Event> grass;
@@ -414,12 +421,12 @@ std::vector<Incident> Pipeline::Analyze(
     std::size_t next_spike = 0;
     for (const bgp::Event& e : stream.events()) {
       while (next_spike < spikes.size() &&
-             e.time >= spikes[next_spike].end + options_.spike_margin) {
+             e.time >= spikes[next_spike].end + kSpikeMargin) {
         ++next_spike;
       }
       const bool inside_spike =
           next_spike < spikes.size() &&
-          e.time >= spikes[next_spike].begin - options_.spike_margin;
+          e.time >= spikes[next_spike].begin - kSpikeMargin;
       if (!inside_spike) grass.push_back(e);
     }
     grass_span.Annotate("events", static_cast<std::uint64_t>(grass.size()));

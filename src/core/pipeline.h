@@ -23,11 +23,6 @@ struct PipelineOptions {
   // Spike detection (Fig 8 style).
   util::SimDuration spike_bucket = util::kMinute;
   double spike_factor = 5.0;
-  // Pad each spike window by this margin on both sides.
-  util::SimDuration spike_margin = 30 * util::kSecond;
-  // Also stem the full stream (the "long window"); catches low-grade
-  // persistent anomalies.
-  bool long_window_pass = true;
   stemming::StemmingOptions stemming;
   // Components claiming less than this fraction of a window are noise.
   double min_component_fraction = 0.02;
@@ -35,7 +30,7 @@ struct PipelineOptions {
   // no anomaly signature — usually shared-path mass, not an incident).
   bool include_unknown = false;
   // Worker threads for the analysis fan-out (spike windows run
-  // concurrently; stemming shards its counting).  0 means
+  // concurrently; the stemming recursion chunks its scans).  0 means
   // util::ThreadPool::DefaultThreadCount(), i.e. RANOMALY_THREADS or the
   // hardware.  Results are bit-identical for every value.
   std::size_t threads = 0;

@@ -148,8 +148,7 @@ struct EventView {
 
 struct Arena {
   std::vector<SymbolId> symbols;
-  std::vector<std::uint64_t> raw;  // raw tagged value per position
-  std::vector<EventView> views;    // one per distinct sequence class
+  std::vector<EventView> views;  // one per distinct sequence class
   // weight_fn value per class (the same for every event of a class);
   // empty when unweighted, where every event weighs 1.
   std::vector<double> unit_weights;
@@ -172,31 +171,25 @@ struct Arena {
 // chunk order and with the same per-chunk partial association, when
 // there is none — and returns the wall seconds spent.  Callers
 // accumulate the return value into StemmingStats::parallel_seconds so
-// the per-stage parallel fractions can be reported.
+// the extract stage's parallel fraction can be reported.
 double ParallelRegion(util::ThreadPool* pool, std::size_t chunks,
-                      const std::function<void(std::size_t, std::size_t)>& fn) {
+                      const std::function<void(std::size_t)>& fn) {
   if (chunks == 0) return 0.0;
   const util::StageTimer timer;
   if (pool != nullptr) {
     pool->ParallelFor(chunks, fn);
   } else {
-    for (std::size_t c = 0; c < chunks; ++c) fn(c, 0);
+    for (std::size_t c = 0; c < chunks; ++c) fn(c);
   }
   return timer.Seconds();
 }
 
-// Number of hash buckets the cross-shard merges partition distinct keys
-// into.  A fixed constant: the partition must be a pure function of the
-// input, never of the thread count.
-constexpr std::size_t kMergeBuckets = 64;
 constexpr std::uint32_t kNoIndex = 0xffffffffu;
-
-inline std::size_t BucketOf(std::uint64_t hash) { return hash >> 58; }
 
 std::uint64_t HashSpan(const std::uint64_t* seq, std::uint32_t len) {
   // Single-multiply accumulation (short dependency chain — this runs
   // once per *event*), with one full finalizer to spread entropy into
-  // the low bits the probe mask keeps and the high bits BucketOf keeps.
+  // the low bits the probe mask keeps.
   std::uint64_t h = len;
   for (std::uint32_t i = 0; i < len; ++i) {
     h = (h ^ seq[i]) * 0x9e3779b97f4a7c15ULL;
@@ -251,56 +244,41 @@ bool SequenceMatches(const bgp::Event& e, std::uint32_t len,
   return i + 1 == len;
 }
 
-// One encode shard: a contiguous range of events deduplicated into
-// *local* sequence classes, each stored once in the shard's own flat raw
-// store.  Merging the shards' local tables in shard order reproduces the
-// global first-seen class order of a serial encoder (DESIGN.md "Parallel
-// analysis architecture" has the argument), which is what lets the
-// per-event dedup — the hottest loop of the whole analysis tier — run
-// sharded while staying bit-identical at any thread count.
-struct EncodeShard {
-  std::vector<std::uint64_t> raw;          // local flat sequence storage
-  std::vector<std::uint32_t> begins;       // per local class, into raw
-  std::vector<std::uint32_t> lengths;      // per local class
-  std::vector<std::uint64_t> hashes;       // HashSpan per local class
-  std::vector<std::uint32_t> mult;         // this shard's events per class
-  std::vector<std::uint32_t> event_local;  // local class per shard event
-  // Local class -> cross-shard group index (bucket-local, written by the
-  // merge), then -> final global class id after ids are assigned.
-  std::vector<std::uint32_t> global;
-  std::vector<std::uint32_t> bucket_offsets;  // kMergeBuckets + 1
-  std::vector<std::uint32_t> by_bucket;  // local classes grouped by bucket
-
-  // Open-addressed span index over the local classes.  The hash is kept
-  // per slot so probes reject on one compare and growth never re-hashes
-  // the raw store.
-  std::vector<std::uint32_t> slot_cls;  // local class + 1; 0 = empty
+// Batch Stem's sequence dedup: an open-addressed index from raw
+// sequences to classes.  Each class's raw values are stored once, at its
+// arena position, so a probe compares against contiguous memory.  The
+// hash is kept per slot so probes reject on one compare and growth never
+// re-hashes the raw values.
+struct ClassIndex {
+  std::vector<std::uint64_t> raw;       // raw value per arena position
+  std::vector<std::uint32_t> slot_cls;  // class + 1; 0 = empty
   std::vector<std::uint64_t> slot_hash;
   std::size_t mask = 0;
 
+  // The class among `views` whose raw sequence is [seq, seq + len).  A
+  // sequence not seen before is recorded as class `fresh` (the next
+  // class id, whose view starts at the end of the arena) and returns it.
   std::uint32_t FindOrInsert(const std::uint64_t* seq, std::uint32_t len,
-                             std::uint64_t hash) {
-    if (slot_cls.empty() || (begins.size() + 1) * 10 > slot_cls.size() * 7) {
+                             const std::vector<EventView>& views,
+                             std::uint32_t fresh) {
+    if (slot_cls.empty() ||
+        (static_cast<std::size_t>(fresh) + 1) * 10 > slot_cls.size() * 7) {
       Grow(slot_cls.empty() ? 1024 : slot_cls.size() * 2);
     }
+    const std::uint64_t hash = HashSpan(seq, len);
     std::size_t i = hash & mask;
     while (slot_cls[i] != 0) {
       const std::uint32_t cls = slot_cls[i] - 1;
-      if (slot_hash[i] == hash && lengths[cls] == len &&
-          std::equal(seq, seq + len, raw.data() + begins[cls])) {
+      if (slot_hash[i] == hash && views[cls].length == len &&
+          std::equal(seq, seq + len, raw.data() + views[cls].begin)) {
         return cls;
       }
       i = (i + 1) & mask;
     }
-    const auto cls = static_cast<std::uint32_t>(begins.size());
-    slot_cls[i] = cls + 1;
+    slot_cls[i] = fresh + 1;
     slot_hash[i] = hash;
-    begins.push_back(static_cast<std::uint32_t>(raw.size()));
-    lengths.push_back(len);
-    hashes.push_back(hash);
-    mult.push_back(0);
     raw.insert(raw.end(), seq, seq + len);
-    return cls;
+    return fresh;
   }
 
   void Grow(std::size_t cap) {
@@ -319,198 +297,6 @@ struct EncodeShard {
   }
 };
 
-// Cross-shard class groups for one hash bucket.  Each group is one
-// global class; its representative is the (shard, local) pair that saw
-// it first, iterating shards in order — which is exactly the shard whose
-// event range contains the class's first event.
-struct MergeBucket {
-  std::vector<std::uint32_t> slots;  // group index + 1; 0 = empty
-  std::size_t mask = 0;
-  std::vector<std::uint32_t> g_shard;  // representative shard
-  std::vector<std::uint32_t> g_local;  // representative local class
-  std::vector<std::uint32_t> g_mult;   // events across all shards
-  std::vector<std::uint32_t> g_gid;    // final global class id
-};
-
-// Sharded first-occurrence dedup of 64-bit keys.  Assigns dense ids to
-// the distinct keys of the virtual item sequence [0, items) in first-
-// occurrence order — exactly the ids a serial walk-and-intern assigns —
-// writes each valid item's id over out[i], and returns the keys in id
-// order.  key_fn(i) returns kInvalidKey to skip an item (its out[i] is
-// left untouched).  The chunk split and the kMergeBuckets hash partition
-// depend only on the input; per-chunk and per-bucket partials merge in
-// fixed order, so any pool — or none — yields identical ids.
-constexpr std::uint64_t kInvalidKey = ~0ULL;
-
-template <typename KeyFn>
-std::vector<std::uint64_t> OrderedDedupU64(std::size_t items,
-                                           std::size_t grain,
-                                           util::ThreadPool* pool,
-                                           const KeyFn& key_fn,
-                                           std::uint32_t* out,
-                                           double* parallel_seconds) {
-  std::vector<std::uint64_t> keys;
-  if (items == 0) return keys;
-  const std::size_t chunks = util::ThreadPool::ChunksFor(items, grain);
-
-  struct Chunk {
-    std::vector<std::uint64_t> values;   // local distinct, first-seen order
-    std::vector<std::uint32_t> handles;  // per value: group index, then gid
-    std::vector<std::uint32_t> slots;    // local index + 1; 0 = empty
-    std::size_t mask = 0;
-    std::vector<std::uint32_t> bucket_offsets;
-    std::vector<std::uint32_t> by_bucket;
-  };
-  std::vector<Chunk> parts(chunks);
-
-  // Pass 1 (sharded): local dedup.  out[i] holds the local index for
-  // now; a translation pass rewrites it once global ids exist.
-  *parallel_seconds += ParallelRegion(
-      pool, chunks, [&](std::size_t c, std::size_t) {
-        Chunk& part = parts[c];
-        const auto grow = [&part](std::size_t cap) {
-          part.slots.assign(cap, 0u);
-          part.mask = cap - 1;
-          for (std::uint32_t v = 0;
-               v < static_cast<std::uint32_t>(part.values.size()); ++v) {
-            std::size_t j = Mix64(part.values[v]) & part.mask;
-            while (part.slots[j] != 0) j = (j + 1) & part.mask;
-            part.slots[j] = v + 1;
-          }
-        };
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(items, grain, c);
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::uint64_t key = key_fn(i);
-          if (key == kInvalidKey) continue;
-          if (part.slots.empty() ||
-              (part.values.size() + 1) * 10 > part.slots.size() * 7) {
-            grow(part.slots.empty() ? 256 : part.slots.size() * 2);
-          }
-          std::size_t j = Mix64(key) & part.mask;
-          std::uint32_t local = kNoIndex;
-          while (part.slots[j] != 0) {
-            const std::uint32_t v = part.slots[j] - 1;
-            if (part.values[v] == key) {
-              local = v;
-              break;
-            }
-            j = (j + 1) & part.mask;
-          }
-          if (local == kNoIndex) {
-            local = static_cast<std::uint32_t>(part.values.size());
-            part.slots[j] = local + 1;
-            part.values.push_back(key);
-          }
-          out[i] = local;
-        }
-        // Partition the local distinct values by merge bucket, keeping
-        // ascending (= first-local-occurrence) order within each bucket.
-        const auto n_local = static_cast<std::uint32_t>(part.values.size());
-        part.bucket_offsets.assign(kMergeBuckets + 1, 0);
-        for (std::uint32_t v = 0; v < n_local; ++v) {
-          ++part.bucket_offsets[BucketOf(Mix64(part.values[v])) + 1];
-        }
-        for (std::size_t b = 0; b < kMergeBuckets; ++b) {
-          part.bucket_offsets[b + 1] += part.bucket_offsets[b];
-        }
-        part.by_bucket.resize(n_local);
-        std::vector<std::uint32_t> cursor(part.bucket_offsets.begin(),
-                                          part.bucket_offsets.end() - 1);
-        for (std::uint32_t v = 0; v < n_local; ++v) {
-          part.by_bucket[cursor[BucketOf(Mix64(part.values[v]))]++] = v;
-        }
-        part.handles.resize(n_local);
-      });
-
-  // Pass 2 (per bucket): group identical values across chunks.  Chunks
-  // are visited in order and locals in first-occurrence order, so a
-  // group's first insertion is its globally-first occurrence.
-  struct Bucket {
-    std::vector<std::uint32_t> slots;  // group index + 1; 0 = empty
-    std::size_t mask = 0;
-    std::vector<std::uint64_t> values;
-    std::vector<std::uint32_t> g_chunk, g_local, g_id;
-  };
-  std::vector<Bucket> buckets(kMergeBuckets);
-  *parallel_seconds += ParallelRegion(
-      pool, kMergeBuckets, [&](std::size_t b, std::size_t) {
-        Bucket& bucket = buckets[b];
-        std::size_t cand = 0;
-        for (const Chunk& part : parts) {
-          cand += part.bucket_offsets[b + 1] - part.bucket_offsets[b];
-        }
-        if (cand == 0) return;
-        std::size_t cap = 16;
-        while (cap * 7 < cand * 10) cap <<= 1;
-        bucket.slots.assign(cap, 0u);
-        bucket.mask = cap - 1;
-        for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(chunks);
-             ++c) {
-          Chunk& part = parts[c];
-          for (std::uint32_t k = part.bucket_offsets[b];
-               k < part.bucket_offsets[b + 1]; ++k) {
-            const std::uint32_t local = part.by_bucket[k];
-            const std::uint64_t key = part.values[local];
-            std::size_t j = Mix64(key) & bucket.mask;
-            std::uint32_t idx = kNoIndex;
-            while (bucket.slots[j] != 0) {
-              const std::uint32_t g = bucket.slots[j] - 1;
-              if (bucket.values[g] == key) {
-                idx = g;
-                break;
-              }
-              j = (j + 1) & bucket.mask;
-            }
-            if (idx == kNoIndex) {
-              idx = static_cast<std::uint32_t>(bucket.values.size());
-              bucket.slots[j] = idx + 1;
-              bucket.values.push_back(key);
-              bucket.g_chunk.push_back(c);
-              bucket.g_local.push_back(local);
-            }
-            part.handles[local] = idx;
-          }
-        }
-        bucket.g_id.resize(bucket.values.size());
-      });
-
-  // Pass 3 (serial): assign ids in global first-occurrence order.  A
-  // value first occurs in the earliest chunk containing it, at that
-  // chunk's first-local-occurrence position — so walking chunks in order
-  // and locals in order visits representatives exactly in the order a
-  // serial intern walk would have created them.
-  for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(chunks); ++c) {
-    const Chunk& part = parts[c];
-    for (std::uint32_t v = 0;
-         v < static_cast<std::uint32_t>(part.values.size()); ++v) {
-      Bucket& bucket = buckets[BucketOf(Mix64(part.values[v]))];
-      const std::uint32_t idx = part.handles[v];
-      if (bucket.g_chunk[idx] == c && bucket.g_local[idx] == v) {
-        bucket.g_id[idx] = static_cast<std::uint32_t>(keys.size());
-        keys.push_back(part.values[v]);
-      }
-    }
-  }
-
-  // Pass 4 (sharded): translate local indices to global ids.
-  *parallel_seconds += ParallelRegion(
-      pool, chunks, [&](std::size_t c, std::size_t) {
-        Chunk& part = parts[c];
-        for (std::uint32_t v = 0;
-             v < static_cast<std::uint32_t>(part.values.size()); ++v) {
-          part.handles[v] =
-              buckets[BucketOf(Mix64(part.values[v]))].g_id[part.handles[v]];
-        }
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(items, grain, c);
-        for (std::size_t i = begin; i < end; ++i) {
-          if (key_fn(i) != kInvalidKey) out[i] = part.handles[out[i]];
-        }
-      });
-  return keys;
-}
-
 // ---------------------------------------------------------------------------
 // Open-addressed hash map from packed 64-bit keys (bigrams) to a value.
 // Linear probing, power-of-two capacity.  The empty sentinel is the pair
@@ -520,12 +306,6 @@ template <typename Value>
 class U64Map {
  public:
   static constexpr std::uint64_t kEmpty = ~0ULL;
-
-  void Reserve(std::size_t n) {
-    std::size_t cap = 16;
-    while (cap * 7 < n * 10) cap <<= 1;  // target load factor <= 0.7
-    if (cap > keys_.size()) Rehash(cap);
-  }
 
   Value& At(std::uint64_t key) {
     if (keys_.empty() || (size_ + 1) * 10 > keys_.size() * 7) {
@@ -554,8 +334,6 @@ class U64Map {
   const Value* Find(std::uint64_t key) const {
     return const_cast<U64Map*>(this)->Find(key);
   }
-
-  std::size_t size() const { return size_; }
 
  private:
   void Rehash(std::size_t cap) {
@@ -633,8 +411,6 @@ class NgramTable {
     }
   }
 
-  std::size_t size() const { return counts_.size(); }
-  std::size_t k() const { return k_; }
   bool empty() const { return counts_.empty(); }
 
  private:
@@ -803,7 +579,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
       util::ThreadPool::ChunksFor(n_entries, scan_grain);
   scratch.chunk_max.assign(scan_chunks, 0.0);
   *parallel_seconds += ParallelRegion(
-      pool, scan_chunks, [&](std::size_t c, std::size_t) {
+      pool, scan_chunks, [&](std::size_t c) {
         const auto [begin, end] =
             util::ThreadPool::ChunkRange(n_entries, scan_grain, c);
         double m = 0.0;
@@ -826,7 +602,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     scratch.chunk_ids.resize(scan_chunks);
   }
   *parallel_seconds += ParallelRegion(
-      pool, scan_chunks, [&](std::size_t c, std::size_t) {
+      pool, scan_chunks, [&](std::size_t c) {
         std::vector<std::uint32_t>& ids = scratch.chunk_ids[c];
         ids.clear();
         const auto [begin, end] =
@@ -881,7 +657,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
       scratch.chunk_ids.resize(cand_chunks);
     }
     *parallel_seconds += ParallelRegion(
-        pool, cand_chunks, [&](std::size_t c, std::size_t) {
+        pool, cand_chunks, [&](std::size_t c) {
           std::vector<std::uint32_t>& ids = scratch.chunk_ids[c];
           ids.clear();
           const auto [vb, ve] =
@@ -913,7 +689,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
       scratch.chunk_tables.resize(score_chunks);
     }
     *parallel_seconds += ParallelRegion(
-        pool, score_chunks, [&](std::size_t c, std::size_t) {
+        pool, score_chunks, [&](std::size_t c) {
           NgramTable& table = scratch.chunk_tables[c];
           table.Reset(k + 1);
           const auto [cb, ce] = util::ThreadPool::ChunkRange(
@@ -1036,7 +812,7 @@ std::size_t ExtractComponents(
         scratch.chunk_prefixes.resize(pchunks);
       }
       *par_extract += ParallelRegion(
-          pool, pchunks, [&](std::size_t c, std::size_t) {
+          pool, pchunks, [&](std::size_t c) {
             std::vector<SymbolId>& out = scratch.chunk_prefixes[c];
             out.clear();
             const auto [begin, end] =
@@ -1098,7 +874,7 @@ std::size_t ExtractComponents(
         scratch.chunk_deltas.resize(rchunks);
       }
       *par_extract += ParallelRegion(
-          pool, rchunks, [&](std::size_t c, std::size_t) {
+          pool, rchunks, [&](std::size_t c) {
             std::vector<double>& delta = scratch.chunk_deltas[c];
             delta.assign(n_bigrams, 0.0);
             const auto [begin, end] = util::ThreadPool::ChunkRange(
@@ -1150,247 +926,87 @@ StemmingResult Stem(std::span<const bgp::Event> events,
   StemmingResult result;
   result.total_events = events.size();
   result.stats.events_encoded = events.size();
-  util::ThreadPool* pool = options.pool;
-  double par_encode = 0.0, par_count = 0.0, par_extract = 0.0;
 
   // ---- Encode: events -> weighted sequence classes in the flat arena.
   //
-  // Sharded local dedup + ordered merge (DESIGN.md "Parallel analysis
-  // architecture"): contiguous event shards dedup into local class
-  // tables in parallel; merging the local tables in shard order
-  // reproduces the global first-seen class order — and with it symbol
-  // ids, bigram entry ids, and every downstream byte — of a serial
-  // encoder, at any thread count.
+  // One pass in event order.  A sequence seen for the first time becomes
+  // the next class; its symbols are interned and its adjacent pairs get
+  // bigram entry ids as it is appended to the arena, so classes, symbol
+  // ids and entry ids all number in order of first occurrence.
   const util::StageTimer encode_timer;
   obs::TraceSpan encode_span("stemming.encode");
   encode_span.Annotate("events", static_cast<std::uint64_t>(events.size()));
   const bool weighted = static_cast<bool>(options.weight_fn);
   const std::size_t n = events.size();
-  const std::size_t shard_events =
-      std::max<std::size_t>(1, options.encode_shard_events);
-  const std::size_t n_shards = util::ThreadPool::ChunksFor(n, shard_events);
-  std::vector<EncodeShard> shards(n_shards);
-  par_encode += ParallelRegion(
-      pool, n_shards, [&](std::size_t s, std::size_t) {
-        EncodeShard& shard = shards[s];
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(n, shard_events, s);
-        shard.event_local.reserve(end - begin);
-        std::vector<std::uint64_t> raw_buf;
-        for (std::size_t ei = begin; ei < end; ++ei) {
-          if (ei + 1 < end) {
-            // The AS path lives behind a pointer per event; pull the next
-            // one into cache while this one is being encoded.
-            __builtin_prefetch(events[ei + 1].attrs.as_path.asns().data());
-          }
-          EncodeSequence(events[ei], raw_buf);
-          const auto len = static_cast<std::uint32_t>(raw_buf.size());
-          const std::uint32_t cls = shard.FindOrInsert(
-              raw_buf.data(), len, HashSpan(raw_buf.data(), len));
-          ++shard.mult[cls];
-          shard.event_local.push_back(cls);
-        }
-        // Partition the local classes by merge bucket, keeping ascending
-        // (= first-seen) order within each bucket.
-        const auto n_local = static_cast<std::uint32_t>(shard.begins.size());
-        shard.bucket_offsets.assign(kMergeBuckets + 1, 0);
-        for (std::uint32_t c = 0; c < n_local; ++c) {
-          ++shard.bucket_offsets[BucketOf(shard.hashes[c]) + 1];
-        }
-        for (std::size_t b = 0; b < kMergeBuckets; ++b) {
-          shard.bucket_offsets[b + 1] += shard.bucket_offsets[b];
-        }
-        shard.by_bucket.resize(n_local);
-        std::vector<std::uint32_t> cursor(shard.bucket_offsets.begin(),
-                                          shard.bucket_offsets.end() - 1);
-        for (std::uint32_t c = 0; c < n_local; ++c) {
-          shard.by_bucket[cursor[BucketOf(shard.hashes[c])]++] = c;
-        }
-        shard.global.resize(n_local);
-      });
-
-  // Merge local classes into global groups, one hash bucket per chunk
-  // (buckets touch disjoint classes, so they are independent).
-  std::vector<MergeBucket> merge_buckets(kMergeBuckets);
-  par_encode += ParallelRegion(
-      pool, n_shards == 0 ? 0 : kMergeBuckets,
-      [&](std::size_t b, std::size_t) {
-        MergeBucket& bucket = merge_buckets[b];
-        std::size_t cand = 0;
-        for (const EncodeShard& shard : shards) {
-          cand += shard.bucket_offsets[b + 1] - shard.bucket_offsets[b];
-        }
-        if (cand == 0) return;
-        std::size_t cap = 16;
-        while (cap * 7 < cand * 10) cap <<= 1;
-        bucket.slots.assign(cap, 0u);
-        bucket.mask = cap - 1;
-        for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(n_shards);
-             ++s) {
-          EncodeShard& shard = shards[s];
-          for (std::uint32_t bi = shard.bucket_offsets[b];
-               bi < shard.bucket_offsets[b + 1]; ++bi) {
-            const std::uint32_t c = shard.by_bucket[bi];
-            const std::uint64_t hash = shard.hashes[c];
-            const std::uint32_t len = shard.lengths[c];
-            const std::uint64_t* seq = shard.raw.data() + shard.begins[c];
-            std::size_t i = hash & bucket.mask;
-            std::uint32_t idx = kNoIndex;
-            while (bucket.slots[i] != 0) {
-              const std::uint32_t g = bucket.slots[i] - 1;
-              const EncodeShard& rep = shards[bucket.g_shard[g]];
-              const std::uint32_t rl = bucket.g_local[g];
-              if (rep.hashes[rl] == hash && rep.lengths[rl] == len &&
-                  std::equal(seq, seq + len, rep.raw.data() + rep.begins[rl])) {
-                idx = g;
-                break;
-              }
-              i = (i + 1) & bucket.mask;
-            }
-            if (idx == kNoIndex) {
-              idx = static_cast<std::uint32_t>(bucket.g_shard.size());
-              bucket.slots[i] = idx + 1;
-              bucket.g_shard.push_back(s);
-              bucket.g_local.push_back(c);
-              bucket.g_mult.push_back(shard.mult[c]);
-            } else {
-              bucket.g_mult[idx] += shard.mult[c];
-            }
-            shard.global[c] = idx;
-          }
-        }
-        bucket.g_gid.resize(bucket.g_shard.size());
-      });
-
-  // Assign global class ids in first-seen order: a class's first event
-  // lies in its representative (= earliest) shard, so walking shards in
-  // order and locals in first-seen order visits representatives exactly
-  // in serial first-seen order.
-  std::vector<std::uint32_t> rep_shard_of, rep_local_of;
-  std::vector<std::uint32_t> class_mult;  // events per class
-  for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(n_shards); ++s) {
-    const EncodeShard& shard = shards[s];
-    for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(
-                                      shard.begins.size());
-         ++c) {
-      MergeBucket& bucket = merge_buckets[BucketOf(shard.hashes[c])];
-      const std::uint32_t idx = shard.global[c];
-      if (bucket.g_shard[idx] == s && bucket.g_local[idx] == c) {
-        bucket.g_gid[idx] = static_cast<std::uint32_t>(class_mult.size());
-        rep_shard_of.push_back(s);
-        rep_local_of.push_back(c);
-        class_mult.push_back(bucket.g_mult[idx]);
-      }
-    }
-  }
-  const std::size_t n_classes = class_mult.size();
-
-  // Translate local classes to global ids and recover per-event classes.
-  std::vector<std::uint32_t> event_class(n, 0);
-  par_encode += ParallelRegion(
-      pool, n_shards, [&](std::size_t s, std::size_t) {
-        EncodeShard& shard = shards[s];
-        for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(
-                                          shard.begins.size());
-             ++c) {
-          shard.global[c] =
-              merge_buckets[BucketOf(shard.hashes[c])].g_gid[shard.global[c]];
-        }
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(n, shard_events, s);
-        for (std::size_t i = begin; i < end; ++i) {
-          event_class[i] = shard.global[shard.event_local[i - begin]];
-        }
-      });
-
-  // Lay the global arena out: representatives' spans copied in class
-  // order, so positions — like ids — match the serial encoder's.
   Arena arena;
-  arena.views.resize(n_classes);
-  std::size_t total_positions = 0;
-  for (std::size_t gid = 0; gid < n_classes; ++gid) {
-    arena.views[gid].begin = static_cast<std::uint32_t>(total_positions);
-    arena.views[gid].length =
-        shards[rep_shard_of[gid]].lengths[rep_local_of[gid]];
-    total_positions += arena.views[gid].length;
-  }
-  arena.raw.resize(total_positions);
-  arena.symbols.resize(total_positions);
-  std::vector<std::uint32_t> pos_class(total_positions, 0);
-  const std::size_t class_grain =
-      std::max<std::size_t>(1, options.candidate_grain);
-  const std::size_t class_chunks =
-      util::ThreadPool::ChunksFor(n_classes, class_grain);
-  par_encode += ParallelRegion(
-      pool, class_chunks, [&](std::size_t c, std::size_t) {
-        const auto [gb, ge] =
-            util::ThreadPool::ChunkRange(n_classes, class_grain, c);
-        for (std::size_t gid = gb; gid < ge; ++gid) {
-          const EncodeShard& shard = shards[rep_shard_of[gid]];
-          const EventView& view = arena.views[gid];
-          const std::uint64_t* src =
-              shard.raw.data() + shard.begins[rep_local_of[gid]];
-          std::copy(src, src + view.length, arena.raw.begin() + view.begin);
-          std::fill(pos_class.begin() + view.begin,
-                    pos_class.begin() + view.begin + view.length,
-                    static_cast<std::uint32_t>(gid));
+  Postings postings;
+  ClassIndex index;
+  std::vector<std::uint32_t> class_mult;  // events per class
+  std::vector<std::uint32_t> event_class(n, 0);
+  std::vector<std::uint64_t> raw;
+  for (std::size_t ei = 0; ei < n; ++ei) {
+    if (ei + 1 < n) {
+      // The AS path lives behind a pointer per event; pull the next one
+      // into cache while this one is being encoded.
+      __builtin_prefetch(events[ei + 1].attrs.as_path.asns().data());
+    }
+    EncodeSequence(events[ei], raw);
+    const auto len = static_cast<std::uint32_t>(raw.size());
+    const auto fresh = static_cast<std::uint32_t>(arena.views.size());
+    const std::uint32_t cls =
+        index.FindOrInsert(raw.data(), len, arena.views, fresh);
+    if (cls == fresh) {
+      EventView view;
+      view.begin = static_cast<std::uint32_t>(arena.symbols.size());
+      view.length = len;
+      for (std::uint32_t j = 0; j < len; ++j) {
+        arena.symbols.push_back(result.symbols.InternRaw(raw[j]));
+      }
+      const SymbolId* seq = arena.symbols.data() + view.begin;
+      view.prefix_symbol = seq[len - 1];
+      for (std::uint32_t j = 0; j + 1 < len; ++j) {
+        const std::uint64_t key = PackPair(seq[j], seq[j + 1]);
+        std::uint32_t& entry = postings.bigram_index.At(key);  // id + 1
+        if (entry == 0) {
+          postings.bigram_keys.push_back(key);
+          entry = static_cast<std::uint32_t>(postings.bigram_keys.size());
         }
-      });
-  std::vector<EncodeShard>().swap(shards);
-  std::vector<MergeBucket>().swap(merge_buckets);
-
-  // Symbol ids: first-occurrence dedup over the arena walk — the same
-  // order a per-event encoder interns in, since a never-seen symbol
-  // first appears in a never-seen sequence.  The SymbolTable is then
-  // populated serially in id order (it assigns ids sequentially).
-  const std::size_t dedup_grain = std::max<std::size_t>(shard_events, 4096);
-  const std::vector<std::uint64_t> symbol_keys = OrderedDedupU64(
-      total_positions, dedup_grain, pool,
-      [&](std::size_t p) { return arena.raw[p]; }, arena.symbols.data(),
-      &par_encode);
-  for (const std::uint64_t key : symbol_keys) {
-    result.symbols.InternRaw(key);
+        arena.pair_entries.push_back(entry - 1);
+      }
+      arena.pair_entries.push_back(0);  // class-final position: no pair
+      arena.views.push_back(view);
+      class_mult.push_back(0);
+    }
+    ++class_mult[cls];
+    event_class[ei] = cls;
   }
-  par_encode += ParallelRegion(
-      pool, class_chunks, [&](std::size_t c, std::size_t) {
-        const auto [gb, ge] =
-            util::ThreadPool::ChunkRange(n_classes, class_grain, c);
-        for (std::size_t gid = gb; gid < ge; ++gid) {
-          EventView& view = arena.views[gid];
-          view.prefix_symbol =
-              arena.symbols[view.begin + view.length - 1];
-        }
-      });
+  index = ClassIndex{};  // only encoding probes it
+  const std::size_t n_classes = arena.views.size();
+  const std::size_t n_bigrams = postings.bigram_keys.size();
 
-  // Weights.  weight_fn is user code: call it on this thread only, once
-  // per class, in class (= serial first-seen) order.  Class weights are
-  // the unit weight added multiplicity times — the exact accumulation a
-  // per-event encoder performs — and the weighted window total follows
-  // original event order, so both match the serial bytes.
+  // Weights.  weight_fn is user code: call it once per class, in class
+  // order.  Class weights are the unit weight added multiplicity times —
+  // the exact accumulation a per-event encoder performs — and the
+  // weighted window total follows original event order.
   if (weighted) {
     arena.unit_weights.resize(n_classes);
-    for (std::size_t gid = 0; gid < n_classes; ++gid) {
-      arena.unit_weights[gid] = options.weight_fn(
-          result.symbols.PrefixOf(arena.views[gid].prefix_symbol));
+    for (std::size_t cls = 0; cls < n_classes; ++cls) {
+      arena.unit_weights[cls] = options.weight_fn(
+          result.symbols.PrefixOf(arena.views[cls].prefix_symbol));
     }
   }
-  par_encode += ParallelRegion(
-      pool, class_chunks, [&](std::size_t c, std::size_t) {
-        const auto [gb, ge] =
-            util::ThreadPool::ChunkRange(n_classes, class_grain, c);
-        for (std::size_t gid = gb; gid < ge; ++gid) {
-          EventView& view = arena.views[gid];
-          if (weighted) {
-            double w = 0.0;
-            for (std::uint32_t m = 0; m < class_mult[gid]; ++m) {
-              w += arena.unit_weights[gid];
-            }
-            view.weight = w;
-          } else {
-            view.weight = static_cast<double>(class_mult[gid]);
-          }
-        }
-      });
+  for (std::size_t cls = 0; cls < n_classes; ++cls) {
+    EventView& view = arena.views[cls];
+    if (weighted) {
+      double w = 0.0;
+      for (std::uint32_t m = 0; m < class_mult[cls]; ++m) {
+        w += arena.unit_weights[cls];
+      }
+      view.weight = w;
+    } else {
+      view.weight = static_cast<double>(class_mult[cls]);
+    }
+  }
   if (weighted) {
     for (std::size_t ei = 0; ei < n; ++ei) {
       result.total_weight += arena.unit_weights[event_class[ei]];
@@ -1399,90 +1015,30 @@ StemmingResult Stem(std::span<const bgp::Event> events,
     result.total_weight = static_cast<double>(n);
   }
 
-  // Bigram entry ids: first-occurrence dedup over the adjacent pairs of
-  // the arena walk (class-final positions are skipped and keep entry 0,
-  // as the serial encoder recorded).
-  Postings postings;
-  arena.pair_entries.assign(total_positions, 0);
-  const auto pair_key = [&](std::size_t p) -> std::uint64_t {
-    if (p + 1 >= total_positions || pos_class[p + 1] != pos_class[p]) {
-      return kInvalidKey;
-    }
-    return PackPair(arena.symbols[p], arena.symbols[p + 1]);
-  };
-  postings.bigram_keys =
-      OrderedDedupU64(total_positions, dedup_grain, pool, pair_key,
-                      arena.pair_entries.data(), &par_encode);
-  const std::size_t n_bigrams = postings.bigram_keys.size();
-  postings.bigram_index.Reserve(n_bigrams);
-  for (std::size_t e = 0; e < n_bigrams; ++e) {
-    postings.bigram_index.At(postings.bigram_keys[e]) =
-        static_cast<std::uint32_t>(e) + 1;
-  }
-
-  // Bigram -> classes CSR: per-chunk entry counts, cross-chunk exclusive
-  // scan (parallel over entry ranges), then a sharded fill.  Chunks are
-  // position-ascending and positions are class-ascending, so each
-  // entry's posting list comes out in ascending class order with
-  // same-class duplicates adjacent — identical to the serial fill.
-  const std::size_t csr_chunks =
-      util::ThreadPool::ChunksFor(total_positions, dedup_grain);
-  std::vector<std::vector<std::uint32_t>> csr_counts(csr_chunks);
-  par_encode += ParallelRegion(
-      pool, csr_chunks, [&](std::size_t c, std::size_t) {
-        std::vector<std::uint32_t>& counts = csr_counts[c];
-        counts.assign(n_bigrams, 0);
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(total_positions, dedup_grain, c);
-        for (std::size_t p = begin; p < end; ++p) {
-          if (pair_key(p) != kInvalidKey) ++counts[arena.pair_entries[p]];
-        }
-      });
+  // Bigram -> classes CSR: count per entry, exclusive scan, then fill in
+  // arena order, so each entry's list is class-ascending with a class's
+  // repeated positions adjacent.
   postings.offsets.assign(n_bigrams + 1, 0);
-  const std::size_t scan_grain = std::max<std::size_t>(1, options.scan_grain);
-  const std::size_t entry_chunks =
-      util::ThreadPool::ChunksFor(n_bigrams, scan_grain);
-  par_encode += ParallelRegion(
-      pool, entry_chunks, [&](std::size_t c, std::size_t) {
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(n_bigrams, scan_grain, c);
-        for (std::size_t e = begin; e < end; ++e) {
-          std::uint32_t total = 0;
-          for (std::size_t cc = 0; cc < csr_chunks; ++cc) {
-            total += csr_counts[cc][e];
-          }
-          postings.offsets[e + 1] = total;
-        }
-      });
+  for (const EventView& view : arena.views) {
+    for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+      ++postings.offsets[arena.pair_entries[view.begin + j] + 1];
+    }
+  }
   for (std::size_t e = 0; e < n_bigrams; ++e) {
     postings.offsets[e + 1] += postings.offsets[e];
   }
-  par_encode += ParallelRegion(
-      pool, entry_chunks, [&](std::size_t c, std::size_t) {
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(n_bigrams, scan_grain, c);
-        for (std::size_t e = begin; e < end; ++e) {
-          std::uint32_t running = postings.offsets[e];
-          for (std::size_t cc = 0; cc < csr_chunks; ++cc) {
-            const std::uint32_t count = csr_counts[cc][e];
-            csr_counts[cc][e] = running;  // becomes the chunk's cursor
-            running += count;
-          }
-        }
-      });
   postings.events.resize(postings.offsets[n_bigrams]);
-  par_encode += ParallelRegion(
-      pool, csr_chunks, [&](std::size_t c, std::size_t) {
-        std::vector<std::uint32_t>& cursor = csr_counts[c];
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(total_positions, dedup_grain, c);
-        for (std::size_t p = begin; p < end; ++p) {
-          if (pair_key(p) != kInvalidKey) {
-            postings.events[cursor[arena.pair_entries[p]]++] = pos_class[p];
-          }
-        }
-      });
-  std::vector<std::vector<std::uint32_t>>().swap(csr_counts);
+  {
+    std::vector<std::uint32_t> cursor(postings.offsets.begin(),
+                                      postings.offsets.end() - 1);
+    for (std::uint32_t cls = 0; cls < static_cast<std::uint32_t>(n_classes);
+         ++cls) {
+      const EventView& view = arena.views[cls];
+      for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+        postings.events[cursor[arena.pair_entries[view.begin + j]]++] = cls;
+      }
+    }
+  }
 
   // Prefix -> classes CSR, two-pass over the (small) class list.
   postings.prefix_offsets.assign(result.symbols.size() + 1, 0);
@@ -1492,85 +1048,63 @@ StemmingResult Stem(std::span<const bgp::Event> events,
   for (std::size_t s = 0; s < result.symbols.size(); ++s) {
     postings.prefix_offsets[s + 1] += postings.prefix_offsets[s];
   }
-  postings.prefix_classes.resize(arena.views.size());
+  postings.prefix_classes.resize(n_classes);
   {
     std::vector<std::uint32_t> cursor(postings.prefix_offsets.begin(),
                                       postings.prefix_offsets.end() - 1);
-    for (std::uint32_t cls = 0;
-         cls < static_cast<std::uint32_t>(arena.views.size()); ++cls) {
+    for (std::uint32_t cls = 0; cls < static_cast<std::uint32_t>(n_classes);
+         ++cls) {
       postings.prefix_classes[cursor[arena.views[cls].prefix_symbol]++] = cls;
     }
   }
-  result.stats.distinct_sequences = arena.views.size();
+  result.stats.distinct_sequences = n_classes;
   result.stats.symbols_interned = result.symbols.size();
   result.stats.arena_symbols = arena.symbols.size();
   result.stats.encode_seconds = encode_timer.Seconds();
-  encode_span.Annotate("classes",
-                       static_cast<std::uint64_t>(arena.views.size()));
-  encode_span.Annotate("shards", static_cast<std::uint64_t>(n_shards));
+  encode_span.Annotate("classes", static_cast<std::uint64_t>(n_classes));
   encode_span.End();
   RANOMALY_METRIC_COUNT("stemming_events_encoded_total", events.size());
-  RANOMALY_METRIC_COUNT("stemming_distinct_sequences_total",
-                        arena.views.size());
+  RANOMALY_METRIC_COUNT("stemming_distinct_sequences_total", n_classes);
   RANOMALY_METRIC_COUNT("stemming_symbols_interned_total",
                         result.symbols.size());
   RANOMALY_METRIC_COUNT("stemming_arena_symbols_total", arena.symbols.size());
   RANOMALY_METRIC_OBSERVE("stemming_encode_seconds", obs::TimeBounds(),
                           result.stats.encode_seconds);
-  if (result.stats.encode_seconds > 0.0) {
-    RANOMALY_METRIC_SET(
-        "stemming_encode_parallel_fraction",
-        std::min(1.0, par_encode / result.stats.encode_seconds));
-  }
 
-  // Initial bigram count, sharded over dense per-shard arrays indexed by
-  // the entry ids recorded during encoding — no hashing.  The shard
-  // split depends only on the class count — never on the pool — and
-  // partials merge in shard order, so any thread count (or none)
-  // produces identical sums, bit for bit.
+  // Initial bigram count over the entry ids recorded during encoding — no
+  // hashing.  Classes are summed in fixed partials of kCountPartial
+  // classes, added in order: that association is what weighted counts
+  // have always had, so their last bits stay put.
   const util::StageTimer count_timer;
   obs::TraceSpan count_span("stemming.count");
-  constexpr std::size_t kShardSize = 16384;
-  const std::size_t count_shards =
-      util::ThreadPool::ChunksFor(arena.views.size(), kShardSize);
-  std::vector<std::vector<double>> partial(count_shards);
-  par_count += ParallelRegion(
-      pool, count_shards, [&](std::size_t s, std::size_t) {
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(arena.views.size(), kShardSize, s);
-        std::vector<double>& counts = partial[s];
-        counts.assign(n_bigrams, 0.0);
-        for (std::size_t i = begin; i < end; ++i) {
-          AddClassCounts(arena, static_cast<std::uint32_t>(i),
-                         arena.views[i].weight, counts);
-        }
-      });
+  constexpr std::size_t kCountPartial = 16384;
   std::vector<double> bigram_counts(n_bigrams, 0.0);
-  for (const std::vector<double>& counts : partial) {
+  std::vector<double> partial;
+  for (std::size_t begin = 0; begin < n_classes; begin += kCountPartial) {
+    partial.assign(n_bigrams, 0.0);
+    const std::size_t end = std::min(n_classes, begin + kCountPartial);
+    for (std::size_t cls = begin; cls < end; ++cls) {
+      AddClassCounts(arena, static_cast<std::uint32_t>(cls),
+                     arena.views[cls].weight, partial);
+    }
     for (std::size_t e = 0; e < n_bigrams; ++e) {
-      bigram_counts[e] += counts[e];
+      bigram_counts[e] += partial[e];
     }
   }
-  partial.clear();
+  std::vector<double>().swap(partial);
   result.stats.bigram_table_size = n_bigrams;
   result.stats.count_seconds = count_timer.Seconds();
   count_span.Annotate("bigrams", static_cast<std::uint64_t>(n_bigrams));
-  count_span.Annotate("shards", static_cast<std::uint64_t>(count_shards));
   count_span.End();
   RANOMALY_METRIC_COUNT("stemming_bigram_entries_total", n_bigrams);
   RANOMALY_METRIC_OBSERVE("stemming_count_seconds", obs::TimeBounds(),
                           result.stats.count_seconds);
-  if (result.stats.count_seconds > 0.0) {
-    RANOMALY_METRIC_SET(
-        "stemming_count_parallel_fraction",
-        std::min(1.0, par_count / result.stats.count_seconds));
-  }
 
   const util::StageTimer extract_timer;
   obs::TraceSpan extract_span("stemming.extract");
-  std::vector<char> active(arena.views.size(), 1);
-  std::vector<std::uint32_t> class_component(arena.views.size(),
-                                             kNoComponent);
+  double par_extract = 0.0;
+  std::vector<char> active(n_classes, 1);
+  std::vector<std::uint32_t> class_component(n_classes, kNoComponent);
   Scratch scratch;
   const std::size_t active_count = ExtractComponents(
       arena, postings, result.symbols, class_mult, bigram_counts, active,
@@ -1584,7 +1118,7 @@ StemmingResult Stem(std::span<const bgp::Event> events,
   result.residual_events = active_count;
   result.stats.components = result.components.size();
   result.stats.extract_seconds = extract_timer.Seconds();
-  result.stats.parallel_seconds = par_encode + par_count + par_extract;
+  result.stats.parallel_seconds = par_extract;
   extract_span.Annotate("components",
                         static_cast<std::uint64_t>(result.components.size()));
   RANOMALY_METRIC_COUNT("stemming_components_total", result.components.size());

@@ -26,9 +26,10 @@
 // the whole window; and the bigram count table is persistent across the
 // recursion — removing a component *subtracts* its events' contributions
 // instead of recounting, making each iteration proportional to the
-// removed component.  An optional ThreadPool shards the initial count
-// and merges partial tables in shard order; results are bit-identical
-// for any thread count.
+// removed component.  Encoding and the initial count are one serial
+// pass; an optional ThreadPool runs the recursion's scans in chunks whose
+// partials merge in chunk order, so results are bit-identical for any
+// thread count.
 //
 // Temporal independence: the algorithm never looks at event ordering or
 // inter-arrival times, so it works unchanged on a 10-minute spike window
@@ -121,10 +122,9 @@ struct StemmingOptions {
   // Optional per-prefix weight (traffic volume); default: every prefix
   // weighs 1 (the paper's base algorithm).
   std::function<double(const bgp::Prefix&)> weight_fn;
-  // Optional pool for the sharded encode/count/extract stages
-  // (non-owning).  Every shard split is fixed by the input size, never
-  // by the thread count, so the result is bit-identical with any pool —
-  // or none.
+  // Optional pool for the extract stage's chunked passes (non-owning).
+  // Every chunk split is fixed by the input size, never by the thread
+  // count, so the result is bit-identical with any pool — or none.
   util::ThreadPool* pool = nullptr;
   // Parallel decomposition tuning (DESIGN.md "Parallel analysis
   // architecture").  Each grain is a pure function of the input and
@@ -132,7 +132,6 @@ struct StemmingOptions {
   // them every merged result, are unchanged by RANOMALY_THREADS.
   // Defaults suit Table-I-scale windows; tests shrink them to force
   // multi-chunk execution on small inputs.
-  std::size_t encode_shard_events = 32768;  // events per encode dedup shard
   std::size_t scan_grain = 8192;       // entries/posting slots per scan chunk
   std::size_t candidate_grain = 2048;  // classes per re-scoring chunk
   std::size_t removal_grain = 2048;    // removed classes per subtract chunk
@@ -150,12 +149,12 @@ struct StemmingStats {
   std::size_t bigram_table_size = 0;  // distinct bigrams after encoding
   std::size_t components = 0;
   double encode_seconds = 0.0;   // arena encoding + posting lists
-  double count_seconds = 0.0;    // initial (sharded) bigram count
+  double count_seconds = 0.0;    // initial bigram count
   double extract_seconds = 0.0;  // recursion: top-seq + component removal
-  // Wall time spent inside pool-dispatched regions across all stages;
-  // with the stage totals it yields the per-stage parallel-fraction
-  // gauges (stemming_*_parallel_fraction) that tell an operator how
-  // much of a window was Amdahl-serial.
+  // Wall time spent inside pool-dispatched regions of the extract stage;
+  // with extract_seconds it yields the stemming_extract_parallel_fraction
+  // gauge that tells an operator how much of the recursion was
+  // Amdahl-serial.
   double parallel_seconds = 0.0;
 };
 

@@ -2,8 +2,8 @@
 //
 // TAMP and Stemming both operate over millions of prefixes and AS paths;
 // interning turns set operations on them into operations on dense integer
-// ids (see flat_set.h), which is where most of the performance in the
-// paper's Table I comes from.
+// ids, which is where most of the performance in the paper's Table I
+// comes from.
 //
 // The index is open-addressed (linear probing over id+1 slots, dense
 // values as the backing store) rather than an std::unordered_map: the

@@ -15,11 +15,6 @@ namespace {
 // may be saturated by their own ancestors.
 thread_local bool tls_in_pool_worker = false;
 
-// The slot the current thread occupies in its pool (workers set it once
-// at startup; a ParallelFor caller occupies slot 0 while participating).
-// Nested inline calls inherit it so per-slot scratch stays per-thread.
-thread_local std::size_t tls_worker_slot = 0;
-
 }  // namespace
 
 std::size_t ThreadPool::DefaultThreadCount() {
@@ -42,7 +37,7 @@ ThreadPool::ThreadPool(std::size_t threads)
     workers_.emplace_back([this, worker_index] {
       obs::Tracer::Global().SetCurrentThreadName(
           "pool-worker-" + std::to_string(worker_index));
-      WorkerMain(worker_index);
+      WorkerMain();
     });
   }
 }
@@ -56,10 +51,9 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::RunChunks(
-    std::uint32_t generation,
-    const std::function<void(std::size_t, std::size_t)>& fn, std::size_t end,
-    std::size_t slot) {
+void ThreadPool::RunChunks(std::uint32_t generation,
+                           const std::function<void(std::size_t)>& fn,
+                           std::size_t end) {
   // Claims are CAS increments on a (generation | index) word: a worker
   // waking late can never claim an index against a newer job's bounds,
   // because the generation tag no longer matches.
@@ -76,7 +70,7 @@ void ThreadPool::RunChunks(
     }
     {
       StageTimer chunk_timer;
-      fn(idx, slot);
+      fn(idx);
       const double seconds = chunk_timer.Seconds();
       busy_ns_.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
                          std::memory_order_relaxed);
@@ -95,11 +89,10 @@ void ThreadPool::RunChunks(
   tls_in_pool_worker = was_in_worker;
 }
 
-void ThreadPool::WorkerMain(std::size_t slot) {
-  tls_worker_slot = slot;
+void ThreadPool::WorkerMain() {
   std::uint32_t seen_generation = 0;
   for (;;) {
-    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t end = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -114,23 +107,18 @@ void ThreadPool::WorkerMain(std::size_t slot) {
     // A worker that wakes only after its job completed finds fn_ reset:
     // the job is done, so there is nothing to claim.
     if (fn == nullptr) continue;
-    RunChunks(seen_generation, *fn, end, slot);
+    RunChunks(seen_generation, *fn, end);
   }
 }
 
-void ThreadPool::RunInline(
-    std::size_t chunks,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  // Serial pool, trivial job, or nested call from a worker.  The slot is
-  // whatever lane this thread already occupies, clamped to this pool's
-  // width so per-slot scratch sized to threads() stays in range.
+void ThreadPool::RunInline(std::size_t chunks,
+                           const std::function<void(std::size_t)>& fn) {
+  // Serial pool, trivial job, or nested call from a worker.
   const bool was_in_worker = tls_in_pool_worker;
   tls_in_pool_worker = true;
-  const std::size_t slot =
-      threads_ == 0 ? 0 : std::min(tls_worker_slot, threads_ - 1);
   for (std::size_t i = 0; i < chunks; ++i) {
     StageTimer chunk_timer;
-    fn(i, slot);
+    fn(i);
     RANOMALY_METRIC_COUNT("pool_chunks_total", 1);
     RANOMALY_METRIC_OBSERVE("pool_chunk_seconds", obs::TimeBounds(),
                             chunk_timer.Seconds());
@@ -140,15 +128,6 @@ void ThreadPool::RunInline(
 
 void ThreadPool::ParallelFor(std::size_t chunks,
                              const std::function<void(std::size_t)>& fn) {
-  if (chunks == 0) return;
-  ParallelFor(chunks,
-              std::function<void(std::size_t, std::size_t)>(
-                  [&fn](std::size_t chunk, std::size_t) { fn(chunk); }));
-}
-
-void ThreadPool::ParallelFor(
-    std::size_t chunks,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (chunks == 0) return;
   RANOMALY_METRIC_COUNT("pool_jobs_total", 1);
   obs::TraceSpan span("pool.parallel_for");
@@ -173,11 +152,8 @@ void ThreadPool::ParallelFor(
                  std::memory_order_release);
   }
   work_cv_.notify_all();
-  // The caller participates as slot 0 (workers are 1..threads-1).
-  const std::size_t saved_slot = tls_worker_slot;
-  tls_worker_slot = 0;
-  RunChunks(generation, fn, chunks, 0);
-  tls_worker_slot = saved_slot;
+  // The caller runs chunks too.
+  RunChunks(generation, fn, chunks);
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] {
     return completed_.load(std::memory_order_acquire) == end_;

@@ -1,6 +1,6 @@
 // Fixed-size deterministic thread pool.
 //
-// The analysis hot path (Stemming's sharded encode/count/extract, the
+// The analysis hot path (the stemming recursion's chunked scans, the
 // Pipeline's per-spike-window fan-out) needs parallelism whose *results*
 // are bit-identical to the serial path.  The pool therefore has no work
 // stealing and no scheduling freedom that could leak into outputs: work
@@ -10,16 +10,8 @@
 // parameter — `RANOMALY_THREADS=1` and `RANOMALY_THREADS=8` must produce
 // identical bytes.
 //
-// Slots: the two-argument ParallelFor passes the executing lane's slot
-// (0 = the calling thread, 1..threads-1 = workers).  Chunks that share a
-// slot run sequentially, so per-slot scratch buffers can be reused
-// across chunks without synchronization.  Slot *assignment* is
-// nondeterministic — anything that can reach the output must be keyed
-// per chunk and merged in chunk order; slots are for capacity reuse
-// (cleared per chunk) only.
-//
 // Nesting: ParallelFor issued from inside a pool worker (e.g. a stemming
-// shard count inside a parallel spike window) runs inline on that worker
+// scan inside a parallel spike window) runs inline on that worker
 // rather than deadlocking on the already-busy pool.
 #pragma once
 
@@ -55,13 +47,6 @@ class ThreadPool {
   void ParallelFor(std::size_t chunks,
                    const std::function<void(std::size_t)>& fn);
 
-  // As above, but fn(chunk, slot) also receives the executing lane's
-  // slot in [0, threads()).  See the header comment for the reuse and
-  // determinism contract.
-  void ParallelFor(
-      std::size_t chunks,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
   // Grain control: number of chunks needed to cover `items` work items
   // at `grain` items per chunk (at least 1 chunk when items > 0).  The
   // split depends only on the inputs, never on the thread count, so a
@@ -87,12 +72,12 @@ class ThreadPool {
   static std::size_t DefaultThreadCount();
 
  private:
-  void WorkerMain(std::size_t slot);
+  void WorkerMain();
   void RunChunks(std::uint32_t generation,
-                 const std::function<void(std::size_t, std::size_t)>& fn,
-                 std::size_t end, std::size_t slot);
+                 const std::function<void(std::size_t)>& fn,
+                 std::size_t end);
   void RunInline(std::size_t chunks,
-                 const std::function<void(std::size_t, std::size_t)>& fn);
+                 const std::function<void(std::size_t)>& fn);
 
   std::size_t threads_;
   std::vector<std::thread> workers_;
@@ -106,7 +91,7 @@ class ThreadPool {
 
   // Current job; fn_/end_ are written and read under mu_ (stragglers are
   // fenced off by the generation tag in claim_).
-  const std::function<void(std::size_t, std::size_t)>* fn_ = nullptr;
+  const std::function<void(std::size_t)>* fn_ = nullptr;
   std::size_t end_ = 0;
   // (generation << 32) | next_chunk_index — the claim word.
   std::atomic<std::uint64_t> claim_{0};

@@ -207,7 +207,7 @@ TEST_F(CliTest, StatsAnalyzeReportsStageBreakdown) {
   // fractions (the pipeline wires its pool into stemming, so both
   // families accumulate during --analyze).
   EXPECT_NE(output.find("pool_threads"), std::string::npos);
-  EXPECT_NE(output.find("stemming_encode_parallel_fraction"),
+  EXPECT_NE(output.find("stemming_extract_parallel_fraction"),
             std::string::npos);
   // Only the analysis slice of the registry, not the io_* counters the
   // stream load bumped.

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <array>
 
+#include "bench/pre_arena_stemmer.h"
+#include "bench/table1_common.h"
 #include "stemming/stemming.h"
+#include "util/crc32.h"
 #include "util/thread_pool.h"
 #include "workload/eventgen.h"
 
@@ -280,195 +280,21 @@ TEST(SymbolTableTest, RoundTripsAllKinds) {
 
 // ---------------------------------------------------------------------------
 // Equivalence suite: the arena-encoded, incrementally-counted, optionally
-// sharded Stem must reproduce the original direct implementation exactly.
-// `reference` below is a faithful copy of the pre-arena Stem (per-event
-// SymbolId vectors, VecHash-keyed maps, full recount per iteration) kept
-// as the oracle; any behavioural drift in the optimized path fails here.
+// pooled Stem must reproduce the original direct implementation exactly.
+// pre_arena::Stem (bench/pre_arena_stemmer.h) is a frozen copy of the
+// pre-arena Stem (per-event SymbolId vectors, VecHash-keyed maps, full
+// recount per iteration) kept as the oracle; any behavioural drift in the
+// optimized path fails here.
 // ---------------------------------------------------------------------------
-
-namespace reference {
-
-struct EncodedEvent {
-  std::vector<SymbolId> seq;
-  SymbolId prefix_symbol = 0;
-  double weight = 1.0;
-};
-
-struct PairHash {
-  std::size_t operator()(const std::pair<SymbolId, SymbolId>& p) const {
-    return std::hash<std::uint64_t>{}(
-        (static_cast<std::uint64_t>(p.first) << 32) | p.second);
-  }
-};
-
-struct VecHash {
-  std::size_t operator()(const std::vector<SymbolId>& v) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const SymbolId s : v) {
-      h ^= s;
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-constexpr double kCountEpsilon = 1e-9;
-
-bool CountsEqual(double a, double b) {
-  return std::fabs(a - b) <= kCountEpsilon * std::max(1.0, std::max(a, b));
-}
-
-std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
-    const std::vector<EncodedEvent>& events, const std::vector<bool>& active,
-    double min_count) {
-  std::unordered_map<std::pair<SymbolId, SymbolId>, double, PairHash> bigrams;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (!active[i]) continue;
-    const auto& seq = events[i].seq;
-    for (std::size_t j = 0; j + 1 < seq.size(); ++j) {
-      bigrams[{seq[j], seq[j + 1]}] += events[i].weight;
-    }
-  }
-  if (bigrams.empty()) return std::nullopt;
-
-  double best_count = 0.0;
-  for (const auto& [pair, count] : bigrams) {
-    best_count = std::max(best_count, count);
-  }
-  if (best_count < min_count) return std::nullopt;
-
-  std::unordered_set<std::vector<SymbolId>, VecHash> survivors;
-  for (const auto& [pair, count] : bigrams) {
-    if (CountsEqual(count, best_count)) {
-      survivors.insert({pair.first, pair.second});
-    }
-  }
-
-  std::unordered_set<std::vector<SymbolId>, VecHash> last_survivors =
-      survivors;
-  std::size_t k = 2;
-  while (!survivors.empty()) {
-    last_survivors = survivors;
-    std::unordered_map<std::vector<SymbolId>, double, VecHash> extended;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (!active[i]) continue;
-      const auto& seq = events[i].seq;
-      if (seq.size() < k + 1) continue;
-      std::vector<SymbolId> window;
-      for (std::size_t j = 0; j + k < seq.size(); ++j) {
-        window.assign(seq.begin() + static_cast<std::ptrdiff_t>(j),
-                      seq.begin() + static_cast<std::ptrdiff_t>(j + k));
-        if (!survivors.contains(window)) continue;
-        window.push_back(seq[j + k]);
-        extended[window] += events[i].weight;
-      }
-    }
-    survivors.clear();
-    for (const auto& [vec, count] : extended) {
-      if (CountsEqual(count, best_count)) survivors.insert(vec);
-    }
-    ++k;
-  }
-
-  std::vector<SymbolId> best = *std::min_element(
-      last_survivors.begin(), last_survivors.end());
-  return std::make_pair(std::move(best), best_count);
-}
-
-bool ContainsSubsequence(const std::vector<SymbolId>& seq,
-                         const std::vector<SymbolId>& sub) {
-  if (sub.size() > seq.size()) return false;
-  for (std::size_t j = 0; j + sub.size() <= seq.size(); ++j) {
-    if (std::equal(sub.begin(), sub.end(),
-                   seq.begin() + static_cast<std::ptrdiff_t>(j))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-StemmingResult ReferenceStem(std::span<const bgp::Event> events,
-                             const StemmingOptions& options = {}) {
-  StemmingResult result;
-  result.total_events = events.size();
-
-  std::vector<EncodedEvent> encoded;
-  encoded.reserve(events.size());
-  for (const bgp::Event& e : events) {
-    EncodedEvent ee;
-    ee.seq.reserve(e.attrs.as_path.Length() + 3);
-    ee.seq.push_back(result.symbols.InternPeer(e.peer));
-    ee.seq.push_back(result.symbols.InternNexthop(e.attrs.nexthop));
-    bgp::AsNumber last_as = 0;
-    bool have_last = false;
-    for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
-      if (have_last && asn == last_as) continue;
-      ee.seq.push_back(result.symbols.InternAs(asn));
-      last_as = asn;
-      have_last = true;
-    }
-    ee.prefix_symbol = result.symbols.InternPrefix(e.prefix);
-    ee.seq.push_back(ee.prefix_symbol);
-    ee.weight = options.weight_fn ? options.weight_fn(e.prefix) : 1.0;
-    result.total_weight += ee.weight;
-    encoded.push_back(std::move(ee));
-  }
-
-  std::vector<bool> active(encoded.size(), true);
-  std::size_t active_count = encoded.size();
-
-  while (result.components.size() < options.max_components &&
-         active_count > 0) {
-    const double min_count =
-        std::max(options.min_count,
-                 options.min_count_fraction * result.total_weight);
-    auto top = TopSubsequence(encoded, active, min_count);
-    if (!top) break;
-    auto& [sequence, count] = *top;
-    if (sequence.size() < options.min_subsequence_length) break;
-
-    Component component;
-    component.top_sequence = sequence;
-    component.stem = {sequence[sequence.size() - 2], sequence.back()};
-    component.count = count;
-
-    std::unordered_set<SymbolId> prefix_symbols;
-    for (std::size_t i = 0; i < encoded.size(); ++i) {
-      if (!active[i]) continue;
-      if (ContainsSubsequence(encoded[i].seq, sequence)) {
-        prefix_symbols.insert(encoded[i].prefix_symbol);
-      }
-    }
-    for (std::size_t i = 0; i < encoded.size(); ++i) {
-      if (!active[i]) continue;
-      if (prefix_symbols.contains(encoded[i].prefix_symbol)) {
-        component.event_indices.push_back(i);
-        component.event_weight += encoded[i].weight;
-        active[i] = false;
-        --active_count;
-      }
-    }
-    component.prefixes.reserve(prefix_symbols.size());
-    for (const SymbolId s : prefix_symbols) {
-      component.prefixes.push_back(result.symbols.PrefixOf(s));
-    }
-    std::sort(component.prefixes.begin(), component.prefixes.end());
-
-    result.components.push_back(std::move(component));
-  }
-
-  result.residual_events = active_count;
-  return result;
-}
-
-}  // namespace reference
 
 // Exact (bit-level) equality of two stemming results.  Counts are sums
 // of per-event weights; for the unit-weight workloads below they are
 // integers, so exact equality holds across implementations regardless of
 // accumulation order, and the optimized path guarantees an accumulation
-// order matching its serial self for any thread count.
-void ExpectIdenticalResults(const StemmingResult& a, const StemmingResult& b) {
+// order matching its serial self for any thread count.  `a` is a
+// StemmingResult or the oracle's pre_arena::StemmingResult.
+template <typename Result>
+void ExpectIdenticalResults(const Result& a, const StemmingResult& b) {
   EXPECT_EQ(a.total_events, b.total_events);
   EXPECT_EQ(a.total_weight, b.total_weight);
   EXPECT_EQ(a.residual_events, b.residual_events);
@@ -540,7 +366,7 @@ TEST_P(StemmingEquivalenceTest, ArenaMatchesReferenceImplementation) {
   const std::vector<Event> events = GetParam()();
   ASSERT_FALSE(events.empty());
   StemmingOptions options;
-  const StemmingResult expected = reference::ReferenceStem(events, options);
+  const pre_arena::StemmingResult expected = pre_arena::Stem(events, options);
   const StemmingResult actual = Stem(events, options);
   ExpectIdenticalResults(expected, actual);
   ASSERT_FALSE(actual.components.empty());
@@ -559,15 +385,14 @@ TEST_P(StemmingEquivalenceTest, ThreadPoolPathMatchesSerial) {
   }
 }
 
-// Shrunken grains force every parallel stage (sharded encode dedup,
-// posting/candidate scans, re-scoring, subtract-on-removal) through
-// genuinely multi-chunk execution on a test-sized window.  Unweighted
+// Shrunken grains force every parallel stage (posting/candidate scans,
+// re-scoring, subtract-on-removal) through genuinely multi-chunk
+// execution on a test-sized window.  Unweighted
 // counts are integer sums, so even a different chunking must reproduce
 // the default configuration exactly — and the pooled runs must match
 // the identically-chunked serial run byte for byte.
 StemmingOptions TinyGrainOptions() {
   StemmingOptions options;
-  options.encode_shard_events = 64;
   options.scan_grain = 16;
   options.candidate_grain = 8;
   options.removal_grain = 8;
@@ -643,7 +468,66 @@ INSTANTIATE_TEST_SUITE_P(Workloads, StemmingEquivalenceTest,
 
 TEST(StemmingEquivalenceTest, Figure4MatchesReference) {
   const auto events = Figure4Events();
-  ExpectIdenticalResults(reference::ReferenceStem(events), Stem(events));
+  ExpectIdenticalResults(pre_arena::Stem(events), Stem(events));
+}
+
+// CRC-32 over every result field Pipeline reads, plus the symbol table
+// in id order (first-occurrence interning is part of the contract).
+// Lists are length-prefixed; doubles go in by their bits.
+std::uint32_t ResultCrc(const StemmingResult& r) {
+  util::Crc32Accumulator crc;
+  const auto put = [&crc](auto value) { crc.Update(&value, sizeof value); };
+  put(static_cast<std::uint64_t>(r.total_events));
+  put(r.total_weight);
+  put(static_cast<std::uint64_t>(r.residual_events));
+  put(static_cast<std::uint64_t>(r.symbols.size()));
+  for (SymbolId id = 0; id < static_cast<SymbolId>(r.symbols.size()); ++id) {
+    put(r.symbols.Raw(id));
+  }
+  put(static_cast<std::uint64_t>(r.components.size()));
+  for (const Component& c : r.components) {
+    put(static_cast<std::uint64_t>(c.top_sequence.size()));
+    for (const SymbolId s : c.top_sequence) put(r.symbols.Raw(s));
+    put(c.count);
+    put(c.event_weight);
+    put(static_cast<std::uint64_t>(c.prefixes.size()));
+    for (const Prefix& p : c.prefixes) {
+      put(p.addr().value());
+      put(p.length());
+    }
+    put(static_cast<std::uint64_t>(c.event_indices.size()));
+    for (const std::size_t i : c.event_indices) {
+      put(static_cast<std::uint64_t>(i));
+    }
+  }
+  return crc.value();
+}
+
+// Pinned bytes of batch Stem on the Table I 57k spike window (56,999
+// events; 32,268 classes, so the initial count sums two 16,384-class
+// partials), unit and weighted, with and without a pool.  A change to
+// the order classes, symbols or bigram entries are numbered in, or to
+// the association of weighted counts, moves these values.
+TEST(StemmingPinnedBytesTest, Table1Window57kMatchesPinnedCrc) {
+  const collector::EventStream stream =
+      bench::SpikeEvents(bench::BerkeleyScale(23'000), 57'000, 9);
+  ASSERT_EQ(stream.size(), 56'999u);
+  const auto weight = [](const bgp::Prefix& p) {
+    return 1.0 + 0.125 * static_cast<double>(p.addr().value() % 7) + 1e-3;
+  };
+  util::ThreadPool pool(4);
+  const std::array<util::ThreadPool*, 2> pools = {nullptr, &pool};
+  for (util::ThreadPool* p : pools) {
+    SCOPED_TRACE(p == nullptr ? "no pool" : "4-thread pool");
+    StemmingOptions unit;
+    unit.pool = p;
+    const StemmingResult unit_result = Stem(stream.events(), unit);
+    EXPECT_EQ(unit_result.stats.distinct_sequences, 32'268u);
+    EXPECT_EQ(ResultCrc(unit_result), 0xd6141153u);
+    StemmingOptions weighted = unit;
+    weighted.weight_fn = weight;
+    EXPECT_EQ(ResultCrc(Stem(stream.events(), weighted)), 0xf2fa4c34u);
+  }
 }
 
 }  // namespace

@@ -94,42 +94,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 32);
 }
 
-TEST(ThreadPoolTest, SlotsStayInRangeAndAreSequentialPerLane) {
-  // The two-argument overload: every chunk sees a slot in [0, threads),
-  // and chunks sharing a slot never overlap in time — that is what lets
-  // callers reuse per-slot scratch without synchronization.
-  ThreadPool pool(4);
-  constexpr std::size_t kChunks = 500;
-  std::vector<std::atomic<int>> in_flight(4);
-  std::atomic<bool> overlapped{false};
-  std::atomic<bool> out_of_range{false};
-  pool.ParallelFor(kChunks, [&](std::size_t, std::size_t slot) {
-    if (slot >= 4) {
-      out_of_range.store(true);
-      return;
-    }
-    if (in_flight[slot].fetch_add(1) != 0) overlapped.store(true);
-    in_flight[slot].fetch_sub(1);
-  });
-  EXPECT_FALSE(out_of_range.load());
-  EXPECT_FALSE(overlapped.load());
-}
-
-TEST(ThreadPoolTest, NestedSlotStaysWithinNestedPoolWidth) {
-  // A nested call runs inline on a worker whose slot may exceed the
-  // inner pool's width; the slot must be clamped so scratch sized to
-  // the inner pool's threads() stays in range.
-  ThreadPool outer(4);
-  ThreadPool inner(2);
-  std::atomic<bool> out_of_range{false};
-  outer.ParallelFor(16, [&](std::size_t) {
-    inner.ParallelFor(4, [&](std::size_t, std::size_t slot) {
-      if (slot >= inner.threads()) out_of_range.store(true);
-    });
-  });
-  EXPECT_FALSE(out_of_range.load());
-}
-
 TEST(ThreadPoolTest, ChunksForAndChunkRangeCoverItemsExactly) {
   EXPECT_EQ(ThreadPool::ChunksFor(0, 8), 0u);
   EXPECT_EQ(ThreadPool::ChunksFor(1, 8), 1u);

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "util/crc32.h"
-#include "util/flat_set.h"
 #include "util/intern.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -188,57 +186,6 @@ TEST(InternPoolTest, FindWithoutInsert) {
 TEST(InternPoolTest, LookupOutOfRangeThrows) {
   InternPool<std::string> pool;
   EXPECT_THROW(pool.Lookup(0), std::out_of_range);
-}
-
-// --- FlatSet -----------------------------------------------------------------
-
-TEST(FlatSetTest, InsertEraseContains) {
-  FlatSet s;
-  EXPECT_TRUE(s.Insert(5));
-  EXPECT_TRUE(s.Insert(3));
-  EXPECT_FALSE(s.Insert(5));
-  EXPECT_TRUE(s.Contains(3));
-  EXPECT_TRUE(s.Erase(3));
-  EXPECT_FALSE(s.Erase(3));
-  EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(FlatSetTest, NormalizesInitializer) {
-  const FlatSet s{5, 1, 5, 3, 1};
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.values(), (std::vector<std::uint32_t>{1, 3, 5}));
-}
-
-TEST(FlatSetTest, UnionMatchesStdSet) {
-  Rng rng(99);
-  for (int round = 0; round < 20; ++round) {
-    std::set<std::uint32_t> sa, sb;
-    FlatSet fa, fb;
-    for (int i = 0; i < 50; ++i) {
-      const auto a = static_cast<std::uint32_t>(rng.NextBelow(40));
-      const auto b = static_cast<std::uint32_t>(rng.NextBelow(40));
-      sa.insert(a);
-      fa.Insert(a);
-      sb.insert(b);
-      fb.Insert(b);
-    }
-    std::set<std::uint32_t> su = sa;
-    su.insert(sb.begin(), sb.end());
-    const FlatSet fu = FlatSet::Union(fa, fb);
-    EXPECT_EQ(fu.size(), su.size());
-    std::size_t inter = 0;
-    for (const auto x : sa) {
-      if (sb.contains(x)) ++inter;
-    }
-    EXPECT_EQ(FlatSet::IntersectionSize(fa, fb), inter);
-  }
-}
-
-TEST(FlatSetTest, DifferenceRemovesExactly) {
-  FlatSet a{1, 2, 3, 4};
-  const FlatSet b{2, 4, 6};
-  a.DifferenceWith(b);
-  EXPECT_EQ(a.values(), (std::vector<std::uint32_t>{1, 3}));
 }
 
 // --- stats -----------------------------------------------------------------

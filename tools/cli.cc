@@ -571,9 +571,9 @@ int CmdStats(const Args& args, std::ostream& out, std::ostream& err) {
   // Analysis-stage perf breakdown: run the pipeline (its stage metrics
   // accumulate on the process registry) and print the pipeline_*,
   // stemming_*, and pool_* slice of the snapshot.  The pool_utilization
-  // gauge and the stemming_*_parallel_fraction gauges are the scaling
+  // and stemming_extract_parallel_fraction gauges are the scaling
   // diagnostics: utilization well below 1.0 means lanes starved,
-  // parallel fraction well below 1.0 means the stage is Amdahl-bound.
+  // parallel fraction well below 1.0 means the recursion is Amdahl-bound.
   if (args.HasFlag("--analyze")) {
     const core::Pipeline pipeline{core::PipelineOptions{}};
     pipeline.Analyze(*stream);

@@ -250,7 +250,7 @@ def throughput(args):
         name = "throughput_events_per_sec"
         workload = "SessionReset + Churn"
     report = bench_json(args, "bench_throughput",
-                        ["--json", *flags, "--reps", str(reps),
+                        [*flags, "--reps", str(reps),
                          "--threads", threads])
     rows = [{
         "threads": r["threads"],
