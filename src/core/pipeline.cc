@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <tuple>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/intern.h"
 #include "util/stats.h"
 #include "util/strings.h"
 
@@ -55,103 +55,111 @@ IncidentEvidence Pipeline::ExtractEvidence(
   const std::vector<std::size_t>& indices = component.event_indices;
   if (indices.empty()) return ev;
 
-  // The component's events grouped by prefix, in Prefix order, each
-  // group in window order: a single pass over a group yields its first
-  // and last observation and cycle count, reading the window in place.
-  std::vector<const bgp::Event*> by_prefix;
-  by_prefix.reserve(indices.size());
-  std::vector<std::uint32_t> peers;
-  peers.reserve(indices.size());
+  // One pass in window order (the stemmer lists a component's events
+  // ascending).  Each event folds into its prefix's group, numbered in
+  // order of first sight; a group's last event is the previous one its
+  // next transition test reads.  A "transition" is an announce<->withdraw
+  // flip OR an announcement whose nexthop differs from the previous one:
+  // at a route reflector with full visibility an oscillation shows up as
+  // implicit replacements between alternatives, with few explicit
+  // withdrawals.
+  struct Group {
+    const bgp::Event* first;
+    const bgp::Event* last;
+    std::size_t events;
+    std::size_t transitions;
+  };
+  util::InternPool<bgp::Prefix, bgp::PrefixHash> prefixes;
+  std::vector<Group> groups;
+  util::InternPool<std::uint32_t> peers;
+  std::vector<std::size_t> peer_events;
   std::size_t withdraws = 0;
   bool med = false;
   for (const std::size_t idx : indices) {
     const bgp::Event& e = events[idx];
-    by_prefix.push_back(&e);
-    peers.push_back(e.peer.value());
+    const std::uint32_t peer = peers.Intern(e.peer.value());
+    if (peer == peer_events.size()) peer_events.push_back(0);
+    ++peer_events[peer];
     if (e.type == bgp::EventType::kWithdraw) ++withdraws;
     if (e.attrs.med) med = true;
+    const std::uint32_t g = prefixes.Intern(e.prefix);
+    if (g == groups.size()) {
+      groups.push_back({&e, &e, 1, 0});
+      continue;
+    }
+    Group& group = groups[g];
+    const bgp::Event& previous = *group.last;
+    if (e.type != previous.type ||
+        (e.type == bgp::EventType::kAnnounce &&
+         e.attrs.nexthop != previous.attrs.nexthop)) {
+      ++group.transitions;
+    }
+    group.last = &e;
+    ++group.events;
   }
-  // Pointers into the window ascend with the event index, so they
-  // break prefix ties in window order.
-  std::sort(by_prefix.begin(), by_prefix.end(),
-            [](const bgp::Event* a, const bgp::Event* b) {
-              return std::tie(a->prefix, a) < std::tie(b->prefix, b);
-            });
 
   const double n = static_cast<double>(indices.size());
   ev.withdraw_fraction = static_cast<double>(withdraws) / n;
-  std::sort(peers.begin(), peers.end());
-  std::size_t busiest = 0;
-  for (std::size_t i = 0; i < peers.size();) {
-    std::size_t j = i + 1;
-    while (j < peers.size() && peers[j] == peers[i]) ++j;
-    busiest = std::max(busiest, j - i);
-    i = j;
-  }
+  const std::size_t busiest =
+      *std::max_element(peer_events.begin(), peer_events.end());
   ev.single_peer_fraction = static_cast<double>(busiest) / n;
   ev.med_present = med;
 
-  // A "transition" is an announce<->withdraw flip OR an announcement
-  // whose nexthop differs from the previous one: at a route reflector
-  // with full visibility an oscillation shows up as implicit
-  // replacements between alternatives, with few explicit withdrawals.
+  // The sums add halves and integer length differences, which doubles
+  // hold exactly, so first-seen group order gives the same bits as any
+  // other.  A restored group's final ASes are its initial ones, so only
+  // groups whose path changed can contribute a new AS.
   double cycles = 0.0;
   double growth = 0.0;
-  std::size_t prefixes = 0;
   std::size_t restored = 0;
   std::size_t final_announce = 0;
   std::size_t busiest_prefix_events = 0;
-  std::vector<bgp::AsNumber> initial_ases;
-  std::vector<bgp::AsNumber> final_ases;
-  for (std::size_t i = 0; i < by_prefix.size();) {
-    const bgp::Event& first = *by_prefix[i];
-    std::size_t transitions = 0;
-    std::size_t j = i + 1;
-    for (; j < by_prefix.size() && by_prefix[j]->prefix == first.prefix; ++j) {
-      const bgp::Event& e = *by_prefix[j];
-      const bgp::Event& previous = *by_prefix[j - 1];
-      if (e.type != previous.type ||
-          (e.type == bgp::EventType::kAnnounce &&
-           e.attrs.nexthop != previous.attrs.nexthop)) {
-        ++transitions;
-      }
+  util::InternPool<bgp::AsNumber> final_ases;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const Group& group = groups[g];
+    const bgp::Prefix& prefix = prefixes.Lookup(static_cast<std::uint32_t>(g));
+    // Ties for the busiest group go to the smallest prefix.
+    if (group.events > busiest_prefix_events ||
+        (group.events == busiest_prefix_events &&
+         prefix < ev.dominant_prefix)) {
+      busiest_prefix_events = group.events;
+      ev.dominant_prefix = prefix;
     }
-    const bgp::Event& last = *by_prefix[j - 1];
-    const bgp::AsPath& first_path = first.attrs.as_path;
-    const bgp::AsPath& last_path = last.attrs.as_path;
-    const std::size_t group_events = j - i;
-    if (group_events > busiest_prefix_events) {
-      ev.dominant_prefix = first.prefix;
-    }
-    cycles += static_cast<double>(transitions) / 2.0;
+    const bgp::AsPath& first_path = group.first->attrs.as_path;
+    const bgp::AsPath& last_path = group.last->attrs.as_path;
+    cycles += static_cast<double>(group.transitions) / 2.0;
     growth += static_cast<double>(last_path.Length()) -
               static_cast<double>(first_path.Length());
-    if (last_path == first_path) ++restored;
-    if (last.type == bgp::EventType::kAnnounce) ++final_announce;
-    busiest_prefix_events = std::max(busiest_prefix_events, group_events);
-    initial_ases.insert(initial_ases.end(), first_path.asns().begin(),
-                        first_path.asns().end());
-    final_ases.insert(final_ases.end(), last_path.asns().begin(),
-                      last_path.asns().end());
-    ++prefixes;
-    i = j;
+    if (last_path == first_path) {
+      ++restored;
+    } else {
+      for (const bgp::AsNumber a : last_path.asns()) final_ases.Intern(a);
+    }
+    if (group.last->type == bgp::EventType::kAnnounce) ++final_announce;
   }
-  const double p = static_cast<double>(prefixes);
+  const double p = static_cast<double>(groups.size());
   ev.cycles_per_prefix = cycles / p;
   ev.path_growth = growth / p;
   ev.restored_fraction = static_cast<double>(restored) / p;
   ev.final_announce_fraction = static_cast<double>(final_announce) / p;
   ev.dominant_prefix_fraction = static_cast<double>(busiest_prefix_events) / n;
-  // ASes on some final path but on no initial path.
-  std::sort(initial_ases.begin(), initial_ases.end());
-  std::sort(final_ases.begin(), final_ases.end());
-  final_ases.erase(std::unique(final_ases.begin(), final_ases.end()),
-                   final_ases.end());
-  for (const bgp::AsNumber a : final_ases) {
-    if (!std::binary_search(initial_ases.begin(), initial_ases.end(), a)) {
-      ++ev.new_as_count;
+  // ASes on some final path but on no initial path: the distinct final
+  // ASes less those an initial path marks.
+  std::vector<char> on_initial(final_ases.size(), 0);
+  std::size_t marked = 0;
+  if (!final_ases.empty()) {
+    for (const Group& group : groups) {
+      for (const bgp::AsNumber a : group.first->attrs.as_path.asns()) {
+        const std::uint32_t id = final_ases.Find(a);
+        if (id != util::InternPool<bgp::AsNumber>::kNotFound &&
+            !on_initial[id]) {
+          on_initial[id] = 1;
+          ++marked;
+        }
+      }
     }
   }
+  ev.new_as_count = final_ases.size() - marked;
   return ev;
 }
 

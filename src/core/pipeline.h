@@ -60,6 +60,8 @@ class Pipeline {
       std::span<const bgp::Event> events) const;
 
   // Evidence extraction & classification (exposed for tests/benches).
+  // ExtractEvidence reads the component's events in the order of its
+  // event_indices, which the stemmer lists ascending (window order).
   static IncidentEvidence ExtractEvidence(
       std::span<const bgp::Event> events,
       const stemming::Component& component);
@@ -89,9 +91,10 @@ class Pipeline {
                         stemming::Component&& component) const;
 
   PipelineOptions options_;
-  // Shared by stemming shard counts and the spike-window fan-out.  Always
-  // created: a one-thread pool spawns no workers and runs inline, so the
-  // fan-out takes the same instrumented path at every thread count.
+  // Shared by the stemming recursion's chunked passes and the
+  // spike-window fan-out.  Always created: a one-thread pool spawns no
+  // workers and runs inline, so the fan-out takes the same instrumented
+  // path at every thread count.
   std::unique_ptr<util::ThreadPool> pool_;
   // AnalyzeWindow's sliding stemmer and the mutex guarding it.
   std::unique_ptr<Sliding> sliding_;

@@ -1,6 +1,7 @@
 #include "stemming/stemming.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -536,6 +537,7 @@ struct Scratch {
   NgramTable survivors;
   NgramTable extended;
   std::vector<std::uint32_t> candidates;
+  std::vector<std::uint64_t> candidate_bits;  // per class id; zeroed after use
   std::vector<char> entry_mark;  // bigram entries surviving at length 2
   std::vector<NgramTable> chunk_tables;
   std::vector<std::vector<std::uint32_t>> chunk_ids;
@@ -549,11 +551,12 @@ struct Scratch {
 // Finds the top-ranked sub-sequence (count desc, length desc, then the
 // smallest in symbol order for determinism) over active classes,
 // reading bigram counts from the persistent (incrementally maintained)
-// table.  Returns nullopt if no bigram reaches min_count.  The scan,
-// candidate-collection, and re-scoring passes are sharded on the pool
-// with input-derived grains (options.scan_grain / candidate_grain);
-// per-chunk partials merge in chunk order, so the pick — including the
-// last bits of every weighted count — is unchanged by the thread count.
+// table.  Returns nullopt if no bigram reaches min_count.  The scan and
+// re-scoring passes are sharded on the pool with input-derived grains
+// (options.scan_grain / candidate_grain); per-chunk partials merge in
+// chunk order, so the pick — including the last bits of every weighted
+// count — is unchanged by the thread count.  Candidate collection is
+// one serial bitmap pass.
 //
 // PostingsT is the batch CSR index or the sliding stemmer's append-only
 // lists; both answer EntryOf, Key and Classes.  `pick` chooses among the
@@ -636,46 +639,43 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
       last_survivors.emplace_back(gram, gram + k);
     });
 
-    // Candidate classes: union of the survivors' leading-bigram
-    // postings, viewed as one virtual concatenated index space so the
-    // scan shards evenly however many survivors there are.  Per-chunk
-    // hits concatenate in chunk order, then sort+unique — the same
-    // sorted candidate set the serial mark-based walk produced.
-    scratch.ranges.Clear();
+    // Candidate classes: the active classes on the survivors' leading-
+    // bigram postings.  Each sets one bit in a bitmap over class ids;
+    // reading the touched words in order yields them ascending and once
+    // each, whatever order the lists hold them in, and clears the bitmap
+    // for the next level.  One serial pass: a hit is a load and an OR,
+    // cheaper than the per-chunk lists and the sort that merging them
+    // would need.
+    const std::size_t words = (active.size() + 63) / 64;
+    if (scratch.candidate_bits.size() < words) {
+      scratch.candidate_bits.resize(words, 0);
+    }
+    std::size_t lo_word = words;
+    std::size_t hi_word = 0;
     scratch.survivors.ForEach([&](const SymbolId* gram, double) {
       const std::uint32_t e = postings.EntryOf(gram[0], gram[1]);
       if (e == Postings::kNoEntry) return;
       postings.ForEachRange(e, [&](const std::uint32_t* data,
                                    std::uint32_t n) {
-        scratch.ranges.Add(data, n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          const std::uint32_t id = data[i];
+          if (!active[id]) continue;
+          const std::size_t w = id >> 6;
+          scratch.candidate_bits[w] |= std::uint64_t{1} << (id & 63);
+          lo_word = std::min(lo_word, w);
+          hi_word = std::max(hi_word, w + 1);
+        }
       });
     });
-    const std::uint32_t virt = scratch.ranges.size();
-    const std::size_t cand_chunks =
-        util::ThreadPool::ChunksFor(virt, scan_grain);
-    if (scratch.chunk_ids.size() < cand_chunks) {
-      scratch.chunk_ids.resize(cand_chunks);
-    }
-    *parallel_seconds += ParallelRegion(
-        pool, cand_chunks, [&](std::size_t c) {
-          std::vector<std::uint32_t>& ids = scratch.chunk_ids[c];
-          ids.clear();
-          const auto [vb, ve] =
-              util::ThreadPool::ChunkRange(virt, scan_grain, c);
-          scratch.ranges.Scan(vb, ve, [&](std::uint32_t id) {
-            if (active[id]) ids.push_back(id);
-          });
-        });
     scratch.candidates.clear();
-    for (std::size_t c = 0; c < cand_chunks; ++c) {
-      scratch.candidates.insert(scratch.candidates.end(),
-                                scratch.chunk_ids[c].begin(),
-                                scratch.chunk_ids[c].end());
+    for (std::size_t w = lo_word; w < hi_word; ++w) {
+      std::uint64_t bits = scratch.candidate_bits[w];
+      scratch.candidate_bits[w] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        scratch.candidates.push_back(
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
     }
-    std::sort(scratch.candidates.begin(), scratch.candidates.end());
-    scratch.candidates.erase(
-        std::unique(scratch.candidates.begin(), scratch.candidates.end()),
-        scratch.candidates.end());
 
     // Re-scoring: each chunk counts its candidate range into its own
     // k+1-gram table; tables merge in chunk order, so weighted counts

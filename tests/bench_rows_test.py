@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tests for tools/run_bench.py's overhead estimator and row writer."""
+"""Tests for tools/run_bench.py's estimators and row writer."""
 
 import importlib.util
 import json
@@ -91,6 +91,68 @@ class EstimatorTest(unittest.TestCase):
         over = run_bench.overhead_estimate(
             pairs_with_overheads([0.04, 0.05, 0.06, 0.07, 0.08, 0.09]))
         self.assertEqual(over["verdict"], "OVER")
+
+
+def benchmark_report(times_ms, repetitions=True):
+    """A Google Benchmark JSON report over {name: [real_time ms, ...]}.
+
+    With repetitions, each benchmark gets one iteration row per time and
+    then its mean and median aggregates, as --benchmark_repetitions
+    writes them; without, only its first time as the one iteration row.
+    """
+    benchmarks = []
+    for name, times in times_ms.items():
+        for i, t in enumerate(times if repetitions else times[:1]):
+            benchmarks.append({"name": name, "run_name": name,
+                               "run_type": "iteration",
+                               "repetition_index": i, "real_time": t,
+                               "cpu_time": t, "time_unit": "ms"})
+        if repetitions:
+            for aggregate, value in (("mean", statistics.mean(times)),
+                                     ("median", statistics.median(times))):
+                benchmarks.append({"name": f"{name}_{aggregate}",
+                                   "run_name": name,
+                                   "run_type": "aggregate",
+                                   "aggregate_name": aggregate,
+                                   "real_time": value, "cpu_time": value,
+                                   "time_unit": "ms"})
+    return {"benchmarks": benchmarks}
+
+
+class StemmingOptRowTest(unittest.TestCase):
+
+    def test_rows_read_the_median_aggregates(self):
+        # The first repetition alone reads 4.5x and the means 5.7x; the
+        # medians read 6x.
+        report = benchmark_report({
+            "BM_StemmingLegacy/330000": [495, 600, 610, 590, 605],
+            "BM_StemmingArena/330000": [110, 100, 101, 99, 100],
+            "BM_StemmingArenaThreads/1": [200, 80, 81, 79, 82],
+        })
+        row, failure = run_bench.stemming_opt_row(report, quick=False)
+        self.assertIsNone(failure)
+        self.assertEqual(len(row["rows"]), 1)
+        big = row["rows"][0]
+        self.assertEqual(big["events"], 330_000)
+        self.assertAlmostEqual(big["legacy_ns_per_op"], 600e6)
+        self.assertAlmostEqual(big["arena_ns_per_op"], 100e6)
+        self.assertAlmostEqual(row["serial_speedup_330k"], 6.0)
+        self.assertEqual(row["parallel_330k"],
+                         [{"threads": 1, "ns_per_op": 81e6,
+                           "main_thread_cpu_ns_per_op": 81e6}])
+
+    def test_gate_fails_below_five_times(self):
+        times = {"BM_StemmingLegacy/330000": [480, 700, 470, 490, 300],
+                 "BM_StemmingArena/330000": [100, 90, 100, 110, 100]}
+        row, failure = run_bench.stemming_opt_row(benchmark_report(times),
+                                                  quick=False)
+        self.assertAlmostEqual(row["serial_speedup_330k"], 4.8)
+        self.assertIn("4.80x, below the 5x target", failure)
+        # --quick never gates, and reads the single iteration rows.
+        row, failure = run_bench.stemming_opt_row(
+            benchmark_report(times, repetitions=False), quick=True)
+        self.assertIsNone(failure)
+        self.assertAlmostEqual(row["rows"][0]["legacy_ns_per_op"], 480e6)
 
 
 class WriterTest(unittest.TestCase):

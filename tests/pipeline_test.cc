@@ -276,17 +276,23 @@ IncidentEvidence ReferenceEvidence(std::span<const bgp::Event> events,
   return ev;
 }
 
-// Random windows over a few prefixes, peers, nexthops and short paths
-// (prepends and repeats included) so groups, ties for the busiest prefix
-// and path changes are common; every evidence value, doubles included,
-// must equal the reference bit for bit.
-TEST(EvidenceTest, GroupedPassMatchesTrackMapReference) {
-  std::mt19937_64 rng(20050628);
+// Random windows over 4 peers, 3 nexthops, `addrs` x 2 prefixes and
+// paths of up to 5 ASes (prepends and repeats included) drawn from
+// `ases`; from the window's second half on, ASes are drawn `drift`
+// higher, so final paths can carry ASes no initial path has.  Every
+// evidence value, doubles included, must equal the reference bit for
+// bit.
+void ExpectGroupedPassMatchesReference(std::mt19937_64& rng, int rounds,
+                                       std::size_t min_events,
+                                       std::size_t max_events,
+                                       std::size_t addrs, std::size_t ases,
+                                       bgp::AsNumber drift) {
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng() % n);
   };
-  for (int round = 0; round < 400; ++round) {
-    std::vector<bgp::Event> events(1 + pick(80));
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<bgp::Event> events(min_events +
+                                   pick(max_events - min_events + 1));
     for (std::size_t i = 0; i < events.size(); ++i) {
       bgp::Event& e = events[i];
       e.time = static_cast<util::SimTime>(i) * kSecond;
@@ -294,13 +300,14 @@ TEST(EvidenceTest, GroupedPassMatchesTrackMapReference) {
       e.type = pick(3) == 0 ? bgp::EventType::kWithdraw
                             : bgp::EventType::kAnnounce;
       e.prefix = bgp::Prefix(
-          bgp::Ipv4Addr(20, static_cast<std::uint8_t>(pick(6)), 0, 0),
+          bgp::Ipv4Addr(20, static_cast<std::uint8_t>(pick(addrs)), 0, 0),
           static_cast<std::uint8_t>(16 + 8 * pick(2)));
       e.attrs.nexthop =
           bgp::Ipv4Addr(10, 1, 0, static_cast<std::uint8_t>(1 + pick(3)));
       std::vector<bgp::AsNumber> path(pick(6));
       for (bgp::AsNumber& asn : path) {
-        asn = static_cast<bgp::AsNumber>(100 + pick(8));
+        asn = static_cast<bgp::AsNumber>(100 + pick(ases)) +
+              (2 * i >= events.size() ? drift : 0);
       }
       e.attrs.as_path = bgp::AsPath(std::move(path));
       if (pick(5) == 0) e.attrs.med = static_cast<std::uint32_t>(pick(3));
@@ -322,6 +329,22 @@ TEST(EvidenceTest, GroupedPassMatchesTrackMapReference) {
     EXPECT_EQ(got.final_announce_fraction, want.final_announce_fraction);
     EXPECT_EQ(got.dominant_prefix_fraction, want.dominant_prefix_fraction);
     EXPECT_EQ(got.dominant_prefix, want.dominant_prefix);
+  }
+}
+
+// Two size bands.  Small windows over 12 prefixes make groups, ties for
+// the busiest prefix and path changes common; windows of 500-3,000
+// events over 300 prefixes and 60 ASes grow the prefix and AS tables
+// past their first allocation.
+TEST(EvidenceTest, GroupedPassMatchesTrackMapReference) {
+  std::mt19937_64 rng(20050628);
+  {
+    SCOPED_TRACE("up to 80 events, 12 prefixes");
+    ExpectGroupedPassMatchesReference(rng, 400, 1, 80, 6, 8, 0);
+  }
+  {
+    SCOPED_TRACE("500-3,000 events, 300 prefixes, 60 ASes");
+    ExpectGroupedPassMatchesReference(rng, 50, 500, 3000, 150, 40, 20);
   }
 }
 
