@@ -222,9 +222,10 @@ void Pipeline::PopulateProvenance(std::span<const bgp::Event> events,
   const std::size_t total = component.event_indices.size();
   const std::size_t take = std::min<std::size_t>(caps.max_events, total);
   prov.events.reserve(take);
-  // Distinct sequence classes among the sample, keyed exactly like the
-  // stemmer encodes events (consecutive AS-path prepends collapsed).
-  std::vector<std::vector<std::uint32_t>> keys;
+  // Distinct sequence classes among the sample, keyed on the stemmer's
+  // own encoding of each event.
+  std::vector<std::vector<std::uint64_t>> keys;
+  std::vector<std::uint64_t> key;
   for (std::size_t k = 0; k < take; ++k) {
     // k * total / take is strictly increasing while take <= total, so
     // the sample is evenly strided over the whole component, never just
@@ -240,19 +241,7 @@ void Pipeline::PopulateProvenance(std::span<const bgp::Event> events,
     pe.prefix = e.prefix.ToString();
     prov.events.push_back(std::move(pe));
 
-    std::vector<std::uint32_t> key;
-    key.push_back(e.peer.value());
-    key.push_back(e.attrs.nexthop.value());
-    bgp::AsNumber last_as = 0;
-    bool have_last = false;
-    for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
-      if (have_last && asn == last_as) continue;
-      key.push_back(asn);
-      last_as = asn;
-      have_last = true;
-    }
-    key.push_back(e.prefix.addr().value());
-    key.push_back(e.prefix.length());
+    stemming::EncodeSequence(e, key);
     std::size_t cls = keys.size();
     for (std::size_t j = 0; j < keys.size(); ++j) {
       if (keys[j] == key) {
@@ -261,20 +250,17 @@ void Pipeline::PopulateProvenance(std::span<const bgp::Event> events,
       }
     }
     if (cls == keys.size()) {
-      keys.push_back(std::move(key));
+      keys.push_back(key);
       ++prov.classes_total;
       if (prov.classes.size() < caps.max_classes) {
         obs::ProvenanceClass pc;
         pc.id = static_cast<std::uint32_t>(prov.classes.size());
         std::string seq = "peer " + e.peer.ToString() + " nexthop " +
                           e.attrs.nexthop.ToString();
-        have_last = false;
-        last_as = 0;
-        for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
-          if (have_last && asn == last_as) continue;
-          seq += " AS" + std::to_string(asn);
-          last_as = asn;
-          have_last = true;
+        // The AS symbols sit between the nexthop and the prefix, tagged
+        // above their 32-bit payload.
+        for (std::size_t j = 2; j + 1 < key.size(); ++j) {
+          seq += " AS" + std::to_string(key[j] & 0xffffffffu);
         }
         seq += " " + e.prefix.ToString();
         pc.sequence = std::move(seq);
@@ -332,38 +318,27 @@ Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
   return inc;
 }
 
-std::vector<Incident> Pipeline::AnalyzeWindow(
-    std::span<const bgp::Event> events) const {
-  return AnalyzeWindow(events, /*sliding=*/true);
-}
-
-std::vector<Incident> Pipeline::AnalyzeWindow(
-    std::span<const bgp::Event> events, bool sliding) const {
+template <typename StemFn>
+std::vector<Incident> Pipeline::StemAndClassify(
+    std::span<const bgp::Event> events, const StemFn& stem) const {
   std::vector<Incident> incidents;
   // Collection-layer markers are not routing events; stem over the routing
   // events only.  (Component indices then refer to the filtered window.)
+  std::vector<bgp::Event> routing;
   if (std::any_of(events.begin(), events.end(), [](const bgp::Event& e) {
         return bgp::IsMarker(e.type);
       })) {
-    std::vector<bgp::Event> routing;
     routing.reserve(events.size());
     for (const bgp::Event& e : events) {
       if (!bgp::IsMarker(e.type)) routing.push_back(e);
     }
-    return AnalyzeWindow(routing, sliding);
+    events = routing;
   }
   if (events.empty()) return incidents;
   obs::TraceSpan span("pipeline.window");
   span.Annotate("events", static_cast<std::uint64_t>(events.size()));
   RANOMALY_METRIC_COUNT("pipeline_windows_total", 1);
-  stemming::StemmingResult result;
-  std::unique_lock<std::mutex> lock(sliding_->mu, std::defer_lock);
-  if (sliding && lock.try_lock()) {
-    result = sliding_->stemmer.Stem(events, options_.stemming);
-    lock.unlock();
-  } else {
-    result = stemming::Stem(events, options_.stemming);
-  }
+  stemming::StemmingResult result = stem(events);
   for (stemming::Component& component : result.components) {
     const double fraction = static_cast<double>(component.event_indices.size()) /
                             static_cast<double>(events.size());
@@ -375,6 +350,14 @@ std::vector<Incident> Pipeline::AnalyzeWindow(
     incidents.push_back(std::move(incident));
   }
   return incidents;
+}
+
+std::vector<Incident> Pipeline::AnalyzeWindow(
+    std::span<const bgp::Event> events) const {
+  return StemAndClassify(events, [this](std::span<const bgp::Event> window) {
+    const std::lock_guard<std::mutex> lock(sliding_->mu);
+    return sliding_->stemmer.Stem(window, options_.stemming);
+  });
 }
 
 std::vector<Incident> Pipeline::Analyze(
@@ -395,12 +378,15 @@ std::vector<Incident> Pipeline::Analyze(
   const auto spikes = collector::DetectSpikes(stream, options_.spike_bucket,
                                               options_.spike_factor);
   spike_span.Annotate("spikes", static_cast<std::uint64_t>(spikes.size()));
+  const auto one_shot = [this](std::span<const bgp::Event> window) {
+    return stemming::Stem(window, options_.stemming);
+  };
   std::vector<std::vector<Incident>> per_spike(spikes.size());
   const auto analyze_spike = [&](std::size_t i) {
     const auto window =
         stream.Window(spikes[i].begin - kSpikeMargin,
                       spikes[i].end + kSpikeMargin);
-    per_spike[i] = AnalyzeWindow(window, /*sliding=*/false);
+    per_spike[i] = StemAndClassify(window, one_shot);
   };
   pool_->ParallelFor(spikes.size(), analyze_spike);
   for (std::vector<Incident>& window_incidents : per_spike) {
@@ -438,7 +424,7 @@ std::vector<Incident> Pipeline::Analyze(
       if (!inside_spike) grass.push_back(e);
     }
     grass_span.Annotate("events", static_cast<std::uint64_t>(grass.size()));
-    for (Incident& inc : AnalyzeWindow(grass, /*sliding=*/false)) {
+    for (Incident& inc : StemAndClassify(grass, one_shot)) {
       incidents.push_back(std::move(inc));
     }
     RANOMALY_METRIC_COUNT("pipeline_grass_events_total", grass.size());

@@ -54,8 +54,8 @@ class Pipeline {
   // overlap (a live loop's sliding window) reuse the previous call's
   // encoding: only events that entered or left the window are encoded
   // (DESIGN.md "Sliding-window stemming").  The result is the same as
-  // stemming the whole window; the reused state sits behind a mutex, and a
-  // call that finds it busy runs batch stemming::Stem.
+  // stemming the whole window.  The reused state sits behind a mutex:
+  // concurrent callers take turns.
   std::vector<Incident> AnalyzeWindow(
       std::span<const bgp::Event> events) const;
 
@@ -83,9 +83,13 @@ class Pipeline {
  private:
   struct Sliding;
 
-  // AnalyzeWindow on the reused state (`sliding`) or with batch Stem.
-  std::vector<Incident> AnalyzeWindow(std::span<const bgp::Event> events,
-                                      bool sliding) const;
+  // Stems the routing events of one window with `stem` (a callable
+  // from the events to a stemming::StemmingResult) and classifies its
+  // components.  AnalyzeWindow's `stem` slides; Analyze's spike and
+  // grass windows stand alone, so theirs is one-shot stemming::Stem.
+  template <typename StemFn>
+  std::vector<Incident> StemAndClassify(std::span<const bgp::Event> events,
+                                        const StemFn& stem) const;
   Incident MakeIncident(std::span<const bgp::Event> events,
                         const stemming::StemmingResult& result,
                         stemming::Component&& component) const;

@@ -23,6 +23,12 @@ constexpr std::uint64_t Tag(SymbolKind kind, std::uint64_t payload) {
   return (static_cast<std::uint64_t>(kind) << 56) | payload;
 }
 
+inline std::uint64_t PrefixRaw(const bgp::Prefix& prefix) {
+  return Tag(SymbolKind::kPrefix,
+             (static_cast<std::uint64_t>(prefix.addr().value()) << 8) |
+                 prefix.length());
+}
+
 }  // namespace
 
 SymbolId SymbolTable::InternPeer(bgp::Ipv4Addr addr) {
@@ -35,10 +41,7 @@ SymbolId SymbolTable::InternAs(bgp::AsNumber asn) {
   return pool_.Intern(Tag(SymbolKind::kAs, asn));
 }
 SymbolId SymbolTable::InternPrefix(const bgp::Prefix& prefix) {
-  const std::uint64_t payload =
-      (static_cast<std::uint64_t>(prefix.addr().value()) << 8) |
-      prefix.length();
-  return pool_.Intern(Tag(SymbolKind::kPrefix, payload));
+  return pool_.Intern(PrefixRaw(prefix));
 }
 
 SymbolKind SymbolTable::KindOf(SymbolId id) const {
@@ -95,6 +98,21 @@ bool IsValidRawSymbol(std::uint64_t raw) {
   return false;
 }
 
+void EncodeSequence(const bgp::Event& e, std::vector<std::uint64_t>& out) {
+  out.clear();
+  out.push_back(Tag(SymbolKind::kPeer, e.peer.value()));
+  out.push_back(Tag(SymbolKind::kNexthop, e.attrs.nexthop.value()));
+  bgp::AsNumber last_as = 0;
+  bool have_last = false;
+  for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
+    if (have_last && asn == last_as) continue;
+    out.push_back(Tag(SymbolKind::kAs, asn));
+    last_as = asn;
+    have_last = true;
+  }
+  out.push_back(PrefixRaw(e.prefix));
+}
+
 std::string StemmingResult::StemLabel(const Component& component) const {
   return symbols.Name(component.stem.first) + " - " +
          symbols.Name(component.stem.second);
@@ -108,6 +126,7 @@ std::string StemmingResult::SequenceLabel(const Component& component) const {
   }
   return out;
 }
+
 
 namespace {
 
@@ -144,6 +163,7 @@ struct EventView {
   std::uint32_t begin = 0;
   std::uint32_t length = 0;
   SymbolId prefix_symbol = 0;
+  std::uint32_t hash = 0;     // SequenceHash of the class's raw sequence
   double weight = 0.0;        // summed over all events of the class
 };
 
@@ -187,39 +207,19 @@ double ParallelRegion(util::ThreadPool* pool, std::size_t chunks,
 
 constexpr std::uint32_t kNoIndex = 0xffffffffu;
 
-std::uint64_t HashSpan(const std::uint64_t* seq, std::uint32_t len) {
-  // Single-multiply accumulation (short dependency chain — this runs
-  // once per *event*), with one full finalizer to spread entropy into
-  // the low bits the probe mask keeps.
+// Sentinel of class_component: the class is in no component (yet).
+constexpr std::uint32_t kNoComponent = 0xffffffffu;
+
+// A 32-bit hash of the raw sequence [raw, raw + len).  The class lookup
+// compares a class's symbols only when its hash matches: most classes
+// sharing a prefix have the same length, and a compare reads each of
+// them through the symbol table.
+inline std::uint32_t SequenceHash(const std::uint64_t* raw, std::uint32_t len) {
   std::uint64_t h = len;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    h = (h ^ seq[i]) * 0x9e3779b97f4a7c15ULL;
+  for (std::uint32_t j = 0; j < len; ++j) {
+    h = (h ^ raw[j]) * 0x9e3779b97f4a7c15ULL;
   }
-  return Mix64(h);
-}
-
-inline std::uint64_t PrefixRaw(const bgp::Prefix& prefix) {
-  return Tag(SymbolKind::kPrefix,
-             (static_cast<std::uint64_t>(prefix.addr().value()) << 8) |
-                 prefix.length());
-}
-
-// Raw tagged sequence c = x h a1 .. an p (consecutive AS-path prepends
-// collapsed, as they carry no location information) — pure arithmetic,
-// no table lookups.
-void EncodeSequence(const bgp::Event& e, std::vector<std::uint64_t>& out) {
-  out.clear();
-  out.push_back(Tag(SymbolKind::kPeer, e.peer.value()));
-  out.push_back(Tag(SymbolKind::kNexthop, e.attrs.nexthop.value()));
-  bgp::AsNumber last_as = 0;
-  bool have_last = false;
-  for (const bgp::AsNumber asn : e.attrs.as_path.asns()) {
-    if (have_last && asn == last_as) continue;
-    out.push_back(Tag(SymbolKind::kAs, asn));
-    last_as = asn;
-    have_last = true;
-  }
-  out.push_back(PrefixRaw(e.prefix));
+  return static_cast<std::uint32_t>(h >> 32);
 }
 
 // True iff EncodeSequence(e) is the `len` raw values raw(0) .. raw(len-1),
@@ -244,59 +244,6 @@ bool SequenceMatches(const bgp::Event& e, std::uint32_t len,
   }
   return i + 1 == len;
 }
-
-// Batch Stem's sequence dedup: an open-addressed index from raw
-// sequences to classes.  Each class's raw values are stored once, at its
-// arena position, so a probe compares against contiguous memory.  The
-// hash is kept per slot so probes reject on one compare and growth never
-// re-hashes the raw values.
-struct ClassIndex {
-  std::vector<std::uint64_t> raw;       // raw value per arena position
-  std::vector<std::uint32_t> slot_cls;  // class + 1; 0 = empty
-  std::vector<std::uint64_t> slot_hash;
-  std::size_t mask = 0;
-
-  // The class among `views` whose raw sequence is [seq, seq + len).  A
-  // sequence not seen before is recorded as class `fresh` (the next
-  // class id, whose view starts at the end of the arena) and returns it.
-  std::uint32_t FindOrInsert(const std::uint64_t* seq, std::uint32_t len,
-                             const std::vector<EventView>& views,
-                             std::uint32_t fresh) {
-    if (slot_cls.empty() ||
-        (static_cast<std::size_t>(fresh) + 1) * 10 > slot_cls.size() * 7) {
-      Grow(slot_cls.empty() ? 1024 : slot_cls.size() * 2);
-    }
-    const std::uint64_t hash = HashSpan(seq, len);
-    std::size_t i = hash & mask;
-    while (slot_cls[i] != 0) {
-      const std::uint32_t cls = slot_cls[i] - 1;
-      if (slot_hash[i] == hash && views[cls].length == len &&
-          std::equal(seq, seq + len, raw.data() + views[cls].begin)) {
-        return cls;
-      }
-      i = (i + 1) & mask;
-    }
-    slot_cls[i] = fresh + 1;
-    slot_hash[i] = hash;
-    raw.insert(raw.end(), seq, seq + len);
-    return fresh;
-  }
-
-  void Grow(std::size_t cap) {
-    const std::vector<std::uint32_t> old_cls = std::move(slot_cls);
-    const std::vector<std::uint64_t> old_hash = std::move(slot_hash);
-    slot_cls.assign(cap, 0u);
-    slot_hash.assign(cap, 0u);
-    mask = cap - 1;
-    for (std::size_t i = 0; i < old_cls.size(); ++i) {
-      if (old_cls[i] == 0) continue;
-      std::size_t j = old_hash[i] & mask;
-      while (slot_cls[j] != 0) j = (j + 1) & mask;
-      slot_cls[j] = old_cls[i];
-      slot_hash[j] = old_hash[i];
-    }
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Open-addressed hash map from packed 64-bit keys (bigrams) to a value.
@@ -438,45 +385,473 @@ class NgramTable {
   std::size_t mask_ = 0;
 };
 
+// Adds `weight` to the count of every bigram position of class `cls`.
+inline void AddClassCounts(const Arena& arena, std::uint32_t cls,
+                           double weight, std::vector<double>& counts) {
+  const EventView& view = arena.views[cls];
+  for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+    counts[arena.pair_entries[view.begin + j]] += weight;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Posting lists: bigram -> ids of classes containing it, and prefix
-// symbol -> ids of classes carrying that prefix.  Built once over the
-// arena; `active` filtering happens at query time.  This is what lets
-// component extraction touch candidates instead of scanning every active
-// class.
+// The window encoding (DESIGN.md "Sliding-window stemming").  Stem builds
+// it from empty for one call; SlidingStemmer keeps it between calls.
 
+// Posting lists: bigram -> classes containing it, and prefix symbol ->
+// classes carrying it.  This is what lets component extraction touch
+// candidates instead of scanning every active class.  A class joins the
+// lists of its bigrams and the chain of its prefix when it is created
+// and stays there while it is out of the window: dead classes are
+// filtered through `active` at query time, like claimed ones, and
+// compaction drops them.  Classes are appended in id order, so every
+// list is ascending with a class's repeated bigram positions adjacent —
+// the order TopSubsequence and ExtractComponents rely on.
+//
+// The bigram lists share one flat pool as chains of chunks, each chunk
+// [next chunk, capacity, used, classes...]; a list's first chunk holds
+// exactly the classes appended with it, and a full list grows by a chunk
+// twice the size of its last (at most kMaxChunk), so nothing moves and
+// no per-list allocation exists.  Compaction rewrites the pool with one
+// exact chunk per list.
 struct Postings {
-  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  static constexpr std::uint32_t kMaxChunk = 1024;
 
-  U64Map<std::uint32_t> bigram_index;      // packed pair -> entry id (+1)
-  std::vector<std::uint64_t> bigram_keys;  // packed pair per entry
-  // CSR index: for entry e, events[offsets[e]..offsets[e+1]) are the ids
-  // of classes whose sequence contains that bigram, ascending; a class
-  // containing the bigram at several positions appears once per position,
-  // so duplicates are adjacent and dedup is a single comparison.
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> events;
-  // Prefix symbol -> classes CSR (class ids ascending), same layout.
-  std::vector<std::uint32_t> prefix_offsets;
-  std::vector<std::uint32_t> prefix_classes;
+  U64Map<std::uint32_t> bigram_index;  // packed pair -> entry id + 1
+  std::vector<std::uint64_t> bigram_keys;
+  std::vector<std::uint32_t> pool = {0};  // offset 0 is "no chunk"
+  std::vector<std::uint32_t> head;        // per entry: first chunk
+  std::vector<std::uint32_t> tail;        // per entry: last chunk
+  // Prefix chains: the first and last class per prefix symbol, and per
+  // class the next class with the same prefix.
+  std::vector<std::uint32_t> prefix_head;
+  std::vector<std::uint32_t> prefix_tail;
+  std::vector<std::uint32_t> next_same_prefix;
 
   std::uint32_t EntryOf(SymbolId a, SymbolId b) const {
     const std::uint32_t* entry = bigram_index.Find(PackPair(a, b));
-    return entry ? *entry - 1 : kNoEntry;
+    return entry ? *entry - 1 : kNoIndex;
   }
   std::uint64_t Key(std::uint32_t entry) const { return bigram_keys[entry]; }
-  // f(classes, count) for the classes containing the entry's bigram.
+  // f(classes, count) for each chunk of the entry's list, in order.
   template <typename F>
   void ForEachRange(std::uint32_t entry, const F& f) const {
-    f(events.data() + offsets[entry], offsets[entry + 1] - offsets[entry]);
+    for (std::uint32_t chunk = head[entry]; chunk != 0; chunk = pool[chunk]) {
+      f(pool.data() + chunk + 3, pool[chunk + 2]);
+    }
   }
   // f(class) for every class carrying `prefix`, ascending.
   template <typename F>
   void ForEachPrefixClass(SymbolId prefix, const F& f) const {
-    for (std::uint32_t i = prefix_offsets[prefix];
-         i < prefix_offsets[prefix + 1]; ++i) {
-      f(prefix_classes[i]);
+    for (std::uint32_t cls = prefix_head[prefix]; cls != kNoIndex;
+         cls = next_same_prefix[cls]) {
+      f(cls);
     }
+  }
+
+  std::uint32_t AddEntry(std::uint64_t key) {
+    const auto entry = static_cast<std::uint32_t>(bigram_keys.size());
+    bigram_keys.push_back(key);
+    bigram_index.At(key) = entry + 1;
+    head.push_back(0);
+    tail.push_back(0);
+    return entry;
+  }
+
+  // Appends `count` classes to the list of `entry`.
+  void Append(std::uint32_t entry, const std::uint32_t* classes,
+              std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::uint32_t chunk = tail[entry];
+      if (chunk == 0 || pool[chunk + 2] == pool[chunk + 1]) {
+        const std::uint32_t capacity =
+            chunk == 0 ? std::max<std::uint32_t>(2, count - i)
+                       : std::min(kMaxChunk, 2 * pool[chunk + 1]);
+        const auto fresh = static_cast<std::uint32_t>(pool.size());
+        pool.resize(pool.size() + 3 + capacity);
+        pool[fresh + 1] = capacity;
+        (chunk == 0 ? head[entry] : pool[chunk]) = fresh;
+        tail[entry] = chunk = fresh;
+      }
+      pool[chunk + 3 + pool[chunk + 2]++] = classes[i];
+    }
+  }
+
+  // Appends class `cls` (the next class id) to the chain of `prefix`.
+  void Chain(SymbolId prefix, std::uint32_t cls) {
+    if (prefix_head.size() <= prefix) {
+      prefix_head.resize(prefix + 1, kNoIndex);
+      prefix_tail.resize(prefix + 1, kNoIndex);
+    }
+    next_same_prefix.push_back(kNoIndex);
+    if (prefix_tail[prefix] == kNoIndex) {
+      prefix_head[prefix] = cls;
+    } else {
+      next_same_prefix[prefix_tail[prefix]] = cls;
+    }
+    prefix_tail[prefix] = cls;
+  }
+};
+
+// Everything keyed by class, symbol or bigram entry id: the part of the
+// window state that compaction renumbers.  Between calls, a class's
+// weight, `active` flag and bigram contributions reflect its
+// multiplicity in the cached window.  The arena keeps no raw values:
+// symbols.Raw recovers them.
+struct WindowTables {
+  SymbolTable symbols;
+  Arena arena;                      // unweighted: views[c].weight == mult[c]
+  std::vector<std::uint32_t> mult;  // events of the class in the window
+  Postings postings;
+  std::vector<double> counts;  // per entry: occurrences in the window
+  std::vector<char> active;
+  std::vector<std::uint32_t> class_component;
+  std::size_t live_classes = 0;
+  std::size_t dead_entries = 0;  // entries whose count is 0
+  // A call's net change of multiplicity per class, and the classes it
+  // changed (first change first); applied once per class by
+  // ApplyChanges, so delta is all zero between calls.
+  std::vector<std::int32_t> delta;
+  std::vector<std::uint32_t> changed;
+  // Per entry, AppendNew's list sizes, then offsets; zero between calls.
+  std::vector<std::uint32_t> entry_fill;
+
+  std::size_t classes() const { return arena.views.size(); }
+
+  std::uint64_t RawAt(std::uint32_t cls, std::uint32_t j) const {
+    return symbols.Raw(arena.symbols[arena.views[cls].begin + j]);
+  }
+
+  // True iff class `cls` is the sequence of `e`.
+  bool Matches(const bgp::Event& e, std::uint32_t cls) const {
+    return SequenceMatches(e, arena.views[cls].length,
+                           [&](std::uint32_t j) { return RawAt(cls, j); });
+  }
+
+  // The class of raw sequence [raw, raw + len), or a new class with no
+  // events.  Lookup walks the classes sharing the sequence's prefix; a
+  // prefix never interned means a new class, whose symbols are then
+  // interned in sequence order and whose bigrams get entry ids in that
+  // order.  From an empty state, symbols, classes and entries are
+  // therefore numbered in order of first occurrence.  The new class
+  // joins its prefix chain here and its bigram lists in AppendNew.
+  std::uint32_t FindOrAdd(const std::uint64_t* raw, std::uint32_t len) {
+    const std::uint32_t hash = SequenceHash(raw, len);
+    const SymbolId prefix = symbols.FindRaw(raw[len - 1]);
+    if (prefix != SymbolTable::kNotFound &&
+        prefix < postings.prefix_head.size()) {
+      for (std::uint32_t cls = postings.prefix_head[prefix]; cls != kNoIndex;
+           cls = postings.next_same_prefix[cls]) {
+        const EventView& view = arena.views[cls];
+        if (view.length != len || view.hash != hash) continue;
+        std::uint32_t j = 0;
+        while (j < len && raw[j] == RawAt(cls, j)) ++j;
+        if (j == len) return cls;
+      }
+    }
+    const auto cls = static_cast<std::uint32_t>(classes());
+    EventView view;
+    view.begin = static_cast<std::uint32_t>(arena.symbols.size());
+    view.length = len;
+    view.hash = hash;
+    for (std::uint32_t j = 0; j < len; ++j) {
+      arena.symbols.push_back(symbols.InternRaw(raw[j]));
+    }
+    const SymbolId* seq = arena.symbols.data() + view.begin;
+    view.prefix_symbol = seq[len - 1];
+    for (std::uint32_t j = 0; j + 1 < len; ++j) {
+      const std::uint64_t key = PackPair(seq[j], seq[j + 1]);
+      const std::uint32_t* found = postings.bigram_index.Find(key);
+      std::uint32_t entry = found ? *found - 1 : kNoIndex;
+      if (entry == kNoIndex) {
+        entry = postings.AddEntry(key);
+        counts.push_back(0.0);
+        ++dead_entries;
+      }
+      arena.pair_entries.push_back(entry);
+    }
+    arena.pair_entries.push_back(0);  // class-final position: no pair
+    postings.Chain(view.prefix_symbol, cls);
+    arena.views.push_back(view);
+    mult.push_back(0);
+    active.push_back(0);
+    class_component.push_back(kNoComponent);
+    delta.push_back(0);
+    return cls;
+  }
+
+  // Appends classes [first, classes()) — the call's new ones — to their
+  // bigram lists, one Append per list, in class order.  A counting sort
+  // over the entries they touch, so the cost follows their positions,
+  // not the entry count; from an empty state every list gets one exact
+  // chunk.
+  void AppendNew(std::uint32_t first) {
+    entry_fill.resize(counts.size(), 0);
+    std::vector<std::uint32_t> touched;
+    const auto for_each_pair = [&](const auto& f) {
+      for (std::uint32_t cls = first; cls < classes(); ++cls) {
+        const EventView& view = arena.views[cls];
+        for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+          f(arena.pair_entries[view.begin + j], cls);
+        }
+      }
+    };
+    for_each_pair([&](std::uint32_t entry, std::uint32_t) {
+      if (entry_fill[entry]++ == 0) touched.push_back(entry);
+    });
+    std::uint32_t total = 0;
+    for (const std::uint32_t entry : touched) {
+      const std::uint32_t size = entry_fill[entry];
+      entry_fill[entry] = total;
+      total += size;
+    }
+    std::vector<std::uint32_t> lists(total);
+    for_each_pair([&](std::uint32_t entry, std::uint32_t cls) {
+      lists[entry_fill[entry]++] = cls;
+    });
+    std::uint32_t begin = 0;
+    for (const std::uint32_t entry : touched) {
+      const std::uint32_t end = entry_fill[entry];
+      postings.Append(entry, lists.data() + begin, end - begin);
+      entry_fill[entry] = 0;
+      begin = end;
+    }
+  }
+
+  // Records `d` more events (negative: fewer) of class `cls`.
+  void Change(std::uint32_t cls, std::int32_t d) {
+    if (delta[cls] == 0) changed.push_back(cls);
+    delta[cls] += d;
+  }
+
+  // Applies each changed class's net delta once: its multiplicity, its
+  // bigram counts and the live/dead tallies compaction keys on.
+  void ApplyChanges() {
+    for (const std::uint32_t cls : changed) {
+      if (delta[cls] != 0) AddEvents(cls, delta[cls]);
+      delta[cls] = 0;
+    }
+    changed.clear();
+  }
+
+  void AddEvents(std::uint32_t cls, std::int64_t d) {
+    const std::uint32_t before = mult[cls];
+    const auto after = static_cast<std::uint32_t>(before + d);
+    mult[cls] = after;
+    EventView& view = arena.views[cls];
+    view.weight = static_cast<double>(after);
+    for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+      double& count = counts[arena.pair_entries[view.begin + j]];
+      const bool was_dead = count == 0.0;
+      count += static_cast<double>(d);
+      if (was_dead != (count == 0.0)) {
+        dead_entries = was_dead ? dead_entries - 1 : dead_entries + 1;
+      }
+    }
+    if (before == 0 && after > 0) {
+      ++live_classes;
+      active[cls] = 1;
+    } else if (before > 0 && after == 0) {
+      --live_classes;
+      active[cls] = 0;
+    }
+  }
+
+  // ApplyChanges for weighted calls, which run on an emptied state (every
+  // class new, changed in class order).  Every accumulation order is
+  // fixed by the input alone: weight_fn — user code — is called once per
+  // class, in class order; a class's weight is its unit weight added
+  // once per event; the window total sums `window` in event order; and
+  // counts sum classes in fixed partials of kCountPartial, added in
+  // order.  Returns the window total.
+  double ApplyWeighted(
+      const std::function<double(const bgp::Prefix&)>& weight_fn,
+      std::span<const std::uint32_t> window) {
+    const std::size_t n_classes = classes();
+    arena.unit_weights.resize(n_classes);
+    for (std::size_t cls = 0; cls < n_classes; ++cls) {
+      arena.unit_weights[cls] =
+          weight_fn(symbols.PrefixOf(arena.views[cls].prefix_symbol));
+    }
+    for (std::size_t cls = 0; cls < n_classes; ++cls) {
+      mult[cls] = static_cast<std::uint32_t>(delta[cls]);
+      delta[cls] = 0;
+      active[cls] = 1;
+      double w = 0.0;
+      for (std::uint32_t m = 0; m < mult[cls]; ++m) {
+        w += arena.unit_weights[cls];
+      }
+      arena.views[cls].weight = w;
+    }
+    changed.clear();
+    live_classes = n_classes;
+    dead_entries = 0;
+    double total = 0.0;
+    for (const std::uint32_t cls : window) total += arena.unit_weights[cls];
+    constexpr std::size_t kCountPartial = 16384;
+    std::vector<double> partial;
+    for (std::size_t begin = 0; begin < n_classes; begin += kCountPartial) {
+      partial.assign(counts.size(), 0.0);
+      const std::size_t end = std::min(n_classes, begin + kCountPartial);
+      for (std::size_t cls = begin; cls < end; ++cls) {
+        AddClassCounts(arena, static_cast<std::uint32_t>(cls),
+                       arena.views[cls].weight, partial);
+      }
+      for (std::size_t e = 0; e < counts.size(); ++e) counts[e] += partial[e];
+    }
+    return total;
+  }
+
+  // Drops dead classes, entries and symbols.  Survivors keep their
+  // relative order, so every posting list stays ascending.  Returns the
+  // new id of every old class (kNoIndex for dropped ones).
+  std::vector<std::uint32_t> Compact() {
+    SymbolTable kept_symbols;
+    std::vector<SymbolId> symbol_remap(symbols.size(), kNoIndex);
+    std::vector<std::uint32_t> class_remap(classes(), kNoIndex);
+    std::uint32_t live = 0;
+    std::uint32_t pos = 0;
+    for (std::uint32_t cls = 0; cls < classes(); ++cls) {
+      if (mult[cls] == 0) continue;
+      EventView view = arena.views[cls];
+      for (std::uint32_t j = 0; j < view.length; ++j) {
+        const SymbolId old_symbol = arena.symbols[view.begin + j];
+        SymbolId& symbol = symbol_remap[old_symbol];
+        if (symbol == kNoIndex) {
+          symbol = kept_symbols.InternRaw(symbols.Raw(old_symbol));
+        }
+        arena.symbols[pos + j] = symbol;
+        arena.pair_entries[pos + j] = arena.pair_entries[view.begin + j];
+      }
+      view.begin = pos;
+      view.prefix_symbol = arena.symbols[pos + view.length - 1];
+      pos += view.length;
+      arena.views[live] = view;
+      mult[live] = mult[cls];
+      class_remap[cls] = live++;
+    }
+    arena.symbols.resize(pos);
+    arena.pair_entries.resize(pos);
+    arena.views.resize(live);
+    mult.resize(live);
+    active.assign(live, 1);
+    class_component.assign(live, kNoComponent);
+    delta.assign(live, 0);
+    live_classes = live;
+    symbols = std::move(kept_symbols);
+
+    // An entry is live iff some live class holds it, i.e. its count is
+    // nonzero.  Its key is re-packed from the new symbol ids and its
+    // list rewritten as one chunk of its live classes.
+    Postings kept;
+    std::vector<std::uint32_t> entry_remap(counts.size(), kNoIndex);
+    std::vector<std::uint32_t> list;
+    std::uint32_t entries = 0;
+    for (std::uint32_t e = 0; e < counts.size(); ++e) {
+      if (counts[e] == 0.0) continue;
+      const std::uint64_t key = postings.bigram_keys[e];
+      entry_remap[e] = kept.AddEntry(
+          PackPair(symbol_remap[key >> 32], symbol_remap[key & 0xffffffffu]));
+      list.clear();
+      postings.ForEachRange(e, [&](const std::uint32_t* data,
+                                   std::uint32_t count) {
+        for (std::uint32_t i = 0; i < count; ++i) {
+          if (class_remap[data[i]] != kNoIndex) {
+            list.push_back(class_remap[data[i]]);
+          }
+        }
+      });
+      kept.Append(entries, list.data(), static_cast<std::uint32_t>(list.size()));
+      counts[entries++] = counts[e];
+    }
+    counts.resize(entries);
+    entry_fill.resize(entries);
+    dead_entries = 0;
+    for (std::uint32_t cls = 0; cls < live; ++cls) {
+      const EventView& view = arena.views[cls];
+      for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+        std::uint32_t& entry = arena.pair_entries[view.begin + j];
+        entry = entry_remap[entry];
+      }
+      kept.Chain(view.prefix_symbol, cls);
+    }
+    postings = std::move(kept);
+    // Hand the memory of the dropped part back: the state then tracks
+    // the live window instead of keeping its largest size.
+    arena.symbols.shrink_to_fit();
+    arena.pair_entries.shrink_to_fit();
+    arena.views.shrink_to_fit();
+    mult.shrink_to_fit();
+    active.shrink_to_fit();
+    class_component.shrink_to_fit();
+    delta.shrink_to_fit();
+    counts.shrink_to_fit();
+    entry_fill.shrink_to_fit();
+    return class_remap;
+  }
+};
+
+constexpr std::uint64_t kUnranked = ~0ULL;
+
+// The encoded window and the positions it was encoded from.
+struct WindowState {
+  WindowTables tables;
+  // The window, by position: sequence class and event time.
+  std::vector<std::uint32_t> pos_class;
+  std::vector<util::SimTime> pos_time;
+  std::size_t compactions = 0;
+
+  // Survivor ranking (Pick): a generation stamp per symbol marks the
+  // symbols being ranked without clearing per call.
+  std::vector<std::uint32_t> symbol_stamp;
+  std::vector<std::uint64_t> symbol_rank;
+  std::uint32_t stamp = 0;
+
+  // The tie-break among equally long top sequences: the smallest under
+  // the rank (first window position whose sequence holds the symbol,
+  // offset of the symbol in that sequence), compared symbol by symbol.
+  // That is the order of first occurrence over the window — the id
+  // order of a state encoded from empty, and the order the pick must
+  // keep once sliding has numbered symbols by arrival instead.  Ranks
+  // are looked up only for the survivors' symbols, scanning the window
+  // until all are found.
+  std::vector<SymbolId> Pick(std::vector<std::vector<SymbolId>>& survivors) {
+    if (survivors.size() == 1) return std::move(survivors.front());
+    const Arena& arena = tables.arena;
+    if (++stamp == 0) {
+      std::fill(symbol_stamp.begin(), symbol_stamp.end(), 0u);
+      stamp = 1;
+    }
+    symbol_stamp.resize(tables.symbols.size(), 0);
+    symbol_rank.resize(tables.symbols.size());
+    std::size_t unranked = 0;
+    for (const std::vector<SymbolId>& seq : survivors) {
+      for (const SymbolId s : seq) {
+        if (symbol_stamp[s] == stamp) continue;
+        symbol_stamp[s] = stamp;
+        symbol_rank[s] = kUnranked;
+        ++unranked;
+      }
+    }
+    for (std::size_t p = 0; unranked > 0 && p < pos_class.size(); ++p) {
+      const SymbolId* seq = arena.Seq(pos_class[p]);
+      for (std::uint32_t j = 0; j < arena.Len(pos_class[p]); ++j) {
+        const SymbolId s = seq[j];
+        if (symbol_stamp[s] == stamp && symbol_rank[s] == kUnranked) {
+          symbol_rank[s] = (static_cast<std::uint64_t>(p) << 32) | j;
+          --unranked;
+        }
+      }
+    }
+    const auto rank_less = [this](SymbolId a, SymbolId b) {
+      return symbol_rank[a] < symbol_rank[b];
+    };
+    return *std::min_element(
+        survivors.begin(), survivors.end(),
+        [&](const std::vector<SymbolId>& a, const std::vector<SymbolId>& b) {
+          return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                              b.end(), rank_less);
+        });
   }
 };
 
@@ -549,27 +924,21 @@ struct Scratch {
 };
 
 // Finds the top-ranked sub-sequence (count desc, length desc, then the
-// smallest in symbol order for determinism) over active classes,
-// reading bigram counts from the persistent (incrementally maintained)
-// table.  Returns nullopt if no bigram reaches min_count.  The scan and
-// re-scoring passes are sharded on the pool with input-derived grains
-// (options.scan_grain / candidate_grain); per-chunk partials merge in
-// chunk order, so the pick — including the last bits of every weighted
-// count — is unchanged by the thread count.  Candidate collection is
-// one serial bitmap pass.
-//
-// PostingsT is the batch CSR index or the sliding stemmer's append-only
-// lists; both answer EntryOf, Key and Classes.  `pick` chooses among the
-// longest survivors (all of one length, all at the top count): batch
-// symbol ids are first-occurrence ranks, so batch picks the
-// lexicographically smallest id vector; the sliding stemmer, whose ids
-// are not ranks, compares by the rank the batch ids would have.
-template <typename PostingsT, typename Pick>
+// first in order of first occurrence, WindowState::Pick) over active
+// classes, reading bigram counts from the persistent (incrementally
+// maintained) table.  Returns nullopt if no bigram reaches min_count.
+// The scan and re-scoring passes are sharded on the pool with
+// input-derived grains (options.scan_grain / candidate_grain); per-chunk
+// partials merge in chunk order, so the pick — including the last bits
+// of every weighted count — is unchanged by the thread count.  Candidate
+// collection is one serial bitmap pass.
 std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
-    const Arena& arena, const std::vector<char>& active,
-    const PostingsT& postings, const std::vector<double>& bigram_counts,
-    double min_count, Scratch& scratch, const StemmingOptions& options,
-    const Pick& pick, double* parallel_seconds) {
+    WindowState& st, double min_count, Scratch& scratch,
+    const StemmingOptions& options, double* parallel_seconds) {
+  const Arena& arena = st.tables.arena;
+  const std::vector<char>& active = st.tables.active;
+  const Postings& postings = st.tables.postings;
+  const std::vector<double>& bigram_counts = st.tables.counts;
   util::ThreadPool* pool = options.pool;
   const std::size_t scan_grain = std::max<std::size_t>(1, options.scan_grain);
   const std::size_t n_entries = bigram_counts.size();
@@ -654,7 +1023,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     std::size_t hi_word = 0;
     scratch.survivors.ForEach([&](const SymbolId* gram, double) {
       const std::uint32_t e = postings.EntryOf(gram[0], gram[1]);
-      if (e == Postings::kNoEntry) return;
+      if (e == kNoIndex) return;
       postings.ForEachRange(e, [&](const std::uint32_t* data,
                                    std::uint32_t n) {
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -741,46 +1110,33 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     ++k;
   }
 
-  return std::make_pair(pick(last_survivors), best_count);
+  return std::make_pair(st.Pick(last_survivors), best_count);
 }
-
-// Adds `weight` to the count of every bigram position of class `cls`.
-inline void AddClassCounts(const Arena& arena, std::uint32_t cls,
-                           double weight, std::vector<double>& counts) {
-  const EventView& view = arena.views[cls];
-  for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
-    counts[arena.pair_entries[view.begin + j]] += weight;
-  }
-}
-
-// Sentinel of class_component: the class is in no component (yet).
-constexpr std::uint32_t kNoComponent = 0xffffffffu;
 
 // The recursion of Section III-B over an encoded window: pick the top
 // sequence, collect P from the stem's postings and E from the prefix
 // postings, deactivate E and subtract its bigram contributions, repeat.
-// Shared by batch Stem and the sliding stemmer, which differ only in
-// their postings layout and in `pick` (TopSubsequence).  Each removed
-// class is marked in `class_component` and, when `removed_log` is set,
-// appended to it so the caller can undo the removals.  Returns the
-// events left active, in original-event units.
-template <typename PostingsT, typename Pick>
-std::size_t ExtractComponents(
-    const Arena& arena, const PostingsT& postings, const SymbolTable& symbols,
-    const std::vector<std::uint32_t>& class_mult,
-    std::vector<double>& bigram_counts, std::vector<char>& active,
-    std::vector<std::uint32_t>& class_component, std::size_t active_count,
-    double total_weight, const StemmingOptions& options, const Pick& pick,
-    Scratch& scratch, std::vector<std::uint32_t>* removed_log,
-    std::vector<Component>& components, double* par_extract) {
+// Each removed class is marked in `class_component` and, when
+// `removed_log` is set, appended to it so the caller can undo the
+// removals.  Returns the events left active, in original-event units.
+std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
+                              double total_weight,
+                              const StemmingOptions& options,
+                              Scratch& scratch,
+                              std::vector<std::uint32_t>* removed_log,
+                              std::vector<Component>& components,
+                              double* par_extract) {
+  WindowTables& t = st.tables;
+  const Arena& arena = t.arena;
+  std::vector<double>& bigram_counts = t.counts;
+  std::vector<char>& active = t.active;
   util::ThreadPool* pool = options.pool;
   const std::size_t scan_grain = std::max<std::size_t>(1, options.scan_grain);
   const std::size_t n_bigrams = bigram_counts.size();
   while (components.size() < options.max_components && active_count > 0) {
     const double min_count =
         std::max(options.min_count, options.min_count_fraction * total_weight);
-    auto top = TopSubsequence(arena, active, postings, bigram_counts,
-                              min_count, scratch, options, pick, par_extract);
+    auto top = TopSubsequence(st, min_count, scratch, options, par_extract);
     if (!top) break;
     auto& [sequence, count] = *top;
     if (sequence.size() < options.min_subsequence_length) break;
@@ -798,11 +1154,11 @@ std::size_t ExtractComponents(
     // the same set the serial scan collected.
     std::vector<SymbolId> prefix_symbols;
     const std::uint32_t stem_entry =
-        postings.EntryOf(component.stem.first, component.stem.second);
-    if (stem_entry != Postings::kNoEntry) {
+        t.postings.EntryOf(component.stem.first, component.stem.second);
+    if (stem_entry != kNoIndex) {
       scratch.ranges.Clear();
-      postings.ForEachRange(stem_entry, [&](const std::uint32_t* data,
-                                            std::uint32_t n) {
+      t.postings.ForEachRange(stem_entry, [&](const std::uint32_t* data,
+                                              std::uint32_t n) {
         scratch.ranges.Add(data, n);
       });
       const std::size_t plen = scratch.ranges.size();
@@ -849,11 +1205,11 @@ std::size_t ExtractComponents(
         static_cast<std::uint32_t>(components.size());
     scratch.removed.clear();
     for (const SymbolId prefix_symbol : prefix_symbols) {
-      postings.ForEachPrefixClass(prefix_symbol, [&](std::uint32_t cls) {
+      t.postings.ForEachPrefixClass(prefix_symbol, [&](std::uint32_t cls) {
         if (!active[cls]) return;
         active[cls] = 0;
-        class_component[cls] = comp_id;
-        active_count -= class_mult[cls];
+        t.class_component[cls] = comp_id;
+        active_count -= t.mult[cls];
         scratch.removed.push_back(cls);
       });
     }
@@ -894,7 +1250,7 @@ std::size_t ExtractComponents(
 
     component.prefixes.reserve(prefix_symbols.size());
     for (const SymbolId s : prefix_symbols) {
-      component.prefixes.push_back(symbols.PrefixOf(s));
+      component.prefixes.push_back(t.symbols.PrefixOf(s));
     }
     std::sort(component.prefixes.begin(), component.prefixes.end());
 
@@ -919,588 +1275,15 @@ void CollectEvents(const Arena& arena,
   }
 }
 
-}  // namespace
-
-StemmingResult Stem(std::span<const bgp::Event> events,
-                    const StemmingOptions& options) {
-  StemmingResult result;
-  result.total_events = events.size();
-  result.stats.events_encoded = events.size();
-
-  // ---- Encode: events -> weighted sequence classes in the flat arena.
-  //
-  // One pass in event order.  A sequence seen for the first time becomes
-  // the next class; its symbols are interned and its adjacent pairs get
-  // bigram entry ids as it is appended to the arena, so classes, symbol
-  // ids and entry ids all number in order of first occurrence.
-  const util::StageTimer encode_timer;
-  obs::TraceSpan encode_span("stemming.encode");
-  encode_span.Annotate("events", static_cast<std::uint64_t>(events.size()));
-  const bool weighted = static_cast<bool>(options.weight_fn);
-  const std::size_t n = events.size();
-  Arena arena;
-  Postings postings;
-  ClassIndex index;
-  std::vector<std::uint32_t> class_mult;  // events per class
-  std::vector<std::uint32_t> event_class(n, 0);
-  std::vector<std::uint64_t> raw;
-  for (std::size_t ei = 0; ei < n; ++ei) {
-    if (ei + 1 < n) {
-      // The AS path lives behind a pointer per event; pull the next one
-      // into cache while this one is being encoded.
-      __builtin_prefetch(events[ei + 1].attrs.as_path.asns().data());
-    }
-    EncodeSequence(events[ei], raw);
-    const auto len = static_cast<std::uint32_t>(raw.size());
-    const auto fresh = static_cast<std::uint32_t>(arena.views.size());
-    const std::uint32_t cls =
-        index.FindOrInsert(raw.data(), len, arena.views, fresh);
-    if (cls == fresh) {
-      EventView view;
-      view.begin = static_cast<std::uint32_t>(arena.symbols.size());
-      view.length = len;
-      for (std::uint32_t j = 0; j < len; ++j) {
-        arena.symbols.push_back(result.symbols.InternRaw(raw[j]));
-      }
-      const SymbolId* seq = arena.symbols.data() + view.begin;
-      view.prefix_symbol = seq[len - 1];
-      for (std::uint32_t j = 0; j + 1 < len; ++j) {
-        const std::uint64_t key = PackPair(seq[j], seq[j + 1]);
-        std::uint32_t& entry = postings.bigram_index.At(key);  // id + 1
-        if (entry == 0) {
-          postings.bigram_keys.push_back(key);
-          entry = static_cast<std::uint32_t>(postings.bigram_keys.size());
-        }
-        arena.pair_entries.push_back(entry - 1);
-      }
-      arena.pair_entries.push_back(0);  // class-final position: no pair
-      arena.views.push_back(view);
-      class_mult.push_back(0);
-    }
-    ++class_mult[cls];
-    event_class[ei] = cls;
-  }
-  index = ClassIndex{};  // only encoding probes it
-  const std::size_t n_classes = arena.views.size();
-  const std::size_t n_bigrams = postings.bigram_keys.size();
-
-  // Weights.  weight_fn is user code: call it once per class, in class
-  // order.  Class weights are the unit weight added multiplicity times —
-  // the exact accumulation a per-event encoder performs — and the
-  // weighted window total follows original event order.
-  if (weighted) {
-    arena.unit_weights.resize(n_classes);
-    for (std::size_t cls = 0; cls < n_classes; ++cls) {
-      arena.unit_weights[cls] = options.weight_fn(
-          result.symbols.PrefixOf(arena.views[cls].prefix_symbol));
-    }
-  }
-  for (std::size_t cls = 0; cls < n_classes; ++cls) {
-    EventView& view = arena.views[cls];
-    if (weighted) {
-      double w = 0.0;
-      for (std::uint32_t m = 0; m < class_mult[cls]; ++m) {
-        w += arena.unit_weights[cls];
-      }
-      view.weight = w;
-    } else {
-      view.weight = static_cast<double>(class_mult[cls]);
-    }
-  }
-  if (weighted) {
-    for (std::size_t ei = 0; ei < n; ++ei) {
-      result.total_weight += arena.unit_weights[event_class[ei]];
-    }
-  } else {
-    result.total_weight = static_cast<double>(n);
-  }
-
-  // Bigram -> classes CSR: count per entry, exclusive scan, then fill in
-  // arena order, so each entry's list is class-ascending with a class's
-  // repeated positions adjacent.
-  postings.offsets.assign(n_bigrams + 1, 0);
-  for (const EventView& view : arena.views) {
-    for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
-      ++postings.offsets[arena.pair_entries[view.begin + j] + 1];
-    }
-  }
-  for (std::size_t e = 0; e < n_bigrams; ++e) {
-    postings.offsets[e + 1] += postings.offsets[e];
-  }
-  postings.events.resize(postings.offsets[n_bigrams]);
-  {
-    std::vector<std::uint32_t> cursor(postings.offsets.begin(),
-                                      postings.offsets.end() - 1);
-    for (std::uint32_t cls = 0; cls < static_cast<std::uint32_t>(n_classes);
-         ++cls) {
-      const EventView& view = arena.views[cls];
-      for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
-        postings.events[cursor[arena.pair_entries[view.begin + j]]++] = cls;
-      }
-    }
-  }
-
-  // Prefix -> classes CSR, two-pass over the (small) class list.
-  postings.prefix_offsets.assign(result.symbols.size() + 1, 0);
-  for (const EventView& view : arena.views) {
-    ++postings.prefix_offsets[view.prefix_symbol + 1];
-  }
-  for (std::size_t s = 0; s < result.symbols.size(); ++s) {
-    postings.prefix_offsets[s + 1] += postings.prefix_offsets[s];
-  }
-  postings.prefix_classes.resize(n_classes);
-  {
-    std::vector<std::uint32_t> cursor(postings.prefix_offsets.begin(),
-                                      postings.prefix_offsets.end() - 1);
-    for (std::uint32_t cls = 0; cls < static_cast<std::uint32_t>(n_classes);
-         ++cls) {
-      postings.prefix_classes[cursor[arena.views[cls].prefix_symbol]++] = cls;
-    }
-  }
-  result.stats.distinct_sequences = n_classes;
-  result.stats.symbols_interned = result.symbols.size();
-  result.stats.arena_symbols = arena.symbols.size();
-  result.stats.encode_seconds = encode_timer.Seconds();
-  encode_span.Annotate("classes", static_cast<std::uint64_t>(n_classes));
-  encode_span.End();
-  RANOMALY_METRIC_COUNT("stemming_events_encoded_total", events.size());
-  RANOMALY_METRIC_COUNT("stemming_distinct_sequences_total", n_classes);
-  RANOMALY_METRIC_COUNT("stemming_symbols_interned_total",
-                        result.symbols.size());
-  RANOMALY_METRIC_COUNT("stemming_arena_symbols_total", arena.symbols.size());
-  RANOMALY_METRIC_OBSERVE("stemming_encode_seconds", obs::TimeBounds(),
-                          result.stats.encode_seconds);
-
-  // Initial bigram count over the entry ids recorded during encoding — no
-  // hashing.  Classes are summed in fixed partials of kCountPartial
-  // classes, added in order: that association is what weighted counts
-  // have always had, so their last bits stay put.
-  const util::StageTimer count_timer;
-  obs::TraceSpan count_span("stemming.count");
-  constexpr std::size_t kCountPartial = 16384;
-  std::vector<double> bigram_counts(n_bigrams, 0.0);
-  std::vector<double> partial;
-  for (std::size_t begin = 0; begin < n_classes; begin += kCountPartial) {
-    partial.assign(n_bigrams, 0.0);
-    const std::size_t end = std::min(n_classes, begin + kCountPartial);
-    for (std::size_t cls = begin; cls < end; ++cls) {
-      AddClassCounts(arena, static_cast<std::uint32_t>(cls),
-                     arena.views[cls].weight, partial);
-    }
-    for (std::size_t e = 0; e < n_bigrams; ++e) {
-      bigram_counts[e] += partial[e];
-    }
-  }
-  std::vector<double>().swap(partial);
-  result.stats.bigram_table_size = n_bigrams;
-  result.stats.count_seconds = count_timer.Seconds();
-  count_span.Annotate("bigrams", static_cast<std::uint64_t>(n_bigrams));
-  count_span.End();
-  RANOMALY_METRIC_COUNT("stemming_bigram_entries_total", n_bigrams);
-  RANOMALY_METRIC_OBSERVE("stemming_count_seconds", obs::TimeBounds(),
-                          result.stats.count_seconds);
-
-  const util::StageTimer extract_timer;
-  obs::TraceSpan extract_span("stemming.extract");
-  double par_extract = 0.0;
-  std::vector<char> active(n_classes, 1);
-  std::vector<std::uint32_t> class_component(n_classes, kNoComponent);
-  Scratch scratch;
-  const std::size_t active_count = ExtractComponents(
-      arena, postings, result.symbols, class_mult, bigram_counts, active,
-      class_component, events.size(), result.total_weight, options,
-      [](std::vector<std::vector<SymbolId>>& survivors) {
-        return *std::min_element(survivors.begin(), survivors.end());
-      },
-      scratch, nullptr, result.components, &par_extract);
-  CollectEvents(arena, event_class, class_component, result.components);
-
-  result.residual_events = active_count;
-  result.stats.components = result.components.size();
-  result.stats.extract_seconds = extract_timer.Seconds();
-  result.stats.parallel_seconds = par_extract;
-  extract_span.Annotate("components",
-                        static_cast<std::uint64_t>(result.components.size()));
-  RANOMALY_METRIC_COUNT("stemming_components_total", result.components.size());
-  RANOMALY_METRIC_OBSERVE("stemming_components_per_window",
-                          (std::vector<double>{0, 1, 2, 4, 8, 16}),
-                          static_cast<double>(result.components.size()));
-  RANOMALY_METRIC_OBSERVE("stemming_extract_seconds", obs::TimeBounds(),
-                          result.stats.extract_seconds);
-  if (result.stats.extract_seconds > 0.0) {
-    RANOMALY_METRIC_SET(
-        "stemming_extract_parallel_fraction",
-        std::min(1.0, par_extract / result.stats.extract_seconds));
-  }
-  return result;
-}
-
-
-// ---------------------------------------------------------------------------
-// Sliding-window stemming (DESIGN.md "Sliding-window stemming").
-
-namespace {
-
-// Postings over the persistent class set, append-only between
-// compactions.  A class joins the lists of its bigrams and the chain of
-// its prefix when it is created and stays there while it is out of the
-// window: dead classes are filtered through `active` at query time, like
-// claimed ones, and compaction drops them.  Classes are appended in id
-// order, so every list is ascending with a class's repeated bigram
-// positions adjacent — the order TopSubsequence and ExtractComponents
-// rely on.
-//
-// The bigram lists share one flat pool as chains of chunks, each chunk
-// [next chunk, capacity, used, classes...]; a full list grows by a chunk
-// twice the size of its last (at most kMaxChunk), so nothing moves and
-// no per-list allocation exists.  Compaction rewrites the pool with one
-// exact chunk per list.
-struct SlidingPostings {
-  static constexpr std::uint32_t kMaxChunk = 1024;
-
-  U64Map<std::uint32_t> bigram_index;  // packed pair -> entry id + 1
-  std::vector<std::uint64_t> bigram_keys;
-  std::vector<std::uint32_t> pool = {0};  // offset 0 is "no chunk"
-  std::vector<std::uint32_t> head;        // per entry: first chunk
-  std::vector<std::uint32_t> tail;        // per entry: last chunk
-  // Prefix chains: the first and last class per prefix symbol, and per
-  // class the next class with the same prefix.
-  std::vector<std::uint32_t> prefix_head;
-  std::vector<std::uint32_t> prefix_tail;
-  std::vector<std::uint32_t> next_same_prefix;
-
-  std::uint32_t EntryOf(SymbolId a, SymbolId b) const {
-    const std::uint32_t* entry = bigram_index.Find(PackPair(a, b));
-    return entry ? *entry - 1 : Postings::kNoEntry;
-  }
-  std::uint64_t Key(std::uint32_t entry) const { return bigram_keys[entry]; }
-  template <typename F>
-  void ForEachRange(std::uint32_t entry, const F& f) const {
-    for (std::uint32_t chunk = head[entry]; chunk != 0; chunk = pool[chunk]) {
-      f(pool.data() + chunk + 3, pool[chunk + 2]);
-    }
-  }
-  template <typename F>
-  void ForEachPrefixClass(SymbolId prefix, const F& f) const {
-    for (std::uint32_t cls = prefix_head[prefix]; cls != kNoIndex;
-         cls = next_same_prefix[cls]) {
-      f(cls);
-    }
-  }
-
-  std::uint32_t AddEntry(std::uint64_t key) {
-    const auto entry = static_cast<std::uint32_t>(bigram_keys.size());
-    bigram_keys.push_back(key);
-    bigram_index.At(key) = entry + 1;
-    head.push_back(0);
-    tail.push_back(0);
-    return entry;
-  }
-
-  // Appends `count` classes to the list of `entry`.
-  void Append(std::uint32_t entry, const std::uint32_t* classes,
-              std::uint32_t count) {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t chunk = tail[entry];
-      if (chunk == 0 || pool[chunk + 2] == pool[chunk + 1]) {
-        const std::uint32_t capacity =
-            chunk == 0 ? std::max<std::uint32_t>(2, count - i)
-                       : std::min(kMaxChunk, 2 * pool[chunk + 1]);
-        const auto fresh = static_cast<std::uint32_t>(pool.size());
-        pool.resize(pool.size() + 3 + capacity);
-        pool[fresh + 1] = capacity;
-        (chunk == 0 ? head[entry] : pool[chunk]) = fresh;
-        tail[entry] = chunk = fresh;
-      }
-      pool[chunk + 3 + pool[chunk + 2]++] = classes[i];
-    }
-  }
-
-  // Appends class `cls` (the next class id) to the chain of `prefix`.
-  void Chain(SymbolId prefix, std::uint32_t cls) {
-    if (prefix_head.size() <= prefix) {
-      prefix_head.resize(prefix + 1, kNoIndex);
-      prefix_tail.resize(prefix + 1, kNoIndex);
-    }
-    next_same_prefix.push_back(kNoIndex);
-    if (prefix_tail[prefix] == kNoIndex) {
-      prefix_head[prefix] = cls;
-    } else {
-      next_same_prefix[prefix_tail[prefix]] = cls;
-    }
-    prefix_tail[prefix] = cls;
-  }
-};
-
-// Everything keyed by class, symbol or bigram entry id: the part of the
-// sliding state that compaction renumbers.  Between calls, a class's
-// weight, `active` flag and bigram contributions reflect its
-// multiplicity in the cached window.  The arena keeps no raw values:
-// symbols.Raw recovers them.
-struct SlidingTables {
-  SymbolTable symbols;
-  Arena arena;                      // views[c].weight == mult[c]
-  std::vector<std::uint32_t> mult;  // events of the class in the window
-  SlidingPostings postings;
-  std::vector<double> counts;  // per entry: occurrences in the window
-  std::vector<char> active;
-  std::vector<std::uint32_t> class_component;
-  std::size_t live_classes = 0;
-  std::size_t dead_entries = 0;  // entries whose count is 0
-
-  std::size_t classes() const { return arena.views.size(); }
-
-  std::uint64_t RawAt(std::uint32_t cls, std::uint32_t j) const {
-    return symbols.Raw(arena.symbols[arena.views[cls].begin + j]);
-  }
-
-  // True iff class `cls` is the sequence of `e`.
-  bool Matches(const bgp::Event& e, std::uint32_t cls) const {
-    return SequenceMatches(e, arena.views[cls].length,
-                           [&](std::uint32_t j) { return RawAt(cls, j); });
-  }
-
-  // The class of raw sequence [raw, raw + len), or a new class with no
-  // events.  Lookup walks the classes sharing the sequence's prefix.
-  std::uint32_t FindOrAdd(const std::uint64_t* raw, std::uint32_t len) {
-    const SymbolId prefix = symbols.InternRaw(raw[len - 1]);
-    if (prefix < postings.prefix_head.size()) {
-      std::uint32_t found = kNoIndex;
-      postings.ForEachPrefixClass(prefix, [&](std::uint32_t cls) {
-        if (found != kNoIndex || arena.views[cls].length != len) return;
-        std::uint32_t j = 0;
-        while (j < len && raw[j] == RawAt(cls, j)) ++j;
-        if (j == len) found = cls;
-      });
-      if (found != kNoIndex) return found;
-    }
-    const auto cls = static_cast<std::uint32_t>(classes());
-    EventView view;
-    view.begin = static_cast<std::uint32_t>(arena.symbols.size());
-    view.length = len;
-    for (std::uint32_t j = 0; j < len; ++j) {
-      arena.symbols.push_back(symbols.InternRaw(raw[j]));
-    }
-    const SymbolId* seq = arena.symbols.data() + view.begin;
-    view.prefix_symbol = seq[len - 1];
-    for (std::uint32_t j = 0; j + 1 < len; ++j) {
-      const std::uint64_t key = PackPair(seq[j], seq[j + 1]);
-      const std::uint32_t* found = postings.bigram_index.Find(key);
-      std::uint32_t entry = found ? *found - 1 : kNoIndex;
-      if (entry == kNoIndex) {
-        entry = postings.AddEntry(key);
-        counts.push_back(0.0);
-        ++dead_entries;
-      }
-      arena.pair_entries.push_back(entry);
-      postings.Append(entry, &cls, 1);
-    }
-    arena.pair_entries.push_back(0);  // class-final position: no pair
-    postings.Chain(view.prefix_symbol, cls);
-    arena.views.push_back(view);
-    mult.push_back(0);
-    active.push_back(0);
-    class_component.push_back(kNoComponent);
-    return cls;
-  }
-
-  // Adds `delta` events (negative: removes them) to class `cls`, with
-  // its bigram counts and the live/dead tallies compaction keys on.
-  void AddEvents(std::uint32_t cls, std::int64_t delta) {
-    const std::uint32_t before = mult[cls];
-    const auto after = static_cast<std::uint32_t>(before + delta);
-    mult[cls] = after;
-    EventView& view = arena.views[cls];
-    view.weight = static_cast<double>(after);
-    for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
-      double& count = counts[arena.pair_entries[view.begin + j]];
-      const bool was_dead = count == 0.0;
-      count += static_cast<double>(delta);
-      if (was_dead != (count == 0.0)) {
-        dead_entries = was_dead ? dead_entries - 1 : dead_entries + 1;
-      }
-    }
-    if (before == 0 && after > 0) {
-      ++live_classes;
-      active[cls] = 1;
-    } else if (before > 0 && after == 0) {
-      --live_classes;
-      active[cls] = 0;
-    }
-  }
-
-  // Drops dead classes, entries and symbols.  Survivors keep their
-  // relative order, so every posting list stays ascending.  Returns the
-  // new id of every old class (kNoIndex for dropped ones).
-  std::vector<std::uint32_t> Compact() {
-    SymbolTable kept_symbols;
-    std::vector<SymbolId> symbol_remap(symbols.size(), kNoIndex);
-    std::vector<std::uint32_t> class_remap(classes(), kNoIndex);
-    std::uint32_t live = 0;
-    std::uint32_t pos = 0;
-    for (std::uint32_t cls = 0; cls < classes(); ++cls) {
-      if (mult[cls] == 0) continue;
-      EventView view = arena.views[cls];
-      for (std::uint32_t j = 0; j < view.length; ++j) {
-        const SymbolId old_symbol = arena.symbols[view.begin + j];
-        SymbolId& symbol = symbol_remap[old_symbol];
-        if (symbol == kNoIndex) {
-          symbol = kept_symbols.InternRaw(symbols.Raw(old_symbol));
-        }
-        arena.symbols[pos + j] = symbol;
-        arena.pair_entries[pos + j] = arena.pair_entries[view.begin + j];
-      }
-      view.begin = pos;
-      view.prefix_symbol = arena.symbols[pos + view.length - 1];
-      pos += view.length;
-      arena.views[live] = view;
-      mult[live] = mult[cls];
-      class_remap[cls] = live++;
-    }
-    arena.symbols.resize(pos);
-    arena.pair_entries.resize(pos);
-    arena.views.resize(live);
-    mult.resize(live);
-    active.assign(live, 1);
-    class_component.assign(live, kNoComponent);
-    live_classes = live;
-    symbols = std::move(kept_symbols);
-
-    // An entry is live iff some live class holds it, i.e. its count is
-    // nonzero.  Its key is re-packed from the new symbol ids and its
-    // list rewritten as one chunk of its live classes.
-    SlidingPostings kept;
-    std::vector<std::uint32_t> entry_remap(counts.size(), kNoIndex);
-    std::vector<std::uint32_t> list;
-    std::uint32_t entries = 0;
-    for (std::uint32_t e = 0; e < counts.size(); ++e) {
-      if (counts[e] == 0.0) continue;
-      const std::uint64_t key = postings.bigram_keys[e];
-      entry_remap[e] = kept.AddEntry(
-          PackPair(symbol_remap[key >> 32], symbol_remap[key & 0xffffffffu]));
-      list.clear();
-      postings.ForEachRange(e, [&](const std::uint32_t* data,
-                                   std::uint32_t count) {
-        for (std::uint32_t i = 0; i < count; ++i) {
-          if (class_remap[data[i]] != kNoIndex) {
-            list.push_back(class_remap[data[i]]);
-          }
-        }
-      });
-      kept.Append(entries, list.data(), static_cast<std::uint32_t>(list.size()));
-      counts[entries++] = counts[e];
-    }
-    counts.resize(entries);
-    dead_entries = 0;
-    for (std::uint32_t cls = 0; cls < live; ++cls) {
-      const EventView& view = arena.views[cls];
-      for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
-        std::uint32_t& entry = arena.pair_entries[view.begin + j];
-        entry = entry_remap[entry];
-      }
-      kept.Chain(view.prefix_symbol, cls);
-    }
-    postings = std::move(kept);
-    // Hand the memory of the dropped part back: the state then tracks
-    // the live window instead of keeping its largest size.
-    arena.symbols.shrink_to_fit();
-    arena.pair_entries.shrink_to_fit();
-    arena.views.shrink_to_fit();
-    mult.shrink_to_fit();
-    active.shrink_to_fit();
-    class_component.shrink_to_fit();
-    counts.shrink_to_fit();
-    return class_remap;
-  }
-};
-
-constexpr std::uint64_t kUnranked = ~0ULL;
-
-}  // namespace
-
-struct SlidingStemmer::State {
-  SlidingTables tables;
-  // The cached window, by position: sequence class and event time.
-  std::vector<std::uint32_t> pos_class;
-  std::vector<util::SimTime> pos_time;
-  std::size_t compactions = 0;
-
-  // Survivor ranking (Pick): a generation stamp per symbol marks the
-  // symbols being ranked without clearing per call.
-  std::vector<std::uint32_t> symbol_stamp;
-  std::vector<std::uint64_t> symbol_rank;
-  std::uint32_t stamp = 0;
-
-  // Batch Stem numbers symbols in order of first occurrence over the
-  // window (classes in first-event order, positions in sequence order),
-  // so batch's smallest id vector is the smallest vector under the rank
-  // (first window position whose sequence holds the symbol, offset of
-  // the symbol in that sequence).  Ranks are looked up only for the
-  // survivors' symbols, scanning the window until all are found.
-  std::vector<SymbolId> Pick(std::vector<std::vector<SymbolId>>& survivors) {
-    if (survivors.size() == 1) return std::move(survivors.front());
-    const Arena& arena = tables.arena;
-    if (++stamp == 0) {
-      std::fill(symbol_stamp.begin(), symbol_stamp.end(), 0u);
-      stamp = 1;
-    }
-    symbol_stamp.resize(tables.symbols.size(), 0);
-    symbol_rank.resize(tables.symbols.size());
-    std::size_t unranked = 0;
-    for (const std::vector<SymbolId>& seq : survivors) {
-      for (const SymbolId s : seq) {
-        if (symbol_stamp[s] == stamp) continue;
-        symbol_stamp[s] = stamp;
-        symbol_rank[s] = kUnranked;
-        ++unranked;
-      }
-    }
-    for (std::size_t p = 0; unranked > 0 && p < pos_class.size(); ++p) {
-      const SymbolId* seq = arena.Seq(pos_class[p]);
-      for (std::uint32_t j = 0; j < arena.Len(pos_class[p]); ++j) {
-        const SymbolId s = seq[j];
-        if (symbol_stamp[s] == stamp && symbol_rank[s] == kUnranked) {
-          symbol_rank[s] = (static_cast<std::uint64_t>(p) << 32) | j;
-          --unranked;
-        }
-      }
-    }
-    const auto rank_less = [this](SymbolId a, SymbolId b) {
-      return symbol_rank[a] < symbol_rank[b];
-    };
-    return *std::min_element(
-        survivors.begin(), survivors.end(),
-        [&](const std::vector<SymbolId>& a, const std::vector<SymbolId>& b) {
-          return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                              b.end(), rank_less);
-        });
-  }
-};
-
-SlidingStemmer::SlidingStemmer() : state_(std::make_unique<State>()) {}
-SlidingStemmer::~SlidingStemmer() = default;
-
-SlidingStemmer::Footprint SlidingStemmer::footprint() const {
-  const SlidingTables& t = state_->tables;
-  Footprint f;
-  f.window_events = state_->pos_class.size();
-  f.classes = t.classes();
-  f.live_classes = t.live_classes;
-  f.bigram_entries = t.counts.size();
-  f.dead_entries = t.dead_entries;
-  f.compactions = state_->compactions;
-  return f;
-}
-
-StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
-                                    const StemmingOptions& options) {
-  if (options.weight_fn) {
-    // Weighted sums depend on accumulation order, which only the batch
-    // encoder reproduces; the next unweighted call starts afresh.
-    *state_ = State{};
-    return stemming::Stem(events, options);
-  }
-  State& st = *state_;
+// Stems `events` on `st`: aligns them with the window `st` encodes,
+// encodes what entered, and runs the recursion.  With `keep`, the state
+// is left encoding `events` for the next call, and the result's symbol
+// table holds only the components' symbols.  Without it the state is
+// discarded after the call: the removals stay, and the whole symbol
+// table moves into the result.  Weighted options need an empty state
+// and no `keep`.
+StemmingResult StemWindow(WindowState& st, std::span<const bgp::Event> events,
+                          const StemmingOptions& options, bool keep) {
   StemmingResult result;
   const std::size_t n = events.size();
   result.total_events = n;
@@ -1533,13 +1316,13 @@ StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
     ++overlap;
   }
   if (overlap == 0) {
-    st.tables = SlidingTables{};
+    st.tables = WindowTables{};
     st.pos_class.clear();
     st.pos_time.clear();
   } else {
     for (std::size_t p = 0; p < m; ++p) {
       if (p < shift || p >= shift + overlap) {
-        st.tables.AddEvents(st.pos_class[p], -1);
+        st.tables.Change(st.pos_class[p], -1);
       }
     }
     st.pos_class.erase(st.pos_class.begin(), st.pos_class.begin() + shift);
@@ -1547,18 +1330,25 @@ StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
     st.pos_time.erase(st.pos_time.begin(), st.pos_time.begin() + shift);
     st.pos_time.resize(overlap);
   }
-  SlidingTables& t = st.tables;
+  WindowTables& t = st.tables;
+  const auto first_new = static_cast<std::uint32_t>(t.classes());
   const std::size_t symbols_before = t.symbols.size();
   const std::size_t arena_before = t.arena.symbols.size();
   std::vector<std::uint64_t> raw;
   for (std::size_t i = overlap; i < n; ++i) {
+    if (i + 1 < n) {
+      // The AS path lives behind a pointer per event; pull the next one
+      // into cache while this one is being encoded.
+      __builtin_prefetch(events[i + 1].attrs.as_path.asns().data());
+    }
     EncodeSequence(events[i], raw);
     const std::uint32_t cls =
         t.FindOrAdd(raw.data(), static_cast<std::uint32_t>(raw.size()));
-    t.AddEvents(cls, 1);
+    t.Change(cls, 1);
     st.pos_class.push_back(cls);
     st.pos_time.push_back(events[i].time);
   }
+  t.AppendNew(first_new);
   result.stats.events_encoded = n - overlap;
   result.stats.symbols_interned = t.symbols.size() - symbols_before;
   result.stats.arena_symbols = t.arena.symbols.size() - arena_before;
@@ -1567,14 +1357,20 @@ StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
                        static_cast<std::uint64_t>(result.stats.events_encoded));
   encode_span.End();
 
-  // ---- Count: the counts already follow the window; reclaim dead
-  // classes and entries once they are as many as the live ones.
+  // ---- Count: apply each changed class's net multiplicity change once
+  // (from an empty state, the initial count); then reclaim dead classes
+  // and entries once they are as many as the live ones.
   const util::StageTimer count_timer;
   obs::TraceSpan count_span("stemming.count");
+  if (options.weight_fn) {
+    result.total_weight = t.ApplyWeighted(options.weight_fn, st.pos_class);
+  } else {
+    t.ApplyChanges();
+  }
   const std::size_t dead_classes = t.classes() - t.live_classes;
   const std::size_t live_entries = t.counts.size() - t.dead_entries;
-  if ((dead_classes > 0 && dead_classes >= t.live_classes) ||
-      (t.dead_entries > 0 && t.dead_entries >= live_entries)) {
+  if (keep && ((dead_classes > 0 && dead_classes >= t.live_classes) ||
+               (t.dead_entries > 0 && t.dead_entries >= live_entries))) {
     const std::vector<std::uint32_t> remap = t.Compact();
     for (std::uint32_t& cls : st.pos_class) cls = remap[cls];
     st.pos_class.shrink_to_fit();
@@ -1593,34 +1389,35 @@ StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
   count_span.Annotate("bigrams", static_cast<std::uint64_t>(t.counts.size()));
   count_span.End();
 
-  // ---- Extract: the batch recursion on the persistent state, then undo
-  // its removals — O(removed positions), exact on integer counts.
+  // ---- Extract: the recursion, then (with `keep`) undo its removals —
+  // O(removed positions), exact on integer counts.
   const util::StageTimer extract_timer;
   obs::TraceSpan extract_span("stemming.extract");
   double par_extract = 0.0;
   Scratch scratch;
   std::vector<std::uint32_t> removed;
-  result.residual_events = ExtractComponents(
-      t.arena, t.postings, t.symbols, t.mult, t.counts, t.active,
-      t.class_component, n, result.total_weight, options,
-      [&st](std::vector<std::vector<SymbolId>>& survivors) {
-        return st.Pick(survivors);
-      },
-      scratch, &removed, result.components, &par_extract);
+  result.residual_events =
+      ExtractComponents(st, n, result.total_weight, options, scratch,
+                        keep ? &removed : nullptr, result.components,
+                        &par_extract);
   CollectEvents(t.arena, st.pos_class, t.class_component, result.components);
-  for (const std::uint32_t cls : removed) {
-    t.active[cls] = 1;
-    t.class_component[cls] = kNoComponent;
-    AddClassCounts(t.arena, cls, t.arena.views[cls].weight, t.counts);
-  }
-  // The result names its components' symbols in a table of its own.
-  for (Component& component : result.components) {
-    for (SymbolId& s : component.top_sequence) {
-      s = result.symbols.InternRaw(t.symbols.Raw(s));
+  if (keep) {
+    for (const std::uint32_t cls : removed) {
+      t.active[cls] = 1;
+      t.class_component[cls] = kNoComponent;
+      AddClassCounts(t.arena, cls, t.arena.views[cls].weight, t.counts);
     }
-    const std::size_t len = component.top_sequence.size();
-    component.stem = {component.top_sequence[len - 2],
-                      component.top_sequence[len - 1]};
+    // The result names its components' symbols in a table of its own.
+    for (Component& component : result.components) {
+      for (SymbolId& s : component.top_sequence) {
+        s = result.symbols.InternRaw(t.symbols.Raw(s));
+      }
+      const std::size_t len = component.top_sequence.size();
+      component.stem = {component.top_sequence[len - 2],
+                        component.top_sequence[len - 1]};
+    }
+  } else {
+    result.symbols = std::move(t.symbols);
   }
   result.stats.components = result.components.size();
   result.stats.extract_seconds = extract_timer.Seconds();
@@ -1655,6 +1452,46 @@ StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
         std::min(1.0, par_extract / result.stats.extract_seconds));
   }
   return result;
+}
+
+}  // namespace
+
+StemmingResult Stem(std::span<const bgp::Event> events,
+                    const StemmingOptions& options) {
+  WindowState state;
+  return StemWindow(state, events, options, /*keep=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// Sliding-window stemming (DESIGN.md "Sliding-window stemming").
+
+struct SlidingStemmer::State : WindowState {};
+
+SlidingStemmer::SlidingStemmer() : state_(std::make_unique<State>()) {}
+SlidingStemmer::~SlidingStemmer() = default;
+
+SlidingStemmer::Footprint SlidingStemmer::footprint() const {
+  const WindowTables& t = state_->tables;
+  Footprint f;
+  f.window_events = state_->pos_class.size();
+  f.classes = t.classes();
+  f.live_classes = t.live_classes;
+  f.bigram_entries = t.counts.size();
+  f.dead_entries = t.dead_entries;
+  f.compactions = state_->compactions;
+  return f;
+}
+
+StemmingResult SlidingStemmer::Stem(std::span<const bgp::Event> events,
+                                    const StemmingOptions& options) {
+  if (options.weight_fn) {
+    // Weighted sums depend on accumulation order, which only an encoding
+    // from empty fixes: the call is one-shot, and the next call starts
+    // afresh.
+    *state_ = State{};
+    return stemming::Stem(events, options);
+  }
+  return StemWindow(*state_, events, options, /*keep=*/true);
 }
 
 }  // namespace ranomaly::stemming

@@ -18,18 +18,20 @@
 // retain the maximum count — exact, and linear-ish in the stream size
 // instead of quadratic in path length.
 //
-// Counting backend (DESIGN.md "Arena counting backend"): event sequences
-// live in one flat SymbolId arena with per-event (offset, length) views;
-// sub-sequence counts use open-addressed tables keyed by arena spans; a
-// bigram posting-list index maps each adjacent pair to the events
-// containing it, so component extraction visits candidates instead of
-// the whole window; and the bigram count table is persistent across the
-// recursion — removing a component *subtracts* its events' contributions
-// instead of recounting, making each iteration proportional to the
-// removed component.  Encoding and the initial count are one serial
-// pass; an optional ThreadPool runs the recursion's scans in chunks whose
-// partials merge in chunk order, so results are bit-identical for any
-// thread count.
+// Counting backend (DESIGN.md "Arena counting backend"): each distinct
+// event sequence is one class, a (offset, length) view into one flat
+// SymbolId arena, weighted by its events; longer sub-sequence counts use
+// open-addressed tables keyed by arena spans; bigram posting lists map
+// each adjacent pair to the classes containing it, so component
+// extraction visits candidates instead of the whole window; and the
+// bigram count table is persistent across the recursion — removing a
+// component *subtracts* its classes' contributions instead of
+// recounting, making each iteration proportional to the removed
+// component.  There is one encoding of a window, SlidingStemmer's: Stem
+// builds it from empty for one call.  Encoding and the counts are
+// serial; an optional ThreadPool runs the recursion's scans in chunks
+// whose partials merge in chunk order, so results are bit-identical for
+// any thread count.
 //
 // Temporal independence: the algorithm never looks at event ordering or
 // inter-arrival times, so it works unchanged on a 10-minute spike window
@@ -97,6 +99,11 @@ class SymbolTable {
   // tagged encoding above.
   SymbolId InternRaw(std::uint64_t raw) { return pool_.Intern(raw); }
 
+  // The id of an already-interned raw value, or kNotFound.
+  static constexpr SymbolId kNotFound =
+      util::InternPool<std::uint64_t>::kNotFound;
+  SymbolId FindRaw(std::uint64_t raw) const { return pool_.Find(raw); }
+
   std::size_t size() const { return pool_.size(); }
 
  private:
@@ -109,6 +116,12 @@ class SymbolTable {
 // pass this before it may re-enter a dedup set or be re-interned;
 // anything else means the checkpoint section is corrupt.
 bool IsValidRawSymbol(std::uint64_t raw);
+
+// The raw tagged sequence c = x h a1 .. an p of `e`: the Raw values of its
+// symbols, in sequence order, with consecutive AS-path prepends collapsed
+// (they carry no location information).  Events with equal encodings are
+// one sequence class to the stemmer.
+void EncodeSequence(const bgp::Event& e, std::vector<std::uint64_t>& out);
 
 struct StemmingOptions {
   // Sub-sequences shorter than this are not rankable (a single element
@@ -180,6 +193,10 @@ struct StemmingResult {
   std::string SequenceLabel(const Component& component) const;
 };
 
+// Stems one window on its own: one SlidingStemmer call on an empty state
+// that is discarded afterwards.  The result's SymbolTable holds every
+// symbol of the window, numbered in order of first occurrence (classes
+// in order of their first event, positions in sequence order).
 StemmingResult Stem(std::span<const bgp::Event> events,
                     const StemmingOptions& options = {});
 
@@ -189,16 +206,17 @@ StemmingResult Stem(std::span<const bgp::Event> events,
 // window: classes with their multiplicities, symbols, bigram entries
 // and counts, postings.  Each call verifies the events it shares with
 // the previous window against the cached classes, drops the events that
-// left, encodes only the events that entered, and runs the Stem
-// recursion on that state.  A window sharing no event with the previous
-// one is encoded into an emptied state, which costs about one Stem call.
+// left, encodes only the events that entered, and runs the recursion on
+// that state.  A window sharing no event with the previous one is
+// encoded into an emptied state, as Stem encodes every window.
 //
 // The result equals Stem(events, options) in everything Pipeline reads:
 // components in order with their stems and top sequences (as raw
 // symbols), counts, prefixes, event indices and weights, and the
 // residual.  Its SymbolTable holds only the components' symbols, so
-// component SymbolIds index that table, not batch first-occurrence ids.
-// Weighted options fall back to Stem.  In the stats (and the stemming_*
+// component SymbolIds index that table, not first-occurrence ids.
+// Weighted options run as Stem does, on an emptied state, and leave it
+// empty: the next call starts afresh.  In the stats (and the stemming_*
 // metrics), events_encoded, symbols_interned and arena_symbols count the
 // call's work — the events that entered, the symbols and positions
 // added — while distinct_sequences and bigram_table_size describe the

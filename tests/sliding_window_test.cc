@@ -1,16 +1,21 @@
-// Sliding-window stemming against the batch oracle.  Windows are replayed
-// tick by tick the way `serve` slides them, and every result of the
-// sliding path — SlidingStemmer::Stem and Pipeline::AnalyzeWindow — must
-// equal batch stemming::Stem (plus classification) on the same window.
+// Sliding-window stemming against the one-shot and frozen oracles.
+// Windows are replayed tick by tick the way `serve` slides them, and every
+// result of the sliding path — SlidingStemmer::Stem and
+// Pipeline::AnalyzeWindow — must equal one-shot stemming::Stem (plus
+// classification) on the same window.  The two share every line of the
+// recursion, so the live replays also compare the sliding results with
+// pre_arena::Stem (bench/pre_arena_stemmer.h), which shares none.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "bench/pre_arena_stemmer.h"
 #include "core/pipeline.h"
 #include "stemming/stemming.h"
 #include "util/thread_pool.h"
@@ -49,7 +54,9 @@ std::vector<Window> LiveWindows(const std::vector<Event>& events,
   return windows;
 }
 
-std::vector<std::uint64_t> RawSequence(const StemmingResult& result,
+// `Result` is a StemmingResult or the oracle's pre_arena::StemmingResult.
+template <typename Result>
+std::vector<std::uint64_t> RawSequence(const Result& result,
                                        const stemming::Component& c) {
   std::vector<std::uint64_t> raw;
   for (const stemming::SymbolId s : c.top_sequence) {
@@ -58,8 +65,10 @@ std::vector<std::uint64_t> RawSequence(const StemmingResult& result,
   return raw;
 }
 
-void ExpectSameStems(const StemmingResult& batch,
-                     const StemmingResult& sliding) {
+// `Expected` is a StemmingResult or the oracle's pre_arena::StemmingResult,
+// whose symbol table has no names; the raw sequences carry the labels.
+template <typename Expected>
+void ExpectSameStems(const Expected& batch, const StemmingResult& sliding) {
   EXPECT_EQ(sliding.total_events, batch.total_events);
   EXPECT_EQ(sliding.total_weight, batch.total_weight);
   EXPECT_EQ(sliding.residual_events, batch.residual_events);
@@ -69,7 +78,9 @@ void ExpectSameStems(const StemmingResult& batch,
     const stemming::Component& got = sliding.components[i];
     SCOPED_TRACE(i);
     EXPECT_EQ(RawSequence(sliding, got), RawSequence(batch, want));
-    EXPECT_EQ(sliding.StemLabel(got), batch.StemLabel(want));
+    if constexpr (std::is_same_v<Expected, StemmingResult>) {
+      EXPECT_EQ(sliding.StemLabel(got), batch.StemLabel(want));
+    }
     EXPECT_EQ(got.count, want.count);
     EXPECT_EQ(got.prefixes, want.prefixes);
     EXPECT_EQ(got.event_indices, want.event_indices);
@@ -100,7 +111,7 @@ std::vector<IncidentView> Views(const std::vector<Incident>& incidents) {
   return out;
 }
 
-// Batch stemming::Stem plus the pipeline's classification rules.
+// One-shot stemming::Stem plus the pipeline's classification rules.
 std::vector<IncidentView> Oracle(std::span<const Event> events,
                                  const PipelineOptions& options) {
   std::vector<IncidentView> out;
@@ -145,6 +156,18 @@ void ExpectPipelineMatchesOracle(const std::vector<Event>& events,
     }
   }
   EXPECT_GT(incidents, 0u);
+}
+
+// Slides one SlidingStemmer over `windows` and compares every result
+// with the frozen pre-arena stemmer.
+void ExpectSlidingMatchesPreArena(const std::vector<Event>& events,
+                                  const std::vector<Window>& windows) {
+  stemming::SlidingStemmer sliding;
+  for (const Window& w : windows) {
+    SCOPED_TRACE(testing::Message() << "[" << w.first << ", " << w.second << ")");
+    ExpectSameStems(pre_arena::Stem(Slice(events, w)),
+                    sliding.Stem(Slice(events, w)));
+  }
 }
 
 std::vector<Event> InternetScaleEvents() {
@@ -228,11 +251,13 @@ TEST(SlidingWindowTest, InternetScaleReplayMatchesBatch) {
   const std::vector<Event> events = InternetScaleEvents();
   ASSERT_GT(events.size(), 3000u);
   ExpectPipelineMatchesOracle(events, LiveWindows(events));
+  ExpectSlidingMatchesPreArena(events, LiveWindows(events));
 }
 
 TEST(SlidingWindowTest, ResetsAndFailoversMatchBatch) {
   const std::vector<Event> events = ResetAndFailoverEvents();
   ExpectPipelineMatchesOracle(events, LiveWindows(events));
+  ExpectSlidingMatchesPreArena(events, LiveWindows(events));
 }
 
 TEST(SlidingWindowTest, TiedTopSequencesPickBatchSymbolOrder) {

@@ -503,7 +503,7 @@ std::uint32_t ResultCrc(const StemmingResult& r) {
   return crc.value();
 }
 
-// Pinned bytes of batch Stem on the Table I 57k spike window (56,999
+// Pinned bytes of Stem on the Table I 57k spike window (56,999
 // events; 32,268 classes, so the initial count sums two 16,384-class
 // partials), unit and weighted, with and without a pool.  A change to
 // the order classes, symbols or bigram entries are numbered in, or to
