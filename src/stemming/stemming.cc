@@ -634,6 +634,22 @@ struct WindowTables {
     changed.clear();
   }
 
+  // ApplyChanges for a call that started from an empty state: every class
+  // is new, with a positive delta, so each becomes live and adds its
+  // counts in one pass with no per-bigram test, and every entry is live.
+  void ApplyFromEmpty() {
+    for (std::uint32_t cls = 0; cls < classes(); ++cls) {
+      mult[cls] = static_cast<std::uint32_t>(delta[cls]);
+      delta[cls] = 0;
+      active[cls] = 1;
+      arena.views[cls].weight = static_cast<double>(mult[cls]);
+      AddClassCounts(arena, cls, arena.views[cls].weight, counts);
+    }
+    changed.clear();
+    live_classes = classes();
+    dead_entries = 0;
+  }
+
   void AddEvents(std::uint32_t cls, std::int64_t d) {
     const std::uint32_t before = mult[cls];
     const auto after = static_cast<std::uint32_t>(before + d);
@@ -801,11 +817,24 @@ struct WindowState {
   std::vector<util::SimTime> pos_time;
   std::size_t compactions = 0;
 
-  // Survivor ranking (Pick): a generation stamp per symbol marks the
-  // symbols being ranked without clearing per call.
+  // Per-symbol scratch of Pick and ChainPick: a generation stamp per
+  // symbol marks the symbols in use without clearing per call.
   std::vector<std::uint32_t> symbol_stamp;
-  std::vector<std::uint64_t> symbol_rank;
   std::uint32_t stamp = 0;
+  std::vector<std::uint64_t> symbol_rank;  // Pick
+  // ChainPick: the max-count bigram entry leaving and entering a symbol.
+  std::vector<std::uint32_t> chain_out;
+  std::vector<std::uint32_t> chain_in;
+
+  // Starts a generation: a symbol's scratch is valid only while its
+  // stamp is the current one.
+  void NewStamp() {
+    if (++stamp == 0) {
+      std::fill(symbol_stamp.begin(), symbol_stamp.end(), 0u);
+      stamp = 1;
+    }
+    symbol_stamp.resize(tables.symbols.size(), 0);
+  }
 
   // The tie-break among equally long top sequences: the smallest under
   // the rank (first window position whose sequence holds the symbol,
@@ -818,11 +847,7 @@ struct WindowState {
   std::vector<SymbolId> Pick(std::vector<std::vector<SymbolId>>& survivors) {
     if (survivors.size() == 1) return std::move(survivors.front());
     const Arena& arena = tables.arena;
-    if (++stamp == 0) {
-      std::fill(symbol_stamp.begin(), symbol_stamp.end(), 0u);
-      stamp = 1;
-    }
-    symbol_stamp.resize(tables.symbols.size(), 0);
+    NewStamp();
     symbol_rank.resize(tables.symbols.size());
     std::size_t unranked = 0;
     for (const std::vector<SymbolId>& seq : survivors) {
@@ -855,13 +880,14 @@ struct WindowState {
   }
 };
 
-bool ContainsSpan(const SymbolId* seq, std::size_t len, const SymbolId* sub,
-                  std::size_t sub_len) {
-  if (sub_len > len) return false;
+// The number of positions of `seq` where `sub` starts.
+std::size_t Occurrences(const SymbolId* seq, std::size_t len,
+                        const SymbolId* sub, std::size_t sub_len) {
+  std::size_t n = 0;
   for (std::size_t j = 0; j + sub_len <= len; ++j) {
-    if (std::equal(sub, sub + sub_len, seq + j)) return true;
+    n += std::equal(sub, sub + sub_len, seq + j);
   }
-  return false;
+  return n;
 }
 
 // Posting lists concatenated into one virtual index space, so a scan
@@ -909,6 +935,7 @@ struct PostingRanges {
 // per-slot — because slot assignment is the one thing the pool does not
 // keep deterministic.)
 struct Scratch {
+  std::vector<std::uint32_t> top_entries;  // max-count bigram entries
   NgramTable survivors;
   NgramTable extended;
   std::vector<std::uint32_t> candidates;
@@ -923,18 +950,120 @@ struct Scratch {
   std::vector<std::uint32_t> removed;       // classes of the current component
 };
 
+// The weighted occurrences of `chain` in the active classes, read off
+// the posting list of its last bigram `last_entry`, each class once.
+double ChainCount(const WindowTables& t, const std::vector<SymbolId>& chain,
+                  std::uint32_t last_entry) {
+  double count = 0.0;
+  std::uint32_t previous = kNoIndex;
+  t.postings.ForEachRange(last_entry, [&](const std::uint32_t* data,
+                                          std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t id = data[i];
+      if (id == previous) continue;  // a class's repeats are adjacent
+      previous = id;
+      if (!t.active[id]) continue;
+      count += t.arena.views[id].weight *
+               static_cast<double>(Occurrences(t.arena.Seq(id),
+                                               t.arena.Len(id), chain.data(),
+                                               chain.size()));
+    }
+  });
+  return count;
+}
+
+// The top sequence read off the max-count bigrams B
+// (scratch.top_entries) taken as edges between symbols, or nullopt when
+// they leave it to lengthening (DESIGN.md "Top sequence from chains").
+// A sequence at the maximum count has every bigram at it, so it is a
+// walk over B.  When no symbol has two B edges out or two in and B has
+// no cycle, B is a set of disjoint chains and every such walk lies
+// inside one; then, if some longest chain is at the maximum count, the
+// longest chains that are make up lengthening's last survivors, and
+// Pick chooses among them as it would there.  Unit weights only: a
+// chain's count is an integer sum, exact in any order.
+std::optional<std::vector<SymbolId>> ChainPick(WindowState& st,
+                                               double best_count,
+                                               const Scratch& scratch) {
+  const Postings& postings = st.tables.postings;
+  const std::vector<std::uint32_t>& top = scratch.top_entries;
+  const auto from = [&](std::uint32_t e) {
+    return static_cast<SymbolId>(postings.Key(e) >> 32);
+  };
+  const auto to = [&](std::uint32_t e) {
+    return static_cast<SymbolId>(postings.Key(e));
+  };
+  st.NewStamp();
+  st.chain_out.resize(st.symbol_stamp.size());
+  st.chain_in.resize(st.symbol_stamp.size());
+  for (const std::uint32_t e : top) {
+    for (const SymbolId s : {from(e), to(e)}) {
+      if (st.symbol_stamp[s] == st.stamp) continue;
+      st.symbol_stamp[s] = st.stamp;
+      st.chain_out[s] = kNoIndex;
+      st.chain_in[s] = kNoIndex;
+    }
+    if (st.chain_out[from(e)] != kNoIndex || st.chain_in[to(e)] != kNoIndex) {
+      return std::nullopt;  // a branch
+    }
+    st.chain_out[from(e)] = e;
+    st.chain_in[to(e)] = e;
+  }
+
+  // Every chain starts at a head: a symbol with an edge out and none in.
+  // The edges of a cycle are reached from no head.
+  const auto is_head = [&](std::uint32_t e) {
+    return st.chain_in[from(e)] == kNoIndex;
+  };
+  // The number of edges of the chain starting with edge `e`, and its last.
+  const auto walk = [&](std::uint32_t e) {
+    std::size_t edges = 1;
+    for (; st.chain_out[to(e)] != kNoIndex; ++edges) e = st.chain_out[to(e)];
+    return std::make_pair(edges, e);
+  };
+  std::size_t walked = 0;
+  std::size_t longest = 0;
+  for (const std::uint32_t e : top) {
+    if (!is_head(e)) continue;
+    const std::size_t edges = walk(e).first;
+    walked += edges;
+    longest = std::max(longest, edges);
+  }
+  if (walked != top.size()) return std::nullopt;  // a cycle
+
+  std::vector<std::vector<SymbolId>> passing;
+  for (const std::uint32_t e : top) {
+    if (!is_head(e)) continue;
+    const auto [edges, last] = walk(e);
+    if (edges != longest) continue;
+    std::vector<SymbolId> chain = {from(e)};
+    for (std::uint32_t f = e; f != kNoIndex; f = st.chain_out[to(f)]) {
+      chain.push_back(to(f));
+    }
+    // A one-edge chain is a B entry, at the maximum count by definition.
+    if (edges == 1 ||
+        CountsEqual(ChainCount(st.tables, chain, last), best_count)) {
+      passing.push_back(std::move(chain));
+    }
+  }
+  if (passing.empty()) return std::nullopt;
+  return st.Pick(passing);
+}
+
 // Finds the top-ranked sub-sequence (count desc, length desc, then the
 // first in order of first occurrence, WindowState::Pick) over active
 // classes, reading bigram counts from the persistent (incrementally
 // maintained) table.  Returns nullopt if no bigram reaches min_count.
-// The scan and re-scoring passes are sharded on the pool with
-// input-derived grains (options.scan_grain / candidate_grain); per-chunk
-// partials merge in chunk order, so the pick — including the last bits
-// of every weighted count — is unchanged by the thread count.  Candidate
-// collection is one serial bitmap pass.
+// With unit weights the max-count bigrams' chains usually decide the
+// pick (ChainPick); iterative lengthening runs only when they do not,
+// and for weighted options.  The scan and re-scoring passes are sharded
+// on the pool with input-derived grains (options.scan_grain /
+// candidate_grain); per-chunk partials merge in chunk order, so the
+// pick — including the last bits of every weighted count — is unchanged
+// by the thread count.  Candidate collection is one serial bitmap pass.
 std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     WindowState& st, double min_count, Scratch& scratch,
-    const StemmingOptions& options, double* parallel_seconds) {
+    const StemmingOptions& options, StemmingStats& stats) {
   const Arena& arena = st.tables.arena;
   const std::vector<char>& active = st.tables.active;
   const Postings& postings = st.tables.postings;
@@ -950,7 +1079,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
   const std::size_t scan_chunks =
       util::ThreadPool::ChunksFor(n_entries, scan_grain);
   scratch.chunk_max.assign(scan_chunks, 0.0);
-  *parallel_seconds += ParallelRegion(
+  stats.parallel_seconds += ParallelRegion(
       pool, scan_chunks, [&](std::size_t c) {
         const auto [begin, end] =
             util::ThreadPool::ChunkRange(n_entries, scan_grain, c);
@@ -967,13 +1096,11 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
   }
 
   // Survivors at length 2, collected per chunk and merged in chunk (=
-  // entry) order.  `entry_mark` mirrors the survivor set by entry id so
-  // the first lengthening level can test membership with an array load
-  // instead of a hash probe per position.
+  // entry) order.
   if (scratch.chunk_ids.size() < scan_chunks) {
     scratch.chunk_ids.resize(scan_chunks);
   }
-  *parallel_seconds += ParallelRegion(
+  stats.parallel_seconds += ParallelRegion(
       pool, scan_chunks, [&](std::size_t c) {
         std::vector<std::uint32_t>& ids = scratch.chunk_ids[c];
         ids.clear();
@@ -985,16 +1112,31 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
           }
         }
       });
+  scratch.top_entries.clear();
+  for (std::size_t c = 0; c < scan_chunks; ++c) {
+    scratch.top_entries.insert(scratch.top_entries.end(),
+                               scratch.chunk_ids[c].begin(),
+                               scratch.chunk_ids[c].end());
+  }
+  if (!options.weight_fn) {
+    if (auto chain = ChainPick(st, best_count, scratch)) {
+      ++stats.chain_picks;
+      return std::make_pair(std::move(*chain), best_count);
+    }
+  }
+  ++stats.lengthened_picks;
+
+  // `entry_mark` mirrors the survivor set by entry id so the first
+  // lengthening level can test membership with an array load instead of
+  // a hash probe per position.
   scratch.survivors.Reset(2);
   scratch.entry_mark.assign(n_entries, 0);
-  for (std::size_t c = 0; c < scan_chunks; ++c) {
-    for (const std::uint32_t e : scratch.chunk_ids[c]) {
-      const std::uint64_t key = postings.Key(e);
-      const SymbolId pair[2] = {static_cast<SymbolId>(key >> 32),
-                                static_cast<SymbolId>(key)};
-      scratch.survivors.Count(pair) = bigram_counts[e];
-      scratch.entry_mark[e] = 1;
-    }
+  for (const std::uint32_t e : scratch.top_entries) {
+    const std::uint64_t key = postings.Key(e);
+    const SymbolId pair[2] = {static_cast<SymbolId>(key >> 32),
+                              static_cast<SymbolId>(key)};
+    scratch.survivors.Count(pair) = bigram_counts[e];
+    scratch.entry_mark[e] = 1;
   }
 
   // Iterative lengthening: a (k+1)-gram can keep the max count only if
@@ -1057,7 +1199,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     if (scratch.chunk_tables.size() < score_chunks) {
       scratch.chunk_tables.resize(score_chunks);
     }
-    *parallel_seconds += ParallelRegion(
+    stats.parallel_seconds += ParallelRegion(
         pool, score_chunks, [&](std::size_t c) {
           NgramTable& table = scratch.chunk_tables[c];
           table.Reset(k + 1);
@@ -1118,14 +1260,15 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
 // postings, deactivate E and subtract its bigram contributions, repeat.
 // Each removed class is marked in `class_component` and, when
 // `removed_log` is set, appended to it so the caller can undo the
-// removals.  Returns the events left active, in original-event units.
+// removals.  Returns the events left active, in original-event units;
+// adds the parallel seconds and the picks to `stats`.
 std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
                               double total_weight,
                               const StemmingOptions& options,
                               Scratch& scratch,
                               std::vector<std::uint32_t>* removed_log,
                               std::vector<Component>& components,
-                              double* par_extract) {
+                              StemmingStats& stats) {
   WindowTables& t = st.tables;
   const Arena& arena = t.arena;
   std::vector<double>& bigram_counts = t.counts;
@@ -1136,7 +1279,7 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
   while (components.size() < options.max_components && active_count > 0) {
     const double min_count =
         std::max(options.min_count, options.min_count_fraction * total_weight);
-    auto top = TopSubsequence(st, min_count, scratch, options, par_extract);
+    auto top = TopSubsequence(st, min_count, scratch, options, stats);
     if (!top) break;
     auto& [sequence, count] = *top;
     if (sequence.size() < options.min_subsequence_length) break;
@@ -1167,7 +1310,7 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
       if (scratch.chunk_prefixes.size() < pchunks) {
         scratch.chunk_prefixes.resize(pchunks);
       }
-      *par_extract += ParallelRegion(
+      stats.parallel_seconds += ParallelRegion(
           pool, pchunks, [&](std::size_t c) {
             std::vector<SymbolId>& out = scratch.chunk_prefixes[c];
             out.clear();
@@ -1176,8 +1319,8 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
             scratch.ranges.Scan(begin, end, [&](std::uint32_t cls) {
               if (!active[cls]) return;
               if (sequence.size() == 2 ||
-                  ContainsSpan(arena.Seq(cls), arena.Len(cls),
-                               sequence.data(), sequence.size())) {
+                  Occurrences(arena.Seq(cls), arena.Len(cls),
+                              sequence.data(), sequence.size()) != 0) {
                 out.push_back(arena.views[cls].prefix_symbol);
               }
             });
@@ -1229,7 +1372,7 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
       if (scratch.chunk_deltas.size() < rchunks) {
         scratch.chunk_deltas.resize(rchunks);
       }
-      *par_extract += ParallelRegion(
+      stats.parallel_seconds += ParallelRegion(
           pool, rchunks, [&](std::size_t c) {
             std::vector<double>& delta = scratch.chunk_deltas[c];
             delta.assign(n_bigrams, 0.0);
@@ -1364,6 +1507,8 @@ StemmingResult StemWindow(WindowState& st, std::span<const bgp::Event> events,
   obs::TraceSpan count_span("stemming.count");
   if (options.weight_fn) {
     result.total_weight = t.ApplyWeighted(options.weight_fn, st.pos_class);
+  } else if (first_new == 0) {
+    t.ApplyFromEmpty();
   } else {
     t.ApplyChanges();
   }
@@ -1393,13 +1538,12 @@ StemmingResult StemWindow(WindowState& st, std::span<const bgp::Event> events,
   // O(removed positions), exact on integer counts.
   const util::StageTimer extract_timer;
   obs::TraceSpan extract_span("stemming.extract");
-  double par_extract = 0.0;
   Scratch scratch;
   std::vector<std::uint32_t> removed;
   result.residual_events =
       ExtractComponents(st, n, result.total_weight, options, scratch,
                         keep ? &removed : nullptr, result.components,
-                        &par_extract);
+                        result.stats);
   CollectEvents(t.arena, st.pos_class, t.class_component, result.components);
   if (keep) {
     for (const std::uint32_t cls : removed) {
@@ -1421,9 +1565,13 @@ StemmingResult StemWindow(WindowState& st, std::span<const bgp::Event> events,
   }
   result.stats.components = result.components.size();
   result.stats.extract_seconds = extract_timer.Seconds();
-  result.stats.parallel_seconds = par_extract;
   extract_span.Annotate("components",
                         static_cast<std::uint64_t>(result.components.size()));
+  extract_span.Annotate("chain_picks",
+                        static_cast<std::uint64_t>(result.stats.chain_picks));
+  extract_span.Annotate(
+      "lengthened_picks",
+      static_cast<std::uint64_t>(result.stats.lengthened_picks));
   extract_span.End();
 
   RANOMALY_METRIC_COUNT("stemming_events_encoded_total",
@@ -1449,7 +1597,8 @@ StemmingResult StemWindow(WindowState& st, std::span<const bgp::Event> events,
   if (result.stats.extract_seconds > 0.0) {
     RANOMALY_METRIC_SET(
         "stemming_extract_parallel_fraction",
-        std::min(1.0, par_extract / result.stats.extract_seconds));
+        std::min(1.0, result.stats.parallel_seconds /
+                     result.stats.extract_seconds));
   }
   return result;
 }

@@ -14,9 +14,14 @@
 // Implementation note: counts are antitone in sequence extension
 // (count(s) <= count(any substring of s)), so the maximum count over
 // length >= 2 sub-sequences is always attained by some bigram.  We count
-// bigrams in one pass, then iteratively lengthen only sequences that
-// retain the maximum count — exact, and linear-ish in the stream size
-// instead of quadratic in path length.
+// bigrams in one pass.  With unit weights, the max-count bigrams taken as
+// edges between symbols usually form disjoint chains, and the top
+// sequence is then the longest chain that keeps the maximum count
+// (DESIGN.md "Top sequence from chains").  Only when they branch or
+// cycle, when no longest chain keeps the count, or with weights, do we
+// iteratively lengthen the sequences that retain the maximum count —
+// exact either way, and linear-ish in the stream size instead of
+// quadratic in path length.
 //
 // Counting backend (DESIGN.md "Arena counting backend"): each distinct
 // event sequence is one class, a (offset, length) view into one flat
@@ -169,6 +174,10 @@ struct StemmingStats {
   // gauge that tells an operator how much of the recursion was
   // Amdahl-serial.
   double parallel_seconds = 0.0;
+  // Top-sequence picks of the recursion: read off the max-count bigram
+  // chains, or found by iterative lengthening (see the note above).
+  std::size_t chain_picks = 0;
+  std::size_t lengthened_picks = 0;
 };
 
 struct Component {

@@ -159,15 +159,20 @@ void ExpectPipelineMatchesOracle(const std::vector<Event>& events,
 }
 
 // Slides one SlidingStemmer over `windows` and compares every result
-// with the frozen pre-arena stemmer.
-void ExpectSlidingMatchesPreArena(const std::vector<Event>& events,
-                                  const std::vector<Window>& windows) {
+// with the frozen pre-arena stemmer.  Returns the picks over all windows
+// that the max-count bigram chains decided and that lengthening did.
+std::pair<std::size_t, std::size_t> ExpectSlidingMatchesPreArena(
+    const std::vector<Event>& events, const std::vector<Window>& windows) {
   stemming::SlidingStemmer sliding;
+  std::pair<std::size_t, std::size_t> picks{0, 0};
   for (const Window& w : windows) {
     SCOPED_TRACE(testing::Message() << "[" << w.first << ", " << w.second << ")");
-    ExpectSameStems(pre_arena::Stem(Slice(events, w)),
-                    sliding.Stem(Slice(events, w)));
+    const StemmingResult got = sliding.Stem(Slice(events, w));
+    ExpectSameStems(pre_arena::Stem(Slice(events, w)), got);
+    picks.first += got.stats.chain_picks;
+    picks.second += got.stats.lengthened_picks;
   }
+  return picks;
 }
 
 std::vector<Event> InternetScaleEvents() {
@@ -251,7 +256,10 @@ TEST(SlidingWindowTest, InternetScaleReplayMatchesBatch) {
   const std::vector<Event> events = InternetScaleEvents();
   ASSERT_GT(events.size(), 3000u);
   ExpectPipelineMatchesOracle(events, LiveWindows(events));
-  ExpectSlidingMatchesPreArena(events, LiveWindows(events));
+  const auto [chain_picks, lengthened_picks] =
+      ExpectSlidingMatchesPreArena(events, LiveWindows(events));
+  // The chains decide most picks here, as on serve's table-dump ticks.
+  EXPECT_GT(chain_picks, lengthened_picks);
 }
 
 TEST(SlidingWindowTest, ResetsAndFailoversMatchBatch) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "bench/pre_arena_stemmer.h"
 #include "bench/table1_common.h"
@@ -469,6 +472,202 @@ INSTANTIATE_TEST_SUITE_P(Workloads, StemmingEquivalenceTest,
 TEST(StemmingEquivalenceTest, Figure4MatchesReference) {
   const auto events = Figure4Events();
   ExpectIdenticalResults(pre_arena::Stem(events), Stem(events));
+}
+
+// ---------------------------------------------------------------------------
+// The top sequence read off the max-count bigram chains (DESIGN.md "Top
+// sequence from chains").  The frozen pre-arena stemmer always lengthens,
+// so every case compares with it: one-shot, and through a SlidingStemmer
+// that slides onto the window from one that also held the leading
+// events, so that dead classes and arrival-order symbol ids are in play.
+// ---------------------------------------------------------------------------
+
+// Appends a withdrawal from peer 1.0.0.<peer> via nexthop 2.0.0.<nexthop>
+// of a prefix no other event has, one second after the previous event.
+void AddWithdrawal(std::vector<Event>& events, int peer, int nexthop,
+                   AsPath path) {
+  const std::size_t i = events.size();
+  const std::string p = "1.0.0." + std::to_string(peer);
+  const std::string h = "2.0.0." + std::to_string(nexthop);
+  const std::string prefix =
+      "10." + std::to_string(i / 256) + "." + std::to_string(i % 256) + ".0/24";
+  events.push_back(MakeEvent(p.c_str(), h.c_str(), std::move(path),
+                             prefix.c_str(), EventType::kWithdraw,
+                             static_cast<util::SimTime>(i) * util::kSecond));
+}
+
+template <typename Result>
+std::vector<std::uint64_t> RawTop(const Result& r, const Component& c) {
+  std::vector<std::uint64_t> raw;
+  for (const SymbolId s : c.top_sequence) raw.push_back(r.symbols.Raw(s));
+  return raw;
+}
+
+// Stems the window events[lead, end) one-shot and by sliding from
+// events[0, end - 1), checks both against pre_arena::Stem, and returns
+// the one-shot result.  The two calls must agree on which picks the
+// chains decided.
+StemmingResult ExpectChainCaseMatches(const std::vector<Event>& events,
+                                      std::size_t lead) {
+  const std::span<const Event> all(events);
+  const std::span<const Event> window = all.subspan(lead);
+  const pre_arena::StemmingResult want = pre_arena::Stem(window);
+  const StemmingResult once = Stem(window);
+  ExpectIdenticalResults(want, once);
+
+  SlidingStemmer sliding;
+  sliding.Stem(all.first(all.size() - 1));
+  const StemmingResult slid = sliding.Stem(window);
+  // The leading events' classes are still in the state, dead.
+  EXPECT_LT(sliding.footprint().live_classes, sliding.footprint().classes);
+  EXPECT_EQ(slid.residual_events, want.residual_events);
+  EXPECT_EQ(slid.components.size(), want.components.size());
+  for (std::size_t i = 0;
+       i < std::min(slid.components.size(), want.components.size()); ++i) {
+    const Component& got = slid.components[i];
+    const Component& expected = want.components[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(RawTop(slid, got), RawTop(want, expected));
+    EXPECT_EQ(got.count, expected.count);
+    EXPECT_EQ(got.prefixes, expected.prefixes);
+    EXPECT_EQ(got.event_indices, expected.event_indices);
+    EXPECT_EQ(got.event_weight, expected.event_weight);
+  }
+  EXPECT_EQ(slid.stats.chain_picks, once.stats.chain_picks);
+  EXPECT_EQ(slid.stats.lengthened_picks, once.stats.lengthened_picks);
+  return once;
+}
+
+std::vector<std::string> TopLabels(const StemmingResult& result) {
+  std::vector<std::string> labels;
+  for (const Component& c : result.components) {
+    labels.push_back(result.SequenceLabel(c));
+  }
+  return labels;
+}
+
+TEST(ChainPickTest, FiveSymbolChainHoldingTheMaximumIsTheTop) {
+  std::vector<Event> events;
+  AddWithdrawal(events, 2, 2, {500, 600, 999});  // leading
+  for (bgp::AsNumber i = 0; i < 6; ++i) {
+    AddWithdrawal(events, 1, 1, {100, 200, 300, 400 + i});
+  }
+  for (bgp::AsNumber i = 0; i < 3; ++i) {
+    AddWithdrawal(events, 2, 2, {500, 600, 700 + i});
+  }
+  const StemmingResult result = ExpectChainCaseMatches(events, 1);
+  EXPECT_EQ(TopLabels(result),
+            (std::vector<std::string>{
+                "peer 1.0.0.1 nexthop 2.0.0.1 AS100 AS200 AS300",
+                "peer 1.0.0.2 nexthop 2.0.0.2 AS500 AS600"}));
+  EXPECT_EQ(result.components[0].count, 6.0);
+  EXPECT_EQ(result.stats.chain_picks, 2u);
+  EXPECT_EQ(result.stats.lengthened_picks, 0u);
+}
+
+TEST(ChainPickTest, ChainNeverInOneEventFallsBackToLengthening) {
+  // (100, 200) and (200, 400) are both at the maximum, but no event holds
+  // 100 200 400: the chain fails its count.
+  std::vector<Event> events;
+  AddWithdrawal(events, 2, 2, {350, 200, 400});  // leading
+  for (int i = 0; i < 3; ++i) AddWithdrawal(events, 1, 1, {100, 200});
+  for (bgp::AsNumber i = 0; i < 3; ++i) {
+    AddWithdrawal(events, 2, 2, {300 + i, 200, 400});
+  }
+  const StemmingResult result = ExpectChainCaseMatches(events, 1);
+  EXPECT_EQ(TopLabels(result),
+            (std::vector<std::string>{
+                "peer 1.0.0.1 nexthop 2.0.0.1 AS100 AS200", "AS200 AS400"}));
+  EXPECT_EQ(result.stats.lengthened_picks, 1u);
+  EXPECT_EQ(result.stats.chain_picks, 1u);
+}
+
+TEST(ChainPickTest, BranchFallsBackToLengthening) {
+  // Peer 1's two nexthops give it two max-count bigrams out.
+  std::vector<Event> events;
+  AddWithdrawal(events, 1, 2, {300, 400});  // leading
+  for (int i = 0; i < 3; ++i) AddWithdrawal(events, 1, 1, {100, 200});
+  for (int i = 0; i < 3; ++i) AddWithdrawal(events, 1, 2, {300, 400});
+  const StemmingResult result = ExpectChainCaseMatches(events, 1);
+  EXPECT_EQ(TopLabels(result),
+            (std::vector<std::string>{
+                "peer 1.0.0.1 nexthop 2.0.0.1 AS100 AS200",
+                "peer 1.0.0.1 nexthop 2.0.0.2 AS300 AS400"}));
+  EXPECT_EQ(result.stats.lengthened_picks, 1u);
+  EXPECT_EQ(result.stats.chain_picks, 1u);
+}
+
+TEST(ChainPickTest, AsPathLoopFallsBackToLengthening) {
+  // AS paths 1 2 1 make two max-count bigrams a cycle beside the chain
+  // of peer 3; the top sequence, 1 2 1, repeats a symbol, which no chain
+  // does.  Later, 3 4 3 behind a shared peer and nexthop enters its cycle
+  // through a second edge into AS3.
+  std::vector<Event> events;
+  AddWithdrawal(events, 2, 2, {3, 4, 3});  // leading
+  for (int i = 0; i < 3; ++i) AddWithdrawal(events, 1, 10 + i, {1, 2, 1});
+  for (bgp::AsNumber i = 0; i < 3; ++i) {
+    AddWithdrawal(events, 3, 3, {50, 5000 + i});
+  }
+  for (int i = 0; i < 2; ++i) AddWithdrawal(events, 2, 2, {3, 4, 3});
+  const StemmingResult result = ExpectChainCaseMatches(events, 1);
+  EXPECT_EQ(TopLabels(result),
+            (std::vector<std::string>{
+                "AS1 AS2 AS1", "peer 1.0.0.3 nexthop 2.0.0.3 AS50",
+                "peer 1.0.0.2 nexthop 2.0.0.2 AS3 AS4 AS3"}));
+  EXPECT_EQ(result.stats.lengthened_picks, 2u);
+  EXPECT_EQ(result.stats.chain_picks, 1u);
+}
+
+TEST(ChainPickTest, FiveTiedVantagesPickInOrderOfFirstOccurrence) {
+  // A table dump's shape: five vantages, each a disjoint three-symbol
+  // chain at the same count.  The leading events name them in reverse.
+  const std::array<int, 5> order = {3, 1, 4, 5, 2};
+  std::vector<Event> events;
+  for (auto v = order.rbegin(); v != order.rend(); ++v) {
+    AddWithdrawal(events, *v, *v, {100u * *v, 999});
+  }
+  for (bgp::AsNumber i = 0; i < 4; ++i) {
+    for (const int v : order) {
+      AddWithdrawal(events, v, v, {100u * v, 1000u * v + i});
+    }
+  }
+  const StemmingResult result = ExpectChainCaseMatches(events, order.size());
+  std::vector<std::string> want;
+  for (const int v : order) {
+    want.push_back("peer 1.0.0." + std::to_string(v) + " nexthop 2.0.0." +
+                   std::to_string(v) + " AS" + std::to_string(100 * v));
+  }
+  EXPECT_EQ(TopLabels(result), want);
+  EXPECT_EQ(result.stats.chain_picks, 5u);
+  EXPECT_EQ(result.stats.lengthened_picks, 0u);
+}
+
+TEST(ChainPickTest, OnlyTheLongestChainsAreCounted) {
+  // Chains of three and five symbols.  Of the two five-symbol ones, the
+  // first (peer 2's, ending 20 30 40) is in no single event; the other
+  // is the top.  Then the failing one is the only longest chain, and
+  // lengthening must run although the three-symbol chain passes its
+  // count.
+  std::vector<Event> events;
+  AddWithdrawal(events, 4, 4, {50, 60, 70});  // leading
+  for (bgp::AsNumber i = 0; i < 3; ++i) {
+    AddWithdrawal(events, 1, 1, {10, 1000 + i});
+  }
+  for (bgp::AsNumber i = 0; i < 3; ++i) {
+    AddWithdrawal(events, 2, 2, {20, 30, 2000 + i});
+  }
+  for (bgp::AsNumber i = 0; i < 3; ++i) {
+    AddWithdrawal(events, 3, 30 + static_cast<int>(i), {3000 + i, 30, 40});
+  }
+  for (int i = 0; i < 3; ++i) AddWithdrawal(events, 4, 4, {50, 60, 70});
+  const StemmingResult result = ExpectChainCaseMatches(events, 1);
+  EXPECT_EQ(TopLabels(result),
+            (std::vector<std::string>{
+                "peer 1.0.0.4 nexthop 2.0.0.4 AS50 AS60 AS70",
+                "peer 1.0.0.2 nexthop 2.0.0.2 AS20 AS30",
+                "peer 1.0.0.1 nexthop 2.0.0.1 AS10", "AS30 AS40"}));
+  EXPECT_EQ(result.stats.chain_picks, 3u);
+  EXPECT_EQ(result.stats.lengthened_picks, 1u);
 }
 
 // CRC-32 over every result field Pipeline reads, plus the symbol table
