@@ -11,8 +11,9 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <istream>
 #include <mutex>
-#include <sstream>
+#include <streambuf>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -132,33 +133,35 @@ void RestoreCollector(const Checkpoint& checkpoint, Collector& collector) {
   }
 }
 
-// Renders the complete file image (magic through trailing CRC) into
-// `out` in one pass.  The periodic live snapshot serializes a few
-// hundred kilobytes every interval, so the bytes are built exactly once
-// — appended through io::StringSink with the payload size patched in
-// afterwards — rather than staged through stringstream copies.
-bool SerializeCheckpointFile(const Checkpoint& checkpoint, std::string& out) {
-  if (checkpoint.sections.size() > kMaxSections) return false;
+namespace {
+
+// Frames `checkpoint` for writing: returns the file's bytes in order, as
+// views of the framing built into `framing` (header, envelope and peer
+// tables, section frames, CRC trailer) and of each section body where it
+// already lies in `checkpoint`, so no image of the file is assembled.
+// The CRC accumulates over the payload pieces in file order.  Returns
+// no pieces when the section table cannot be written (too many sections
+// or an invalid tag).
+std::vector<std::string_view> FrameCheckpoint(const Checkpoint& checkpoint,
+                                              std::string& framing) {
+  if (checkpoint.sections.size() > kMaxSections) return {};
   for (const Checkpoint::Section& section : checkpoint.sections) {
-    if (!ValidSectionTag(section.tag)) return false;
+    if (!ValidSectionTag(section.tag)) return {};
   }
-  std::size_t estimate = 64;
+  std::size_t estimate = 64 + 12 * checkpoint.sections.size();
   for (const Checkpoint::PeerTable& table : checkpoint.peers) {
     estimate += 16 + table.routes.size() * 48;
   }
-  for (const Checkpoint::Section& section : checkpoint.sections) {
-    estimate += 12 + section.bytes.size();
-  }
-  out.clear();
-  out.reserve(estimate);
-  io::StringSink sink(out);
+  framing.clear();
+  framing.reserve(estimate);
+  io::StringSink sink(framing);
   sink.write(kMagic, sizeof(kMagic));
-  // Sectionless checkpoints stay version 1: the collector-only snapshot
-  // bytes are identical to what PR 1 wrote.
+  // Sectionless checkpoints stay version 1, so collector-only snapshots
+  // keep the original format byte for byte.
   io::Put<std::uint32_t>(
       sink, checkpoint.sections.empty() ? kVersion : kVersionSections);
   io::Put<std::uint64_t>(sink, 0);  // payload size, patched below
-  const std::size_t payload_begin = out.size();
+  const std::size_t payload_begin = framing.size();
 
   io::Put<std::int64_t>(sink, checkpoint.time);
   io::Put<std::uint64_t>(sink, checkpoint.event_offset);
@@ -174,31 +177,69 @@ bool SerializeCheckpointFile(const Checkpoint& checkpoint, std::string& out) {
       io::PutAttrs(sink, attrs);
     }
   }
+  std::uint64_t payload_size = framing.size() - payload_begin;
   if (!checkpoint.sections.empty()) {
     io::Put<std::uint32_t>(
         sink, static_cast<std::uint32_t>(checkpoint.sections.size()));
+    payload_size += 4;
     for (const Checkpoint::Section& section : checkpoint.sections) {
       sink.write(section.tag.data(), 4);
       io::Put<std::uint64_t>(sink, section.bytes.size());
-      sink.write(section.bytes.data(),
-                 static_cast<std::streamsize>(section.bytes.size()));
+      payload_size += 12 + section.bytes.size();
     }
   }
+  io::Put<std::uint32_t>(sink, 0);  // CRC trailer, patched below
+  const auto patch = [&framing](std::size_t at, std::uint64_t value,
+                                std::size_t width) {  // little-endian
+    for (std::size_t i = 0; i < width; ++i) {
+      framing[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+  };
+  patch(payload_begin - 8, payload_size, 8);
 
-  const std::uint64_t payload_size = out.size() - payload_begin;
-  for (std::size_t i = 0; i < 8; ++i) {  // little-endian size patch
-    out[payload_begin - 8 + i] =
-        static_cast<char>((payload_size >> (8 * i)) & 0xff);
+  // `framing` is complete, so views of it stay valid.  The section frames
+  // sit contiguously between the head and the trailer; each body goes
+  // out between its frame and the next.
+  constexpr std::size_t kFrame = 12;
+  const std::size_t trailer = framing.size() - 4;
+  const std::size_t head_end = trailer - kFrame * checkpoint.sections.size();
+  const std::string_view all(framing);
+  std::vector<std::string_view> pieces;
+  pieces.reserve(2 + 2 * checkpoint.sections.size());
+  pieces.push_back(all.substr(0, head_end));
+  for (std::size_t i = 0; i < checkpoint.sections.size(); ++i) {
+    pieces.push_back(all.substr(head_end + kFrame * i, kFrame));
+    pieces.push_back(checkpoint.sections[i].bytes);
   }
-  io::Put<std::uint32_t>(
-      sink, util::Crc32(out.data() + payload_begin, payload_size));
-  return true;
+  util::Crc32Accumulator crc;
+  crc.Update(framing.data() + payload_begin, head_end - payload_begin);
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    crc.Update(pieces[i].data(), pieces[i].size());
+  }
+  patch(trailer, crc.value(), 4);
+  pieces.push_back(all.substr(trailer));
+  return pieces;
 }
 
+// Read-only stream buffer over the CRC-checked payload: LoadCheckpoint
+// parses it where it lies instead of copying it into an istringstream.
+class PayloadBuf : public std::streambuf {
+ public:
+  explicit PayloadBuf(std::string& bytes) {
+    setg(bytes.data(), bytes.data(), bytes.data() + bytes.size());
+  }
+};
+
+}  // namespace
+
 bool SaveCheckpoint(const Checkpoint& checkpoint, std::ostream& os) {
-  std::string bytes;
-  if (!SerializeCheckpointFile(checkpoint, bytes)) return false;
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  std::string framing;
+  const std::vector<std::string_view> pieces =
+      FrameCheckpoint(checkpoint, framing);
+  if (pieces.empty()) return false;
+  for (const std::string_view piece : pieces) {
+    os.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  }
   return static_cast<bool>(os);
 }
 
@@ -241,7 +282,8 @@ std::optional<Checkpoint> LoadCheckpoint(std::istream& is,
 
   // The payload is CRC-clean; parse it.  Field errors past this point are
   // reported with offsets relative to the whole file.
-  std::istringstream payload(bytes);
+  PayloadBuf payload_buf(bytes);
+  std::istream payload(&payload_buf);
   io::Reader pr(payload);
   const std::uint64_t payload_base = 4 + 4 + 8;
   const auto pfail = [&](LoadError error, std::uint64_t record) {
@@ -315,7 +357,7 @@ std::optional<Checkpoint> LoadCheckpoint(std::istream& is,
       out.sections.push_back(std::move(section));
     }
   }
-  if (payload.peek() != std::istringstream::traits_type::eof()) {
+  if (payload.peek() != std::istream::traits_type::eof()) {
     return pfail(LoadError::kBadEnum, record);  // trailing payload bytes
   }
   return out;
@@ -352,22 +394,33 @@ bool FsyncParentDir(const std::string& path) {
   return ok;
 }
 
-// The durable commit of a serialized checkpoint image (see
-// WriteCheckpointFile).
-bool WriteCheckpointImage(const std::string& bytes, const std::string& path) {
+}  // namespace
+
+bool WriteCheckpointFile(const Checkpoint& checkpoint,
+                         const std::string& path) {
+  obs::TraceSpan span("checkpoint.write");
+  span.Annotate("routes", static_cast<std::uint64_t>(checkpoint.RouteCount()));
+  std::string framing;
+  const std::vector<std::string_view> pieces =
+      FrameCheckpoint(checkpoint, framing);
+  if (pieces.empty()) return false;
+  std::size_t total = 0;
+  for (const std::string_view piece : pieces) total += piece.size();
+
   const auto fail_write = [] {
     RANOMALY_METRIC_COUNT("checkpoint_write_failures_total", 1);
     return false;
   };
   const std::string tmp = path + ".tmp";
   // Chaos hook: simulate a disk-full / torn write by stopping after a
-  // prefix of the bytes.  The commit protocol below must turn any such
-  // fault into "previous checkpoint survives", never a hybrid.
-  std::size_t write_limit = bytes.size();
+  // prefix of the bytes (anywhere, mid-piece included).  The commit
+  // protocol below must turn any such fault into "previous checkpoint
+  // survives", never a hybrid.
+  std::size_t write_limit = total;
   bool faulted = false;
   if (const CheckpointWriteFaultHook hook = CurrentFaultHook(); hook) {
-    if (const std::int64_t limit = hook(bytes.size()); limit >= 0) {
-      write_limit = static_cast<std::size_t>(limit);
+    if (const std::int64_t limit = hook(total); limit >= 0) {
+      write_limit = std::min(static_cast<std::size_t>(limit), total);
       faulted = true;
       RANOMALY_METRIC_COUNT("checkpoint_write_faults_injected_total", 1);
     }
@@ -375,7 +428,15 @@ bool WriteCheckpointImage(const std::string& bytes, const std::string& path) {
 
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return fail_write();
-  const bool wrote = WriteAll(fd, bytes.data(), write_limit) && !faulted;
+  bool wrote = !faulted;
+  for (const std::string_view piece : pieces) {
+    const std::size_t n = std::min(piece.size(), write_limit);
+    if (!WriteAll(fd, piece.data(), n)) {
+      wrote = false;
+      break;
+    }
+    write_limit -= n;
+  }
   // A torn temp file must never be renamed into place: sync before
   // rename so the *contents* are durable before the commit point, and
   // give up (keeping the old checkpoint) on any failure.  fdatasync
@@ -396,29 +457,9 @@ bool WriteCheckpointImage(const std::string& bytes, const std::string& path) {
   // Make the rename durable too.
   if (!FsyncParentDir(path)) return fail_write();
   RANOMALY_METRIC_COUNT("checkpoint_fsyncs_total", 1);
-  RANOMALY_METRIC_COUNT("checkpoint_bytes_written_total", bytes.size());
+  RANOMALY_METRIC_COUNT("checkpoint_bytes_written_total", total);
   RANOMALY_METRIC_COUNT("checkpoint_writes_total", 1);
   return true;
-}
-
-}  // namespace
-
-bool WriteCheckpointFile(const Checkpoint& checkpoint,
-                         const std::string& path) {
-  obs::TraceSpan span("checkpoint.write");
-  span.Annotate("routes", static_cast<std::uint64_t>(checkpoint.RouteCount()));
-  std::string bytes;
-  if (!SerializeCheckpointFile(checkpoint, bytes)) return false;
-  return WriteCheckpointImage(bytes, path);
-}
-
-bool WriteCheckpointFile(Checkpoint&& checkpoint, const std::string& path) {
-  obs::TraceSpan span("checkpoint.write");
-  span.Annotate("routes", static_cast<std::uint64_t>(checkpoint.RouteCount()));
-  std::string bytes;
-  const bool serialized = SerializeCheckpointFile(checkpoint, bytes);
-  checkpoint = Checkpoint{};
-  return serialized && WriteCheckpointImage(bytes, path);
 }
 
 std::optional<Checkpoint> ReadCheckpointFile(const std::string& path,

@@ -26,10 +26,18 @@
 // (binary_io.h io::PutAttrs/GetAttrs), so both formats evolve together.
 // The CRC covers the payload only: a torn write or bit flip fails the
 // restore loudly instead of resuming from a silently corrupt RIB.
-// WriteCheckpointFile replaces the target atomically and durably (write
-// to a temporary sibling, fsync the file, rename, fsync the directory)
-// so a crash or power loss mid-checkpoint always leaves either the old
-// or the new snapshot on disk, never a hybrid or a zero-length commit.
+//
+// Writing never assembles the file in memory.  One framing routine
+// builds only the header, peer tables, section frames and CRC trailer,
+// accumulating the CRC over those and over each section body where it
+// already lies in the Checkpoint; SaveCheckpoint streams the pieces to
+// its ostream and WriteCheckpointFile writes them in order.  A section
+// body therefore exists once, however large.  WriteCheckpointFile
+// replaces the target atomically and durably (write to a temporary
+// sibling, fsync the file, rename, fsync the directory) so a crash or
+// power loss mid-checkpoint always leaves either the old or the new
+// snapshot on disk, never a hybrid or a zero-length commit.  Loading
+// reads the payload once, checks its CRC and parses it in place.
 #pragma once
 
 #include <cstdint>
@@ -92,27 +100,26 @@ bool SaveCheckpoint(const Checkpoint& checkpoint, std::ostream& os);
 std::optional<Checkpoint> LoadCheckpoint(std::istream& is,
                                          LoadDiagnostics* diag = nullptr);
 
-// Atomic durable file variants: Write serializes to "<path>.tmp", fsyncs
-// it, renames over `path`, and fsyncs the containing directory; a failure
-// at any step leaves the previous checkpoint intact and returns false.
+// Atomic durable file variants: Write streams the file to "<path>.tmp",
+// fdatasyncs it, renames over `path`, and fsyncs the containing
+// directory; a failure at any step leaves the previous checkpoint intact
+// and returns false.  `checkpoint` is only read, so a caller may encode
+// its next snapshot into the same object and reuse its buffers.
 bool WriteCheckpointFile(const Checkpoint& checkpoint,
                          const std::string& path);
-// As above, but takes the checkpoint over and frees it once the file
-// image is built, before the disk write: a background writer then holds
-// one copy of the snapshot while the next one is being cut, not two.
-bool WriteCheckpointFile(Checkpoint&& checkpoint, const std::string& path);
 std::optional<Checkpoint> ReadCheckpointFile(const std::string& path,
                                              LoadDiagnostics* diag = nullptr);
 
 // Fault injection for checkpoint writes (chaos harness / tests).  The
-// hook sees the serialized size and returns how many bytes to actually
-// write before simulating an I/O failure (< size), or -1 to let the
-// write proceed.  A short write fails the commit: the temp file is
-// removed and the previous checkpoint survives.  Returns the previous
-// hook; pass nullptr to clear.  The RANOMALY_CHAOS_CHECKPOINT
-// environment variable ("<fail_probability>:<seed>") installs a seeded
-// hook on first use, so the chaos harness can inject short-write /
-// disk-full faults into an unmodified binary.
+// hook is called once per write with the file's full size and returns
+// how many bytes to actually write before simulating an I/O failure
+// (< size, anywhere in the file), or -1 to let the write proceed.  A
+// short write fails the commit: the temp file is removed and the
+// previous checkpoint survives.  Returns the previous hook; pass nullptr
+// to clear.  The RANOMALY_CHAOS_CHECKPOINT environment variable
+// ("<fail_probability>:<seed>") installs a seeded hook on first use, so
+// the chaos harness can inject short-write / disk-full faults into an
+// unmodified binary.
 using CheckpointWriteFaultHook =
     std::function<std::int64_t(std::size_t total_bytes)>;
 CheckpointWriteFaultHook SetCheckpointWriteFaultHook(

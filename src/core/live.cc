@@ -475,7 +475,11 @@ LiveStats LiveRunner::Run(
   std::uint64_t next_checkpoint_tick =
       stats.ticks + options_.checkpoint_every_ticks;
   std::uint64_t retry_backoff = 0;
-  const auto make_checkpoint = [&]() -> collector::Checkpoint {
+  // The replay thread's snapshot buffer: each cut encodes into it, then
+  // swaps it for the one the writer last wrote (enqueue below), so the
+  // two alternate and no cut allocates a fresh multi-MB snapshot.
+  collector::Checkpoint snapshot;
+  const auto cut_checkpoint = [&] {
     // The rest of `st` is already current; fill in what lives elsewhere.
     st.peers = board.Export();
     // In-flight events persist as 2-bit admission classes over the
@@ -491,18 +495,17 @@ LiveStats LiveRunner::Run(
     // The ledger export exists only for this encode; the series rings
     // are encoded in place, without a copy.
     if (provenance_ != nullptr) st.provenance = provenance_->Export();
-    collector::Checkpoint ck;
     if (series_ != nullptr) {
-      EncodeLiveState(st, *series_, ck);
+      EncodeLiveState(st, *series_, snapshot);
     } else {
-      EncodeLiveState(st, ck);
+      EncodeLiveState(st, snapshot);
     }
     st.provenance = {};
-    return ck;
   };
   const auto write_checkpoint = [&]() -> bool {
+    cut_checkpoint();
     const bool ok =
-        collector::WriteCheckpointFile(make_checkpoint(), options_.checkpoint_path);
+        collector::WriteCheckpointFile(snapshot, options_.checkpoint_path);
     if (ok) {
       ++stats.checkpoint_writes;
     } else {
@@ -513,31 +516,33 @@ LiveStats LiveRunner::Run(
 
   // Periodic snapshots are cut on the replay thread, which alone mutates
   // the state they capture, so a cut is consistent without pausing
-  // anything; they are written — CRC, fdatasync, rename, directory
-  // fsync — by a single background writer, so disk latency stalls a tick
-  // only when the next cut finds the previous write still running.  The
-  // result is reaped at the *next* checkpoint boundary, which keeps every
-  // stats/backoff mutation tick-deterministic: a resumed run accounts
-  // writes on exactly the same ticks as an uninterrupted one.
+  // anything; they are written — framing, CRC, fdatasync, rename,
+  // directory fsync — by a single background writer, so disk latency
+  // stalls a tick only when the next cut finds the previous write still
+  // running.  The result is reaped at the *next* checkpoint boundary,
+  // which keeps every stats/backoff mutation tick-deterministic: a
+  // resumed run accounts writes on exactly the same ticks as an
+  // uninterrupted one.
   std::mutex ck_mu;
+  // The writer's snapshot: while ck_busy it is the writer's alone; the
+  // next enqueue swaps it back to the replay thread, written or failed,
+  // for the cut after.
+  collector::Checkpoint ck_slot;
   std::condition_variable ck_cv;
-  std::optional<collector::Checkpoint> ck_job;
   bool write_pending = false;  // enqueued since the last reap
   std::optional<bool> ck_result;
-  bool ck_busy = false;
+  bool ck_busy = false;  // ck_slot queued or being written
   bool ck_stop = false;
   std::thread ck_writer;
   if (checkpointing) {
     ck_writer = std::thread([&] {
       std::unique_lock<std::mutex> lock(ck_mu);
       for (;;) {
-        ck_cv.wait(lock, [&] { return ck_job.has_value() || ck_stop; });
-        if (!ck_job.has_value()) break;
-        collector::Checkpoint ck = std::move(*ck_job);
-        ck_job.reset();
+        ck_cv.wait(lock, [&] { return ck_busy || ck_stop; });
+        if (!ck_busy) break;
         lock.unlock();
-        const bool ok = collector::WriteCheckpointFile(
-            std::move(ck), options_.checkpoint_path);
+        const bool ok =
+            collector::WriteCheckpointFile(ck_slot, options_.checkpoint_path);
         lock.lock();
         ck_result = ok;
         ck_busy = false;
@@ -545,9 +550,11 @@ LiveStats LiveRunner::Run(
       }
     });
   }
-  const auto enqueue_checkpoint = [&](collector::Checkpoint ck) {
+  // Called only after a reap, so the writer is idle: hands it `snapshot`
+  // and takes back the buffers of the snapshot it wrote last.
+  const auto enqueue_checkpoint = [&] {
     std::lock_guard<std::mutex> lock(ck_mu);
-    ck_job = std::move(ck);
+    std::swap(ck_slot, snapshot);
     ck_busy = true;
     ck_cv.notify_all();
   };
@@ -839,7 +846,7 @@ LiveStats LiveRunner::Run(
       // enqueued only if the pending write (if any) landed, so it counts
       // that write as landed — the value the reap below then records.
       stats.checkpoint_writes += write_pending ? 1 : 0;
-      collector::Checkpoint snapshot = make_checkpoint();
+      cut_checkpoint();
       stats.checkpoint_writes -= write_pending ? 1 : 0;
       const std::optional<bool> previous = reap_checkpoint();
       write_pending = false;
@@ -852,7 +859,7 @@ LiveStats LiveRunner::Run(
         }
       }
       if (!previous.has_value() || *previous) {
-        enqueue_checkpoint(std::move(snapshot));
+        enqueue_checkpoint();
         write_pending = true;
         next_checkpoint_tick = stats.ticks + options_.checkpoint_every_ticks;
       } else {

@@ -557,25 +557,32 @@ void Encode(const LiveCheckpointState& state,
             const Series& series, collector::Checkpoint& checkpoint) {
   checkpoint.time = state.stats.clock;
   checkpoint.event_offset = state.next_event;
-  checkpoint.sections.clear();
+  // Sections are encoded into the strings `checkpoint` already holds, in
+  // file order, so a recycled snapshot's buffers take the next one
+  // without a multi-MB allocation; surplus sections are dropped.
+  std::size_t n = 0;
   ForEachSection(state, incidents, series, [&](const char* tag,
                                                const auto& layout) {
-    // Size the section first and allocate it once: growing a multi-MB
-    // string by doubling costs more or less depending on the allocator's
-    // history (e.g. whether this process restored a checkpoint).
+    if (n == checkpoint.sections.size()) checkpoint.sections.emplace_back();
+    collector::Checkpoint::Section& section = checkpoint.sections[n++];
+    section.tag = tag;
+    // Size the section first and allocate at most once: growing a
+    // multi-MB string by doubling costs more or less depending on the
+    // allocator's history (e.g. whether this process restored a
+    // checkpoint).
     ByteCounter counter;
     Writer<ByteCounter> sizer(counter);
     sizer.Layout();
     layout(sizer);
-    std::string bytes;
-    bytes.reserve(counter.size);
-    io::StringSink sink(bytes);
+    section.bytes.clear();
+    section.bytes.reserve(counter.size);
+    io::StringSink sink(section.bytes);
     Writer<io::StringSink> writer(sink);
     writer.Layout();
     layout(writer);
-    checkpoint.sections.push_back({tag, std::move(bytes)});
     return true;
   });
+  checkpoint.sections.resize(n);
 }
 
 }  // namespace

@@ -105,8 +105,11 @@ struct LiveCheckpointState {
 };
 
 // Renders `state` into `checkpoint`: sets time (the tick boundary) and
-// event_offset (the stream cursor) and replaces the section table.
-// Deterministic: the same state always yields the same bytes.
+// event_offset (the stream cursor) and replaces the section table,
+// encoding each section into the string already at its position, so a
+// checkpoint recycled from an earlier snapshot lends its buffers.
+// Deterministic: the same state always yields the same bytes, whatever
+// `checkpoint` held before.
 void EncodeLiveState(const LiveCheckpointState& state,
                      collector::Checkpoint& checkpoint);
 

@@ -3,6 +3,11 @@
 // Used to validate checkpoint files: a restore from a torn or bit-rotted
 // snapshot must fail loudly rather than resume from a silently corrupt
 // RIB.  Not cryptographic — it detects accidents, not adversaries.
+//
+// On x86-64 CPUs with PCLMULQDQ (probed once at startup) every run of 64
+// bytes or more folds through carry-less multiplies, ~8x faster than the
+// slice-by-16 tables that take the tail, shorter runs and other CPUs.
+// Both paths give the same value for any split of the input.
 #pragma once
 
 #include <cstddef>
@@ -22,5 +27,13 @@ class Crc32Accumulator {
  private:
   std::uint32_t state_ = 0xffffffffu;
 };
+
+namespace internal {
+
+// Crc32 through the slice-by-16 tables alone, whatever the CPU: lets the
+// tests check the path CPUs without PCLMULQDQ take on hosts that have it.
+std::uint32_t PortableCrc32(const void* data, std::size_t size);
+
+}  // namespace internal
 
 }  // namespace ranomaly::util

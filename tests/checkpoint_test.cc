@@ -3,7 +3,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "collector/checkpoint.h"
 #include "obs/metrics.h"
@@ -264,6 +268,96 @@ TEST_F(CheckpointFileTest, ShortWriteFaultLeavesPreviousCheckpointIntact) {
   const auto loaded = ReadCheckpointFile(path);
   ASSERT_TRUE(loaded);
   EXPECT_EQ(loaded->time, 9 * kSecond);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+std::string SavedBytes(const Checkpoint& checkpoint) {
+  std::stringstream ss;
+  EXPECT_TRUE(SaveCheckpoint(checkpoint, ss));
+  return ss.str();
+}
+
+// A version 2 checkpoint: the populated peer tables plus two sections.
+Checkpoint SectionedCheckpoint() {
+  Checkpoint cp = SnapshotCollector(PopulatedCollector(), 7 * kSecond, 4);
+  cp.sections.push_back({"LIVE", std::string(300, '\x5a')});
+  cp.sections.push_back({"SIDE", "opaque sidecar"});
+  return cp;
+}
+
+// The file is written piece by piece and the stream in one go; both
+// must be the same bytes, for every version and for nothing at all.
+TEST_F(CheckpointFileTest, FileBytesEqualStreamBytes) {
+  const std::vector<std::pair<const char*, Checkpoint>> cases = {
+      {"v1 routes", SnapshotCollector(PopulatedCollector(), 5 * kSecond, 4)},
+      {"v2 peers and sections", SectionedCheckpoint()},
+      {"empty", Checkpoint{}}};
+  const std::string path = Path("rib.ckpt");
+  for (const auto& [label, cp] : cases) {
+    ASSERT_TRUE(WriteCheckpointFile(cp, path)) << label;
+    EXPECT_EQ(FileBytes(path), SavedBytes(cp)) << label;
+    EXPECT_TRUE(ReadCheckpointFile(path)) << label;
+  }
+}
+
+// A torn write can stop anywhere in the file, mid-piece included: in the
+// header, in a section frame, in a section body or in the CRC trailer.
+// Each must fail the commit and leave the previous file as it was, and
+// the hook must see each write once, at the file's full size.
+TEST_F(CheckpointFileTest, FaultInEveryPieceLeavesPreviousFileInPlace) {
+  const std::string path = Path("rib.ckpt");
+  ASSERT_TRUE(WriteCheckpointFile(
+      SnapshotCollector(PopulatedCollector(), kSecond, 1), path));
+  const std::string previous = FileBytes(path);
+
+  const Checkpoint next = SectionedCheckpoint();
+  const std::string bytes = SavedBytes(next);
+  // The section table ends the payload: its frames and bodies fill the
+  // bytes before the trailer.
+  std::size_t table = bytes.size() - 4;
+  for (const Checkpoint::Section& section : next.sections) {
+    table -= 12 + section.bytes.size();
+  }
+  const std::size_t first_frame = table;
+  const std::size_t first_body = first_frame + 12;
+  const std::size_t second_frame =
+      first_body + next.sections[0].bytes.size();
+  const std::vector<std::pair<const char*, std::size_t>> limits = {
+      {"nothing", 0},
+      {"header", 9},
+      {"first frame", first_frame + 5},
+      {"first body", first_body + 100},
+      {"second frame", second_frame + 11},
+      {"second body", second_frame + 12 + 3},
+      {"trailer", bytes.size() - 2},
+      {"all but the last byte", bytes.size() - 1}};
+  for (const auto& [label, limit] : limits) {
+    std::vector<std::size_t> calls;
+    SetCheckpointWriteFaultHook([&calls, limit = limit](std::size_t total) {
+      calls.push_back(total);
+      return static_cast<std::int64_t>(limit);
+    });
+    EXPECT_FALSE(WriteCheckpointFile(next, path)) << label;
+    SetCheckpointWriteFaultHook(nullptr);
+    EXPECT_EQ(calls, std::vector<std::size_t>{bytes.size()}) << label;
+    EXPECT_FALSE(fs::exists(path + ".tmp")) << label;
+    EXPECT_EQ(FileBytes(path), previous) << label;
+  }
+
+  // A hook that lets the write proceed still sees it once, at full size.
+  std::vector<std::size_t> calls;
+  SetCheckpointWriteFaultHook([&calls](std::size_t total) -> std::int64_t {
+    calls.push_back(total);
+    return -1;
+  });
+  EXPECT_TRUE(WriteCheckpointFile(next, path));
+  SetCheckpointWriteFaultHook(nullptr);
+  EXPECT_EQ(calls, std::vector<std::size_t>{bytes.size()});
+  EXPECT_EQ(FileBytes(path), bytes);
 }
 
 TEST_F(CheckpointFileTest, MissingFileIsNullopt) {

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -295,6 +296,65 @@ std::string CheckpointBytes(const collector::Checkpoint& ck) {
   std::stringstream ss;
   EXPECT_TRUE(collector::SaveCheckpoint(ck, ss));
   return ss.str();
+}
+
+// The runner encodes each snapshot into the buffers of one it wrote
+// before.  Whatever that checkpoint held — more sections, larger or
+// differently tagged strings, a snapshot whose write failed — the bytes
+// must equal an encode into a fresh Checkpoint.
+TEST(LiveCheckpointTest, RecycledCheckpointEncodesTheSameBytes) {
+  const std::string path = TempPath("recycled");
+  const std::vector<
+      std::pair<const char*, std::function<void(collector::Checkpoint&)>>>
+      recycled = {
+          {"more sections",
+           [](collector::Checkpoint& ck) {
+             EncodeLiveState(SampleState(), ck);
+             ck.sections.push_back({"XTRA", std::string(5000, 'x')});
+             ck.sections.push_back({"YTRA", "y"});
+           }},
+          {"larger strings",
+           [](collector::Checkpoint& ck) {
+             EncodeLiveState(SampleState(), ck);
+             for (auto& section : ck.sections) {
+               section.bytes.append(70'000, '\xa5');
+             }
+           }},
+          {"other tags, reversed",
+           [](collector::Checkpoint& ck) {
+             EncodeLiveState(SampleState(), ck);
+             std::reverse(ck.sections.begin(), ck.sections.end());
+             for (auto& section : ck.sections) section.tag = "OLD!";
+           }},
+          {"failed write",
+           [&path](collector::Checkpoint& ck) {
+             EncodeLiveState(SampleState(), ck);
+             collector::SetCheckpointWriteFaultHook(
+                 [](std::size_t total) -> std::int64_t {
+                   return static_cast<std::int64_t>(total / 2);
+                 });
+             EXPECT_FALSE(collector::WriteCheckpointFile(ck, path));
+             collector::SetCheckpointWriteFaultHook(nullptr);
+           }},
+      };
+  for (const LiveCheckpointState& st : {SampleState(), BoundaryState()}) {
+    collector::Checkpoint fresh;
+    EncodeLiveState(st, fresh);
+    const std::string want = CheckpointBytes(fresh);
+    for (const auto& [label, prepare] : recycled) {
+      collector::Checkpoint ck;
+      prepare(ck);
+      EncodeLiveState(st, ck);
+      EXPECT_EQ(ck.sections.size(), fresh.sections.size()) << label;
+      EXPECT_EQ(CheckpointBytes(ck), want) << label;
+      // And the recycled snapshot is what lands on disk.
+      ASSERT_TRUE(collector::WriteCheckpointFile(ck, path)) << label;
+      std::ifstream is(path, std::ios::binary);
+      EXPECT_EQ(std::string(std::istreambuf_iterator<char>(is), {}), want)
+          << label;
+    }
+  }
+  fs::remove(path);
 }
 
 // The runner's snapshot writes SERS from the live rings in place; it must

@@ -40,21 +40,33 @@ TEST(Crc32Test, CheckValue) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
 }
 
-// Every length around the 16-byte stride, at every start alignment.
+// Every length across the 64-byte fold and the 16-byte slices, at every
+// start alignment, through the dispatched path (carry-less multiply on
+// CPUs that have it) and the portable slice-by-16 path.
 TEST(Crc32Test, MatchesByteAtATimeReferenceAtEveryOffset) {
-  const std::vector<unsigned char> bytes = NoiseBytes(16 + 257);
+  const std::vector<unsigned char> bytes = NoiseBytes(16 + 1100);
   for (std::size_t offset = 0; offset < 16; ++offset) {
-    for (std::size_t size = 0; size <= 257; ++size) {
-      ASSERT_EQ(Crc32(bytes.data() + offset, size),
-                ReferenceCrc32(bytes.data() + offset, size))
+    for (std::size_t size = 0; size <= 1100; ++size) {
+      const std::uint32_t want = ReferenceCrc32(bytes.data() + offset, size);
+      ASSERT_EQ(Crc32(bytes.data() + offset, size), want)
+          << "offset " << offset << " size " << size;
+      ASSERT_EQ(internal::PortableCrc32(bytes.data() + offset, size), want)
           << "offset " << offset << " size " << size;
     }
   }
 }
 
+// A snapshot-sized buffer: 93,750 folds of 64 bytes, then a 37-byte tail.
+TEST(Crc32Test, MatchesReferenceOnSixMegabytes) {
+  const std::vector<unsigned char> bytes = NoiseBytes(6'000'037);
+  const std::uint32_t want = ReferenceCrc32(bytes.data(), bytes.size());
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), want);
+  EXPECT_EQ(internal::PortableCrc32(bytes.data(), bytes.size()), want);
+}
+
 TEST(Crc32Test, AccumulatorSplitAnywhereEqualsOneShot) {
-  const std::vector<unsigned char> bytes = NoiseBytes(300);
-  const std::uint32_t whole = Crc32(bytes.data(), bytes.size());
+  const std::vector<unsigned char> bytes = NoiseBytes(1100);
+  const std::uint32_t whole = ReferenceCrc32(bytes.data(), bytes.size());
   for (std::size_t split = 0; split <= bytes.size(); ++split) {
     Crc32Accumulator acc;
     acc.Update(bytes.data(), split);
