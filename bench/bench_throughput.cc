@@ -1,6 +1,10 @@
 // End-to-end ingest-to-incident throughput: how many events/s does the
 // full live path (tick ingest -> windowed analysis -> incident dedup ->
-// log append) sustain at 1/2/4/8 analysis threads?
+// log append) sustain?  The replay runs at 1/2/4/8
+// `PipelineOptions::threads`.  The live path stems and classifies each
+// window on the replay thread, so today every count times the same
+// serial path; the curve is where cores put across a tick's stages
+// would have to show.
 //
 // This is the trajectory row every later scaling PR is judged against
 // (stated target: 1M events/s).  The replay is the `ranomaly serve`

@@ -9,6 +9,7 @@
 #include "util/intern.h"
 #include "util/stats.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace ranomaly::core {
 
@@ -37,14 +38,7 @@ struct Pipeline::Sliding {
 };
 
 Pipeline::Pipeline(PipelineOptions options)
-    : options_(std::move(options)), sliding_(std::make_unique<Sliding>()) {
-  const std::size_t threads = options_.threads != 0
-                                  ? options_.threads
-                                  : util::ThreadPool::DefaultThreadCount();
-  pool_ = std::make_unique<util::ThreadPool>(threads);
-  // Stemming shares the pipeline's pool for the recursion's chunked scans.
-  options_.stemming.pool = pool_.get();
-}
+    : options_(std::move(options)), sliding_(std::make_unique<Sliding>()) {}
 
 Pipeline::~Pipeline() = default;
 
@@ -370,9 +364,12 @@ std::vector<Incident> Pipeline::Analyze(
   const util::StageTimer total_timer;
 
   // Spike-scale pass.  Windows are independent, so they fan out across
-  // the pool; per-spike results merge in spike order below, which makes
-  // the output bit-identical to the serial loop regardless of thread
-  // count (the determinism contract, DESIGN.md).
+  // a pool built for this call; per-spike results merge in spike order
+  // below, which makes the output bit-identical to the serial loop
+  // regardless of thread count (the determinism contract, DESIGN.md).
+  // The pool is built even for one thread, which spawns no workers and
+  // runs inline, so the fan-out takes the same instrumented path at
+  // every thread count.
   const util::StageTimer spike_timer;
   obs::TraceSpan spike_span("pipeline.spike_pass");
   const auto spikes = collector::DetectSpikes(stream, options_.spike_bucket,
@@ -388,7 +385,8 @@ std::vector<Incident> Pipeline::Analyze(
                       spikes[i].end + kSpikeMargin);
     per_spike[i] = StemAndClassify(window, one_shot);
   };
-  pool_->ParallelFor(spikes.size(), analyze_spike);
+  util::ThreadPool pool(options_.threads);
+  pool.ParallelFor(spikes.size(), analyze_spike);
   for (std::vector<Incident>& window_incidents : per_spike) {
     for (Incident& inc : window_incidents) {
       incidents.push_back(std::move(inc));

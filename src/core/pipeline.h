@@ -15,7 +15,6 @@
 #include "collector/event_stream.h"
 #include "core/incident.h"
 #include "stemming/stemming.h"
-#include "util/thread_pool.h"
 
 namespace ranomaly::core {
 
@@ -29,8 +28,8 @@ struct PipelineOptions {
   // Report components that classify as kUnknown (strong correlation with
   // no anomaly signature — usually shared-path mass, not an incident).
   bool include_unknown = false;
-  // Worker threads for the analysis fan-out (spike windows run
-  // concurrently; the stemming recursion chunks its scans).  0 means
+  // Worker threads for Analyze's spike-window fan-out (each window is
+  // stemmed on one thread; AnalyzeWindow runs on the caller's).  0 means
   // util::ThreadPool::DefaultThreadCount(), i.e. RANOMALY_THREADS or the
   // hardware.  Results are bit-identical for every value.
   std::size_t threads = 0;
@@ -41,13 +40,13 @@ class Pipeline {
   explicit Pipeline(PipelineOptions options = {});
   ~Pipeline();
 
-  // Full analysis: spike windows first (concurrently when the pipeline
-  // has threads; incidents merge in spike order, so results are
-  // bit-identical to serial), then the long-window pass over the grass;
-  // incidents are deduplicated by stem.  The per-stage perf breakdown
-  // (events encoded, symbols interned, bigram table sizes, wall seconds
-  // per stage) accumulates on obs::MetricsRegistry::Global() under the
-  // pipeline_* and stemming_* names (docs/OBSERVABILITY.md).
+  // Full analysis: spike windows first (concurrently on a pool of
+  // `threads` built for the call; incidents merge in spike order, so
+  // results are bit-identical to serial), then the long-window pass over
+  // the grass; incidents are deduplicated by stem.  The per-stage perf
+  // breakdown (events encoded, symbols interned, bigram table sizes,
+  // wall seconds per stage) accumulates on obs::MetricsRegistry::Global()
+  // under the pipeline_* and stemming_* names (docs/OBSERVABILITY.md).
   std::vector<Incident> Analyze(const collector::EventStream& stream) const;
 
   // Stems and classifies one window.  Consecutive calls whose windows
@@ -95,11 +94,6 @@ class Pipeline {
                         stemming::Component&& component) const;
 
   PipelineOptions options_;
-  // Shared by the stemming recursion's chunked passes and the
-  // spike-window fan-out.  Always created: a one-thread pool spawns no
-  // workers and runs inline, so the fan-out takes the same instrumented
-  // path at every thread count.
-  std::unique_ptr<util::ThreadPool> pool_;
   // AnalyzeWindow's sliding stemmer and the mutex guarding it.
   std::unique_ptr<Sliding> sliding_;
 };

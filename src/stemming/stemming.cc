@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace ranomaly::stemming {
 namespace {
@@ -187,23 +186,6 @@ struct Arena {
     return unit_weights.empty() ? 1.0 : unit_weights[cls];
   }
 };
-
-// Dispatches `chunks` chunks on the pool — or serially, in the same
-// chunk order and with the same per-chunk partial association, when
-// there is none — and returns the wall seconds spent.  Callers
-// accumulate the return value into StemmingStats::parallel_seconds so
-// the extract stage's parallel fraction can be reported.
-double ParallelRegion(util::ThreadPool* pool, std::size_t chunks,
-                      const std::function<void(std::size_t)>& fn) {
-  if (chunks == 0) return 0.0;
-  const util::StageTimer timer;
-  if (pool != nullptr) {
-    pool->ParallelFor(chunks, fn);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) fn(c);
-  }
-  return timer.Seconds();
-}
 
 constexpr std::uint32_t kNoIndex = 0xffffffffu;
 
@@ -890,50 +872,13 @@ std::size_t Occurrences(const SymbolId* seq, std::size_t len,
   return n;
 }
 
-// Posting lists concatenated into one virtual index space, so a scan
-// shards evenly however many lists (or list pieces) there are.  Within a
-// range, a class holding the bigram at several positions appears once
-// per position, adjacently; Scan skips those repeats.
-struct PostingRanges {
-  std::vector<const std::uint32_t*> starts;  // one per range
-  std::vector<std::uint32_t> bases;          // cumulative; back() = total
+// Weighted removal subtracts a component's counts in partials of this
+// many removed classes, each summed into one dense delta and subtracted
+// in order.  The association is part of the weighted result's bits.
+constexpr std::size_t kRemovalPartial = 2048;
 
-  void Clear() { starts.clear(); bases.assign(1, 0); }
-  void Add(const std::uint32_t* data, std::uint32_t count) {
-    starts.push_back(data);
-    bases.push_back(bases.back() + count);
-  }
-  std::uint32_t size() const { return bases.back(); }
-
-  // f(class) for the virtual indices [vb, ve).
-  template <typename F>
-  void Scan(std::size_t vb, std::size_t ve, const F& f) const {
-    std::size_t r = static_cast<std::size_t>(
-                        std::upper_bound(bases.begin(), bases.end(),
-                                         static_cast<std::uint32_t>(vb)) -
-                        bases.begin()) -
-                    1;
-    std::uint32_t last = kNoIndex;
-    for (std::size_t v = vb; v < ve; ++v) {
-      while (v >= bases[r + 1]) {
-        ++r;
-        last = kNoIndex;
-      }
-      const std::uint32_t id =
-          starts[r][static_cast<std::uint32_t>(v) - bases[r]];
-      if (id == last) continue;
-      last = id;
-      f(id);
-    }
-  }
-};
-
-// Reused allocations for the per-component search.  The chunk_* members
-// hold per-chunk partials for the pool-dispatched extract passes:
-// indexed by chunk, merged in chunk order, and reused across lengthening
-// levels and components to avoid allocator churn.  (Per-chunk — never
-// per-slot — because slot assignment is the one thing the pool does not
-// keep deterministic.)
+// Reused allocations for the per-component search, kept across
+// lengthening levels and components to avoid allocator churn.
 struct Scratch {
   std::vector<std::uint32_t> top_entries;  // max-count bigram entries
   NgramTable survivors;
@@ -941,13 +886,8 @@ struct Scratch {
   std::vector<std::uint32_t> candidates;
   std::vector<std::uint64_t> candidate_bits;  // per class id; zeroed after use
   std::vector<char> entry_mark;  // bigram entries surviving at length 2
-  std::vector<NgramTable> chunk_tables;
-  std::vector<std::vector<std::uint32_t>> chunk_ids;
-  std::vector<std::vector<SymbolId>> chunk_prefixes;
-  std::vector<std::vector<double>> chunk_deltas;
-  std::vector<double> chunk_max;
-  PostingRanges ranges;
   std::vector<std::uint32_t> removed;       // classes of the current component
+  std::vector<double> removal_delta;        // per entry: one weighted partial
 };
 
 // The weighted occurrences of `chain` in the active classes, read off
@@ -1056,11 +996,7 @@ std::optional<std::vector<SymbolId>> ChainPick(WindowState& st,
 // maintained) table.  Returns nullopt if no bigram reaches min_count.
 // With unit weights the max-count bigrams' chains usually decide the
 // pick (ChainPick); iterative lengthening runs only when they do not,
-// and for weighted options.  The scan and re-scoring passes are sharded
-// on the pool with input-derived grains (options.scan_grain /
-// candidate_grain); per-chunk partials merge in chunk order, so the
-// pick — including the last bits of every weighted count — is unchanged
-// by the thread count.  Candidate collection is one serial bitmap pass.
+// and for weighted options.
 std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     WindowState& st, double min_count, Scratch& scratch,
     const StemmingOptions& options, StemmingStats& stats) {
@@ -1068,55 +1004,25 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
   const std::vector<char>& active = st.tables.active;
   const Postings& postings = st.tables.postings;
   const std::vector<double>& bigram_counts = st.tables.counts;
-  util::ThreadPool* pool = options.pool;
-  const std::size_t scan_grain = std::max<std::size_t>(1, options.scan_grain);
   const std::size_t n_entries = bigram_counts.size();
 
   // The maximum over all length>=2 sub-sequences is attained by a bigram
   // (counts are antitone in extension); the persistent dense count array
-  // already holds every active bigram count.  Max is order-independent,
-  // so the per-chunk maxima merge exactly.
-  const std::size_t scan_chunks =
-      util::ThreadPool::ChunksFor(n_entries, scan_grain);
-  scratch.chunk_max.assign(scan_chunks, 0.0);
-  stats.parallel_seconds += ParallelRegion(
-      pool, scan_chunks, [&](std::size_t c) {
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(n_entries, scan_grain, c);
-        double m = 0.0;
-        for (std::size_t e = begin; e < end; ++e) {
-          m = std::max(m, bigram_counts[e]);
-        }
-        scratch.chunk_max[c] = m;
-      });
+  // already holds every active bigram count.
   double best_count = 0.0;
-  for (const double m : scratch.chunk_max) best_count = std::max(best_count, m);
+  for (const double count : bigram_counts) {
+    best_count = std::max(best_count, count);
+  }
   if (best_count < min_count || best_count <= kCountEpsilon) {
     return std::nullopt;
   }
 
-  // Survivors at length 2, collected per chunk and merged in chunk (=
-  // entry) order.
-  if (scratch.chunk_ids.size() < scan_chunks) {
-    scratch.chunk_ids.resize(scan_chunks);
-  }
-  stats.parallel_seconds += ParallelRegion(
-      pool, scan_chunks, [&](std::size_t c) {
-        std::vector<std::uint32_t>& ids = scratch.chunk_ids[c];
-        ids.clear();
-        const auto [begin, end] =
-            util::ThreadPool::ChunkRange(n_entries, scan_grain, c);
-        for (std::size_t e = begin; e < end; ++e) {
-          if (CountsEqual(bigram_counts[e], best_count)) {
-            ids.push_back(static_cast<std::uint32_t>(e));
-          }
-        }
-      });
+  // Survivors at length 2, in entry order.
   scratch.top_entries.clear();
-  for (std::size_t c = 0; c < scan_chunks; ++c) {
-    scratch.top_entries.insert(scratch.top_entries.end(),
-                               scratch.chunk_ids[c].begin(),
-                               scratch.chunk_ids[c].end());
+  for (std::size_t e = 0; e < n_entries; ++e) {
+    if (CountsEqual(bigram_counts[e], best_count)) {
+      scratch.top_entries.push_back(static_cast<std::uint32_t>(e));
+    }
   }
   if (!options.weight_fn) {
     if (auto chain = ChainPick(st, best_count, scratch)) {
@@ -1154,9 +1060,8 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     // bigram postings.  Each sets one bit in a bitmap over class ids;
     // reading the touched words in order yields them ascending and once
     // each, whatever order the lists hold them in, and clears the bitmap
-    // for the next level.  One serial pass: a hit is a load and an OR,
-    // cheaper than the per-chunk lists and the sort that merging them
-    // would need.
+    // for the next level.  A hit is a load and an OR, cheaper than
+    // collecting the lists and sorting them.
     const std::size_t words = (active.size() + 63) / 64;
     if (scratch.candidate_bits.size() < words) {
       scratch.candidate_bits.resize(words, 0);
@@ -1188,59 +1093,35 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
       }
     }
 
-    // Re-scoring: each chunk counts its candidate range into its own
-    // k+1-gram table; tables merge in chunk order, so weighted counts
-    // accumulate in the same association at any thread count.
-    const std::size_t candidate_grain =
-        std::max<std::size_t>(1, options.candidate_grain);
-    const std::size_t score_chunks =
-        util::ThreadPool::ChunksFor(scratch.candidates.size(),
-                                    candidate_grain);
-    if (scratch.chunk_tables.size() < score_chunks) {
-      scratch.chunk_tables.resize(score_chunks);
-    }
-    stats.parallel_seconds += ParallelRegion(
-        pool, score_chunks, [&](std::size_t c) {
-          NgramTable& table = scratch.chunk_tables[c];
-          table.Reset(k + 1);
-          const auto [cb, ce] = util::ThreadPool::ChunkRange(
-              scratch.candidates.size(), candidate_grain, c);
-          if (k == 2) {
-            // First level runs over every candidate position; membership
-            // in the survivor set is a lookup on the recorded entry ids,
-            // not a hash.
-            for (std::size_t ci = cb; ci < ce; ++ci) {
-              const std::uint32_t id = scratch.candidates[ci];
-              const EventView& view = arena.views[id];
-              if (view.length < 3) continue;
-              const SymbolId* seq = arena.Seq(id);
-              const double weight = view.weight;
-              for (std::uint32_t j = 0; j + 2 < view.length; ++j) {
-                if (scratch.entry_mark[arena.pair_entries[view.begin + j]]) {
-                  table.Count(seq + j) += weight;
-                }
-              }
-            }
-          } else {
-            for (std::size_t ci = cb; ci < ce; ++ci) {
-              const std::uint32_t id = scratch.candidates[ci];
-              const SymbolId* seq = arena.Seq(id);
-              const std::size_t len = arena.Len(id);
-              if (len < k + 1) continue;
-              const double weight = arena.views[id].weight;
-              for (std::size_t j = 0; j + k < len; ++j) {
-                if (scratch.survivors.Find(seq + j) != nullptr) {
-                  table.Count(seq + j) += weight;
-                }
-              }
-            }
-          }
-        });
+    // Re-scoring: count each survivor's extensions over the candidates.
+    // The counts only decide CountsEqual(count, best_count), whose
+    // relative tolerance absorbs the association of weighted sums.
     scratch.extended.Reset(k + 1);
-    for (std::size_t c = 0; c < score_chunks; ++c) {
-      scratch.chunk_tables[c].ForEach([&](const SymbolId* gram, double count) {
-        scratch.extended.Count(gram) += count;
-      });
+    if (k == 2) {
+      // First level runs over every candidate position; membership in the
+      // survivor set is a lookup on the recorded entry ids, not a hash.
+      for (const std::uint32_t id : scratch.candidates) {
+        const EventView& view = arena.views[id];
+        if (view.length < 3) continue;
+        const SymbolId* seq = arena.Seq(id);
+        for (std::uint32_t j = 0; j + 2 < view.length; ++j) {
+          if (scratch.entry_mark[arena.pair_entries[view.begin + j]]) {
+            scratch.extended.Count(seq + j) += view.weight;
+          }
+        }
+      }
+    } else {
+      for (const std::uint32_t id : scratch.candidates) {
+        const SymbolId* seq = arena.Seq(id);
+        const std::size_t len = arena.Len(id);
+        if (len < k + 1) continue;
+        const double weight = arena.views[id].weight;
+        for (std::size_t j = 0; j + k < len; ++j) {
+          if (scratch.survivors.Find(seq + j) != nullptr) {
+            scratch.extended.Count(seq + j) += weight;
+          }
+        }
+      }
     }
 
     scratch.survivors.Reset(k + 1);
@@ -1261,7 +1142,7 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
 // Each removed class is marked in `class_component` and, when
 // `removed_log` is set, appended to it so the caller can undo the
 // removals.  Returns the events left active, in original-event units;
-// adds the parallel seconds and the picks to `stats`.
+// adds the picks to `stats`.
 std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
                               double total_weight,
                               const StemmingOptions& options,
@@ -1273,9 +1154,6 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
   const Arena& arena = t.arena;
   std::vector<double>& bigram_counts = t.counts;
   std::vector<char>& active = t.active;
-  util::ThreadPool* pool = options.pool;
-  const std::size_t scan_grain = std::max<std::size_t>(1, options.scan_grain);
-  const std::size_t n_bigrams = bigram_counts.size();
   while (components.size() < options.max_components && active_count > 0) {
     const double min_count =
         std::max(options.min_count, options.min_count_fraction * total_weight);
@@ -1292,44 +1170,25 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
     // P: prefixes of active sequences containing s'.  Candidates come
     // from the stem pair's posting list (every sequence containing s'
     // contains its last bigram); only they are checked for containment.
-    // The containment scan shards over the posting range; per-chunk hits
-    // concatenate in chunk order and are then sorted and deduplicated —
-    // the same set the serial scan collected.
     std::vector<SymbolId> prefix_symbols;
     const std::uint32_t stem_entry =
         t.postings.EntryOf(component.stem.first, component.stem.second);
     if (stem_entry != kNoIndex) {
-      scratch.ranges.Clear();
+      std::uint32_t previous = kNoIndex;
       t.postings.ForEachRange(stem_entry, [&](const std::uint32_t* data,
                                               std::uint32_t n) {
-        scratch.ranges.Add(data, n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          const std::uint32_t cls = data[i];
+          if (cls == previous) continue;  // a class's repeats are adjacent
+          previous = cls;
+          if (!active[cls]) continue;
+          if (sequence.size() == 2 ||
+              Occurrences(arena.Seq(cls), arena.Len(cls), sequence.data(),
+                          sequence.size()) != 0) {
+            prefix_symbols.push_back(arena.views[cls].prefix_symbol);
+          }
+        }
       });
-      const std::size_t plen = scratch.ranges.size();
-      const std::size_t pchunks =
-          util::ThreadPool::ChunksFor(plen, scan_grain);
-      if (scratch.chunk_prefixes.size() < pchunks) {
-        scratch.chunk_prefixes.resize(pchunks);
-      }
-      stats.parallel_seconds += ParallelRegion(
-          pool, pchunks, [&](std::size_t c) {
-            std::vector<SymbolId>& out = scratch.chunk_prefixes[c];
-            out.clear();
-            const auto [begin, end] =
-                util::ThreadPool::ChunkRange(plen, scan_grain, c);
-            scratch.ranges.Scan(begin, end, [&](std::uint32_t cls) {
-              if (!active[cls]) return;
-              if (sequence.size() == 2 ||
-                  Occurrences(arena.Seq(cls), arena.Len(cls),
-                              sequence.data(), sequence.size()) != 0) {
-                out.push_back(arena.views[cls].prefix_symbol);
-              }
-            });
-          });
-      for (std::size_t c = 0; c < pchunks; ++c) {
-        prefix_symbols.insert(prefix_symbols.end(),
-                              scratch.chunk_prefixes[c].begin(),
-                              scratch.chunk_prefixes[c].end());
-      }
     }
     std::sort(prefix_symbols.begin(), prefix_symbols.end());
     prefix_symbols.erase(
@@ -1337,13 +1196,10 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
         prefix_symbols.end());
 
     // E: every active class whose prefix is in P, via the prefix posting
-    // lists — proportional to the component, not the window.  The
-    // deactivation sweep stays serial (it mutates shared flags).  Unit
+    // lists — proportional to the component, not the window.  Unit
     // weights make every count an integer, exact in any order, so the
     // removal subtracts in place: O(removed positions).  Weighted counts
-    // shard the removed classes into input-derived chunks, each
-    // accumulating a dense per-chunk delta that merges in chunk order —
-    // so the persistent counts stay bit-identical at any thread count.
+    // subtract in kRemovalPartial partials, in removal order.
     const std::uint32_t comp_id =
         static_cast<std::uint32_t>(components.size());
     scratch.removed.clear();
@@ -1365,27 +1221,17 @@ std::size_t ExtractComponents(WindowState& st, std::size_t active_count,
         AddClassCounts(arena, cls, -arena.views[cls].weight, bigram_counts);
       }
     } else {
-      const std::size_t removal_grain =
-          std::max<std::size_t>(1, options.removal_grain);
-      const std::size_t rchunks =
-          util::ThreadPool::ChunksFor(scratch.removed.size(), removal_grain);
-      if (scratch.chunk_deltas.size() < rchunks) {
-        scratch.chunk_deltas.resize(rchunks);
-      }
-      stats.parallel_seconds += ParallelRegion(
-          pool, rchunks, [&](std::size_t c) {
-            std::vector<double>& delta = scratch.chunk_deltas[c];
-            delta.assign(n_bigrams, 0.0);
-            const auto [begin, end] = util::ThreadPool::ChunkRange(
-                scratch.removed.size(), removal_grain, c);
-            for (std::size_t i = begin; i < end; ++i) {
-              AddClassCounts(arena, scratch.removed[i],
-                             arena.views[scratch.removed[i]].weight, delta);
-            }
-          });
-      for (std::size_t c = 0; c < rchunks; ++c) {
-        const std::vector<double>& delta = scratch.chunk_deltas[c];
-        for (std::size_t e = 0; e < n_bigrams; ++e) {
+      std::vector<double>& delta = scratch.removal_delta;
+      for (std::size_t begin = 0; begin < scratch.removed.size();
+           begin += kRemovalPartial) {
+        delta.assign(bigram_counts.size(), 0.0);
+        const std::size_t end =
+            std::min(scratch.removed.size(), begin + kRemovalPartial);
+        for (std::size_t i = begin; i < end; ++i) {
+          AddClassCounts(arena, scratch.removed[i],
+                         arena.views[scratch.removed[i]].weight, delta);
+        }
+        for (std::size_t e = 0; e < bigram_counts.size(); ++e) {
           bigram_counts[e] -= delta[e];
         }
       }
@@ -1594,12 +1440,6 @@ StemmingResult StemWindow(WindowState& st, std::span<const bgp::Event> events,
                           result.stats.count_seconds);
   RANOMALY_METRIC_OBSERVE("stemming_extract_seconds", obs::TimeBounds(),
                           result.stats.extract_seconds);
-  if (result.stats.extract_seconds > 0.0) {
-    RANOMALY_METRIC_SET(
-        "stemming_extract_parallel_fraction",
-        std::min(1.0, result.stats.parallel_seconds /
-                     result.stats.extract_seconds));
-  }
   return result;
 }
 

@@ -33,10 +33,9 @@
 // component *subtracts* its classes' contributions instead of
 // recounting, making each iteration proportional to the removed
 // component.  There is one encoding of a window, SlidingStemmer's: Stem
-// builds it from empty for one call.  Encoding and the counts are
-// serial; an optional ThreadPool runs the recursion's scans in chunks
-// whose partials merge in chunk order, so results are bit-identical for
-// any thread count.
+// builds it from empty for one call.  Every stage runs on the calling
+// thread; callers stem independent windows concurrently instead
+// (Pipeline::Analyze's spike fan-out).
 //
 // Temporal independence: the algorithm never looks at event ordering or
 // inter-arrival times, so it works unchanged on a 10-minute spike window
@@ -140,19 +139,9 @@ struct StemmingOptions {
   // Optional per-prefix weight (traffic volume); default: every prefix
   // weighs 1 (the paper's base algorithm).
   std::function<double(const bgp::Prefix&)> weight_fn;
-  // Optional pool for the extract stage's chunked passes (non-owning).
-  // Every chunk split is fixed by the input size, never by the thread
-  // count, so the result is bit-identical with any pool — or none.
+  // Inert: Stem ignores it.  Kept only because perfbench/perfbench.cc
+  // still sets it; it goes when that file stops doing so.
   util::ThreadPool* pool = nullptr;
-  // Parallel decomposition tuning (DESIGN.md "Parallel analysis
-  // architecture").  Each grain is a pure function of the input and
-  // these values — never the thread count — so chunk splits, and with
-  // them every merged result, are unchanged by RANOMALY_THREADS.
-  // Defaults suit Table-I-scale windows; tests shrink them to force
-  // multi-chunk execution on small inputs.
-  std::size_t scan_grain = 8192;       // entries/posting slots per scan chunk
-  std::size_t candidate_grain = 2048;  // classes per re-scoring chunk
-  std::size_t removal_grain = 2048;    // removed classes per subtract chunk
 };
 
 // Analysis-stage counters for one Stem call.  Stem also records them on
@@ -169,10 +158,8 @@ struct StemmingStats {
   double encode_seconds = 0.0;   // arena encoding + posting lists
   double count_seconds = 0.0;    // initial bigram count
   double extract_seconds = 0.0;  // recursion: top-seq + component removal
-  // Wall time spent inside pool-dispatched regions of the extract stage;
-  // with extract_seconds it yields the stemming_extract_parallel_fraction
-  // gauge that tells an operator how much of the recursion was
-  // Amdahl-serial.
+  // Inert: always 0.  Kept only because perfbench/perfbench.cc still
+  // reads it; it goes when that file stops doing so.
   double parallel_seconds = 0.0;
   // Top-sequence picks of the recursion: read off the max-count bigram
   // chains, or found by iterative lengthening (see the note above).

@@ -21,7 +21,7 @@ std::size_t ThreadPool::DefaultThreadCount() {
   if (const char* env = std::getenv("RANOMALY_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
     if (parsed >= 1) {
-      return std::min<std::size_t>(static_cast<std::size_t>(parsed), 256);
+      return std::min(static_cast<std::size_t>(parsed), kMaxThreads);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -1,8 +1,8 @@
 // Fixed-size deterministic thread pool.
 //
-// The analysis hot path (the stemming recursion's chunked scans, the
-// Pipeline's per-spike-window fan-out) needs parallelism whose *results*
-// are bit-identical to the serial path.  The pool therefore has no work
+// Its users (Pipeline::Analyze's spike-window fan-out, internet-scale
+// generation's propagation waves) need parallelism whose *results* are
+// bit-identical to the serial path.  The pool therefore has no work
 // stealing and no scheduling freedom that could leak into outputs: work
 // is expressed as `chunks` indexed tasks, callers store per-chunk results
 // and merge them in chunk order, so which thread ran a chunk can never
@@ -10,9 +10,9 @@
 // parameter — `RANOMALY_THREADS=1` and `RANOMALY_THREADS=8` must produce
 // identical bytes.
 //
-// Nesting: ParallelFor issued from inside a pool worker (e.g. a stemming
-// scan inside a parallel spike window) runs inline on that worker
-// rather than deadlocking on the already-busy pool.
+// Nesting: ParallelFor issued from inside a pool worker (by code that a
+// chunk calls) runs inline on that worker rather than deadlocking on the
+// already-busy pool.
 #pragma once
 
 #include <atomic>
@@ -67,7 +67,12 @@ class ThreadPool {
     return {begin, end};
   }
 
-  // RANOMALY_THREADS if set (clamped to [1, 256]), else
+  // The most threads a pool is asked for from outside the program:
+  // RANOMALY_THREADS is clamped to it, and a command-line thread count
+  // above it is refused.
+  static constexpr std::size_t kMaxThreads = 256;
+
+  // RANOMALY_THREADS if set (clamped to [1, kMaxThreads]), else
   // hardware_concurrency(), else 1.
   static std::size_t DefaultThreadCount();
 

@@ -127,7 +127,6 @@ class StemmingOptRowTest(unittest.TestCase):
         report = benchmark_report({
             "BM_StemmingLegacy/330000": [495, 600, 610, 590, 605],
             "BM_StemmingArena/330000": [110, 100, 101, 99, 100],
-            "BM_StemmingArenaThreads/1": [200, 80, 81, 79, 82],
         })
         row, failure = run_bench.stemming_opt_row(report, quick=False)
         self.assertIsNone(failure)
@@ -137,9 +136,6 @@ class StemmingOptRowTest(unittest.TestCase):
         self.assertAlmostEqual(big["legacy_ns_per_op"], 600e6)
         self.assertAlmostEqual(big["arena_ns_per_op"], 100e6)
         self.assertAlmostEqual(row["serial_speedup_330k"], 6.0)
-        self.assertEqual(row["parallel_330k"],
-                         [{"threads": 1, "ns_per_op": 81e6,
-                           "main_thread_cpu_ns_per_op": 81e6}])
 
     def test_gate_fails_below_five_times(self):
         times = {"BM_StemmingLegacy/330000": [480, 700, 470, 490, 300],

@@ -203,15 +203,29 @@ TEST_F(CliTest, StatsAnalyzeReportsStageBreakdown) {
   EXPECT_NE(output.find("stemming_events_encoded_total"), std::string::npos);
   EXPECT_NE(output.find("stemming_bigram_entries_total"), std::string::npos);
   EXPECT_NE(output.find("pipeline_analyze_seconds"), std::string::npos);
-  // The scaling diagnostics: pool health plus per-stage parallel
-  // fractions (the pipeline wires its pool into stemming, so both
-  // families accumulate during --analyze).
+  // The spike-window fan-out's pool health.
   EXPECT_NE(output.find("pool_threads"), std::string::npos);
-  EXPECT_NE(output.find("stemming_extract_parallel_fraction"),
-            std::string::npos);
   // Only the analysis slice of the registry, not the io_* counters the
   // stream load bumped.
   EXPECT_EQ(output.find("io_events_loaded_total"), std::string::npos);
+}
+
+TEST_F(CliTest, InternetRefusesThreadCountsAboveTheLimit) {
+  // Refused while parsing, before generation would spawn the pool.  The
+  // relationship file does not exist, so were the count let through,
+  // generation would fail (exit 1) before any pool exists: the test
+  // starts no thread either way.
+  for (const std::string threads : {"257", "18446744073709551615"}) {
+    SCOPED_TRACE(threads);
+    const std::string path = Path("internet.bin");
+    EXPECT_EQ(Run({"internet", "--out", path, "--relationships",
+                   Path("missing.rel"), "--threads", threads}),
+              2);
+    EXPECT_NE(err_.str().find("--threads is at most 256, got " + threads),
+              std::string::npos)
+        << err_.str();
+    EXPECT_FALSE(fs::exists(path));
+  }
 }
 
 TEST_F(CliTest, MetricsDumpsTheRegistry) {

@@ -10,6 +10,7 @@
 #include "obs/health.h"
 #include "obs/http_server.h"
 #include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "workload/eventgen.h"
 
 namespace ranomaly::core {
@@ -225,6 +226,29 @@ TEST(LiveRunnerTest, LatencyBucketsAreThreadCountInvariant) {
     EXPECT_EQ(results[i].incidents, results[0].incidents)
         << "thread count changed the incident sequence";
   }
+}
+
+// The live path stems and classifies on the replay thread at any
+// pipeline.threads: a replay runs no pool job, and the series a snapshot
+// carries include no pool metric and no parallel-fraction gauge.
+TEST(LiveRunnerTest, ReplayRunsNoPoolJob) {
+  const auto stream = ResetCapture();
+  obs::MetricsRegistry::Global().Reset();
+  IncidentLog log;
+  obs::TimeSeriesStore store;
+  LiveOptions options;
+  options.pipeline.threads = 2;
+  LiveRunner runner(options, nullptr, &log, &store);
+  runner.Run(stream);
+  ASSERT_GT(log.size(), 0u);
+  EXPECT_EQ(
+      obs::MetricsRegistry::Global().CounterValue("pool_jobs_total"), 0u);
+  const std::string list = store.ListJson();
+  EXPECT_NE(list.find("\"serve_ticks_total\""), std::string::npos) << list;
+  EXPECT_EQ(list.find("\"pool_"), std::string::npos) << list;
+  EXPECT_EQ(list.find("stemming_extract_parallel_fraction"),
+            std::string::npos)
+      << list;
 }
 
 TEST(LiveRunnerTest, StopsEarlyWhenToldTo) {

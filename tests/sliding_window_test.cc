@@ -18,7 +18,6 @@
 #include "bench/pre_arena_stemmer.h"
 #include "core/pipeline.h"
 #include "stemming/stemming.h"
-#include "util/thread_pool.h"
 #include "workload/eventgen.h"
 #include "workload/internet_scale.h"
 
@@ -302,9 +301,7 @@ TEST(SlidingWindowTest, SlidesOfEveryShapeMatchBatchAndEncodeOnlyNewEvents) {
   const std::vector<Window> live = LiveWindows(events);
   for (std::size_t k = 0; k < live.size(); k += 2) windows.push_back(live[k]);
 
-  util::ThreadPool pool(4);
   stemming::StemmingOptions options;
-  options.pool = &pool;
   stemming::SlidingStemmer sliding;
   Window previous{0, 0};
   for (const Window& w : windows) {

@@ -10,7 +10,6 @@
 #include "bench/table1_common.h"
 #include "stemming/stemming.h"
 #include "util/crc32.h"
-#include "util/thread_pool.h"
 #include "workload/eventgen.h"
 
 namespace ranomaly::stemming {
@@ -282,8 +281,8 @@ TEST(SymbolTableTest, RoundTripsAllKinds) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence suite: the arena-encoded, incrementally-counted, optionally
-// pooled Stem must reproduce the original direct implementation exactly.
+// Equivalence suite: the arena-encoded, incrementally-counted Stem must
+// reproduce the original direct implementation exactly.
 // pre_arena::Stem (bench/pre_arena_stemmer.h) is a frozen copy of the
 // pre-arena Stem (per-event SymbolId vectors, VecHash-keyed maps, full
 // recount per iteration) kept as the oracle; any behavioural drift in the
@@ -373,88 +372,6 @@ TEST_P(StemmingEquivalenceTest, ArenaMatchesReferenceImplementation) {
   const StemmingResult actual = Stem(events, options);
   ExpectIdenticalResults(expected, actual);
   ASSERT_FALSE(actual.components.empty());
-}
-
-TEST_P(StemmingEquivalenceTest, ThreadPoolPathMatchesSerial) {
-  const std::vector<Event> events = GetParam()();
-  StemmingOptions serial;
-  const StemmingResult expected = Stem(events, serial);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    StemmingOptions pooled;
-    pooled.pool = &pool;
-    const StemmingResult actual = Stem(events, pooled);
-    ExpectIdenticalResults(expected, actual);
-  }
-}
-
-// Shrunken grains force every parallel stage (posting/candidate scans,
-// re-scoring, subtract-on-removal) through genuinely multi-chunk
-// execution on a test-sized window.  Unweighted
-// counts are integer sums, so even a different chunking must reproduce
-// the default configuration exactly — and the pooled runs must match
-// the identically-chunked serial run byte for byte.
-StemmingOptions TinyGrainOptions() {
-  StemmingOptions options;
-  options.scan_grain = 16;
-  options.candidate_grain = 8;
-  options.removal_grain = 8;
-  return options;
-}
-
-TEST_P(StemmingEquivalenceTest, MultiChunkGrainsMatchDefaultConfiguration) {
-  const std::vector<Event> events = GetParam()();
-  const StemmingResult expected = Stem(events, StemmingOptions{});
-  StemmingOptions tiny = TinyGrainOptions();
-  ExpectIdenticalResults(expected, Stem(events, tiny));
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    tiny.pool = &pool;
-    const StemmingResult actual = Stem(events, tiny);
-    ExpectIdenticalResults(expected, actual);
-  }
-}
-
-TEST_P(StemmingEquivalenceTest, MultiChunkWeightedIsThreadCountInvariant) {
-  // With non-integer weights the chunk split fixes the accumulation
-  // order, so a tiny-grain run is its own serial baseline; the pooled
-  // runs must still match it to the last bit at every thread count.
-  const std::vector<Event> events = GetParam()();
-  const auto weight = [](const bgp::Prefix& p) {
-    return 1.0 + 0.125 * static_cast<double>(p.addr().value() % 7) + 1e-3;
-  };
-  StemmingOptions tiny = TinyGrainOptions();
-  tiny.weight_fn = weight;
-  const StemmingResult expected = Stem(events, tiny);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    StemmingOptions pooled = TinyGrainOptions();
-    pooled.weight_fn = weight;
-    pooled.pool = &pool;
-    const StemmingResult actual = Stem(events, pooled);
-    ExpectIdenticalResults(expected, actual);
-  }
-}
-
-TEST_P(StemmingEquivalenceTest, WeightedCountsAreThreadCountInvariant) {
-  // Non-integer weights make accumulation order observable in the last
-  // FP bits; the fixed shard split plus shard-order merge must keep the
-  // result bit-identical for every thread count.
-  const std::vector<Event> events = GetParam()();
-  const auto weight = [](const bgp::Prefix& p) {
-    return 1.0 + 0.125 * static_cast<double>(p.addr().value() % 7) + 1e-3;
-  };
-  StemmingOptions serial;
-  serial.weight_fn = weight;
-  const StemmingResult expected = Stem(events, serial);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    StemmingOptions pooled;
-    pooled.weight_fn = weight;
-    pooled.pool = &pool;
-    const StemmingResult actual = Stem(events, pooled);
-    ExpectIdenticalResults(expected, actual);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, StemmingEquivalenceTest,
@@ -704,9 +621,9 @@ std::uint32_t ResultCrc(const StemmingResult& r) {
 
 // Pinned bytes of Stem on the Table I 57k spike window (56,999
 // events; 32,268 classes, so the initial count sums two 16,384-class
-// partials), unit and weighted, with and without a pool.  A change to
-// the order classes, symbols or bigram entries are numbered in, or to
-// the association of weighted counts, moves these values.
+// partials), unit and weighted.  A change to the order classes, symbols
+// or bigram entries are numbered in, or to the association of weighted
+// counts (the count partials, the removal partials), moves these values.
 TEST(StemmingPinnedBytesTest, Table1Window57kMatchesPinnedCrc) {
   const collector::EventStream stream =
       bench::SpikeEvents(bench::BerkeleyScale(23'000), 57'000, 9);
@@ -714,19 +631,13 @@ TEST(StemmingPinnedBytesTest, Table1Window57kMatchesPinnedCrc) {
   const auto weight = [](const bgp::Prefix& p) {
     return 1.0 + 0.125 * static_cast<double>(p.addr().value() % 7) + 1e-3;
   };
-  util::ThreadPool pool(4);
-  const std::array<util::ThreadPool*, 2> pools = {nullptr, &pool};
-  for (util::ThreadPool* p : pools) {
-    SCOPED_TRACE(p == nullptr ? "no pool" : "4-thread pool");
-    StemmingOptions unit;
-    unit.pool = p;
-    const StemmingResult unit_result = Stem(stream.events(), unit);
-    EXPECT_EQ(unit_result.stats.distinct_sequences, 32'268u);
-    EXPECT_EQ(ResultCrc(unit_result), 0xd6141153u);
-    StemmingOptions weighted = unit;
-    weighted.weight_fn = weight;
-    EXPECT_EQ(ResultCrc(Stem(stream.events(), weighted)), 0xf2fa4c34u);
-  }
+  StemmingOptions unit;
+  const StemmingResult unit_result = Stem(stream.events(), unit);
+  EXPECT_EQ(unit_result.stats.distinct_sequences, 32'268u);
+  EXPECT_EQ(ResultCrc(unit_result), 0xd6141153u);
+  StemmingOptions weighted = unit;
+  weighted.weight_fn = weight;
+  EXPECT_EQ(ResultCrc(Stem(stream.events(), weighted)), 0xf2fa4c34u);
 }
 
 }  // namespace

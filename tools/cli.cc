@@ -27,6 +27,7 @@
 #include "tamp/prune.h"
 #include "tamp/render.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "workload/internet_scale.h"
 
 namespace ranomaly::tools {
@@ -442,6 +443,12 @@ int CmdInternet(const Args& args, std::ostream& out, std::ostream& err) {
       !size_opt("--threads", options.threads) || !size_opt("--seed", seed)) {
     return kUsage;
   }
+  // Checked before BuildInternetScale spawns a pool of that size.
+  if (options.threads > util::ThreadPool::kMaxThreads) {
+    err << "internet: --threads is at most " << util::ThreadPool::kMaxThreads
+        << ", got " << options.threads << "\n";
+    return kUsage;
+  }
   options.seed = seed;
   if (const auto v = args.Option("--flap-fraction")) {
     options.flap_fraction = ParseDouble(*v, options.flap_fraction);
@@ -570,10 +577,9 @@ int CmdStats(const Args& args, std::ostream& out, std::ostream& err) {
   }
   // Analysis-stage perf breakdown: run the pipeline (its stage metrics
   // accumulate on the process registry) and print the pipeline_*,
-  // stemming_*, and pool_* slice of the snapshot.  The pool_utilization
-  // and stemming_extract_parallel_fraction gauges are the scaling
-  // diagnostics: utilization well below 1.0 means lanes starved,
-  // parallel fraction well below 1.0 means the recursion is Amdahl-bound.
+  // stemming_*, and pool_* slice of the snapshot.  The pool_* metrics
+  // come from the spike-window fan-out; pool_utilization well below 1.0
+  // means its lanes starved.
   if (args.HasFlag("--analyze")) {
     const core::Pipeline pipeline{core::PipelineOptions{}};
     pipeline.Analyze(*stream);

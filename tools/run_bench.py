@@ -2,7 +2,7 @@
 """Regenerates the rows of BENCH_stemming.json.
 
     tools/run_bench.py                      stemming_opt: legacy vs arena
-                                            stemmer per size, thread curve
+                                            stemmer per size
     tools/run_bench.py --throughput         throughput_events_per_sec
     tools/run_bench.py --internet           internet_scale_throughput
     tools/run_bench.py --overhead ROW|all   ROW_overhead for serve,
@@ -199,9 +199,10 @@ def stemming_opt_row(report, quick):
     scale = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
     runs = benchmark_runs(report)
 
-    def ns(name, key="real_time"):
+    def ns(name):
         b = runs.get(name)
-        return None if b is None else b[key] * scale[b.get("time_unit", "ns")]
+        return (None if b is None
+                else b["real_time"] * scale[b.get("time_unit", "ns")])
 
     rows = []
     for size in (12_000, 57_000, 330_000):
@@ -214,17 +215,7 @@ def stemming_opt_row(report, quick):
         if legacy is not None and arena:
             row["speedup"] = legacy / arena
         rows.append(row)
-    # Wall time per point plus the main thread's CPU time: where threads
-    # outnumber CPUs wall time cannot improve, but the main-thread CPU
-    # curve still shows how much of the work moved to the workers.
-    parallel = []
-    for threads in (1, 2, 4, 8):
-        name = f"BM_StemmingArenaThreads/{threads}"
-        if name in runs:
-            parallel.append({"threads": threads, "ns_per_op": ns(name),
-                             "main_thread_cpu_ns_per_op":
-                                 ns(name, "cpu_time")})
-    if not rows and not parallel:
+    if not rows:
         sys.exit("no benchmark rows parsed")
     big = next((r for r in rows
                 if r["events"] == 330_000 and "speedup" in r), None)
@@ -233,7 +224,6 @@ def stemming_opt_row(report, quick):
         "workload": "BerkeleyScale(23000) SpikeEvents, Table I stemming rows",
         "repetitions": 1 if quick else STEMMING_OPT_REPETITIONS,
         "rows": rows,
-        "parallel_330k": parallel,
         "serial_speedup_330k": big and big["speedup"],
     }
     failure = None
@@ -245,8 +235,8 @@ def stemming_opt_row(report, quick):
 
 def stemming_opt(args):
     flags = ["--benchmark_format=json"]
-    if args.quick:  # 12k rows and the 1-thread point, short runs
-        flags += ["--benchmark_filter=/(12000|1)$",
+    if args.quick:  # 12k rows, short runs
+        flags += ["--benchmark_filter=/12000$",
                   "--benchmark_min_time=0.05"]
     else:  # every figure is a median over interleaved repetitions
         flags += [f"--benchmark_repetitions={STEMMING_OPT_REPETITIONS}",
@@ -259,10 +249,6 @@ def stemming_opt(args):
               f'{(r["legacy_ns_per_op"] or 0) / 1e6:.1f} ms, arena '
               f'{(r["arena_ns_per_op"] or 0) / 1e6:.1f} ms, speedup '
               f'{r.get("speedup", 0):.1f}x')
-    for p in result["parallel_330k"]:
-        print(f'  330k @ {p["threads"]} thread(s): '
-              f'{p["ns_per_op"] / 1e6:.1f} ms wall, '
-              f'{p["main_thread_cpu_ns_per_op"] / 1e6:.1f} ms main-thread CPU')
     if failure:
         sys.exit(failure)
 
