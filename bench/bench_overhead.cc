@@ -101,7 +101,7 @@ class PolledServer {
                std::vector<const char*> rotation)
       : server_(core::MakeOpsHandler(
             &obs::MetricsRegistry::Global(), &health_, &incidents_,
-            core::OpsInfo{"bench", 2, 30.0, 10.0, 300.0}, series,
+            core::OpsInfo{"bench", 30.0, 10.0, 300.0}, series,
             /*dashboard=*/series != nullptr)),
         rotation_(std::move(rotation)) {
     std::string error;

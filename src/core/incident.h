@@ -57,8 +57,10 @@ struct Incident {
   std::pair<std::uint64_t, std::uint64_t> stem_key{0, 0};
   std::string stem_label;       // "AS11423 - AS209"
   std::string top_sequence;     // full s' rendering
+  // The classifier's inputs and the raw component (indices into the
+  // analyzed window); both empty in the live runner's incident log.
   IncidentEvidence evidence;
-  stemming::Component component;  // raw component (indices into the window)
+  stemming::Component component;
   std::string summary;          // one-line operator text
   // True if the incident's time span overlaps a FeedGap window: the feed
   // itself was degraded there, so the incident may describe the

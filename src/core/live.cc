@@ -122,7 +122,8 @@ PeerBoard::Persisted& PeerBoard::Of(bgp::Ipv4Addr peer) {
   return state;
 }
 
-void PeerBoard::Observe(const bgp::Event& event) {
+bool PeerBoard::Observe(const bgp::Event& event) {
+  const std::size_t known = peers_.size();
   Persisted& s = Of(event.peer);
   Row& row = s.row;
   if (row.first_seen < 0) row.first_seen = event.time;
@@ -151,6 +152,7 @@ void PeerBoard::Observe(const bgp::Event& event) {
       }
       break;
   }
+  return peers_.size() > known;
 }
 
 void PeerBoard::Finish(util::SimTime end) {
@@ -639,7 +641,9 @@ LiveStats LiveRunner::Run(
       bgp::Event event = events[next];
       ++next;
       event.ingest_tick = tick_end;
-      board.Observe(event);
+      if (board.Observe(event) && health_ != nullptr) {
+        health_->Register(PeerComponentName(event.peer));
+      }
       ++stats.events_ingested;
       reg.Add(ingested_id, 1);
       if (event.type == bgp::EventType::kFeedGap) {
@@ -666,9 +670,6 @@ LiveStats LiveRunner::Run(
         }
         peer_health(event.peer, obs::HealthState::kOk, "");
         continue;
-      }
-      if (health_ != nullptr) {
-        health_->Register(PeerComponentName(event.peer));
       }
       // Routing event: through the (possibly shedding) bounded queue.
       ++st.arrival_index;
@@ -813,7 +814,12 @@ LiveStats LiveRunner::Run(
                          {"total", inc.detection_latency_sec}};
           provenance_->Attach(std::move(prov));
         }
+        // Log only what INCD persists, so a restored log equals an
+        // uninterrupted one; the component indexes a window that slides
+        // on by the next tick.
         inc.provenance = {};
+        inc.component = {};
+        inc.evidence = {};
         st.incidents.push_back(
             IncidentLog::Entry{st.incidents.size() + 1, inc});
         if (incidents_ != nullptr) incidents_->Append(std::move(inc));
@@ -959,11 +965,11 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
     } else if (request.path == "/varz") {
       std::string body = util::StrPrintf(
           "{\"build\":{\"project\":\"ranomaly\"},"
-          "\"config\":{\"stream\":\"%s\",\"threads\":%zu,"
+          "\"config\":{\"stream\":\"%s\","
           "\"tick_sec\":%.3f,\"window_sec\":%.3f,\"slo_target_sec\":%.3f,"
           "\"checkpoint\":\"%s\",\"queue_capacity\":%zu},",
-          obs::JsonEscape(info.stream_path).c_str(), info.threads,
-          info.tick_sec, info.window_sec, info.slo_target_sec,
+          obs::JsonEscape(info.stream_path).c_str(), info.tick_sec,
+          info.window_sec, info.slo_target_sec,
           obs::JsonEscape(info.checkpoint_path).c_str(), info.queue_capacity);
       body += "\"health\":{";
       if (health != nullptr) {

@@ -56,7 +56,9 @@ namespace ranomaly::core {
 // at 1.  `Since(n)` returns entries with seq > n, so a client that
 // remembers the `next_since` from its last poll resumes without loss or
 // duplication.  Mutex-guarded: the replay thread appends while the HTTP
-// thread reads.
+// thread reads.  The live runner logs incidents with an empty
+// `component` and `evidence` (the checkpoint's INCD section persists
+// neither), so a resumed log equals an uninterrupted one field by field.
 class IncidentLog {
  public:
   struct Entry {
@@ -106,7 +108,8 @@ class PeerBoard {
     double uptime_sec = 0.0;        // observed span minus in-gap time
   };
 
-  void Observe(const bgp::Event& event);
+  // Returns true when `event` is the first seen from its peer.
+  bool Observe(const bgp::Event& event);
   // Closes the books at `end` (open gaps accrue degraded time up to it).
   void Finish(util::SimTime end);
 
@@ -249,7 +252,6 @@ class LiveRunner {
 // Static facts the /varz payload reports alongside the metric snapshot.
 struct OpsInfo {
   std::string stream_path;
-  std::size_t threads = 0;
   double slo_target_sec = 0.0;
   double tick_sec = 0.0;
   double window_sec = 0.0;

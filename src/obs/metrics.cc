@@ -1,15 +1,16 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace ranomaly::obs {
 namespace {
@@ -151,138 +152,98 @@ std::vector<double> TimeBounds() {
 
 namespace {
 
-// A shard's counter cells.  Only the owning thread writes; growth
-// republishes a bigger array (the superseded one is retired, not freed,
-// so a concurrent snapshot can finish its reads).
-struct CounterCells {
-  explicit CounterCells(std::size_t n)
-      : cap(n), v(new std::atomic<std::uint64_t>[n]) {
-    for (std::size_t i = 0; i < n; ++i) v[i].store(0, std::memory_order_relaxed);
+// One histogram.  `bounds` is fixed before the cell is published and
+// read without a lock; `mu` guards the rest.
+struct HistCell {
+  std::mutex mu;
+  std::vector<double> bounds;          // ascending upper bounds
+  std::vector<std::uint64_t> buckets;  // bounds.size() + 1; last = +Inf
+  std::uint64_t count = 0;
+  double sum = 0.0;
+};
+
+// The cells of one metric kind, in fixed-size chunks that never move
+// once allocated, so a recorder indexes its cell without a lock while
+// registration appends under the registry mutex.  A cell is filled in
+// before the size that covers it is released, so a slot below the
+// acquired size always names a published cell in a live chunk.
+template <typename Cell>
+class CellTable {
+ public:
+  static constexpr std::uint32_t kChunkCells = 256;
+  static_assert(MetricsRegistry::kMaxMetricsPerKind % kChunkCells == 0);
+
+  CellTable() = default;
+  ~CellTable() {
+    for (auto& chunk : chunks_) delete[] chunk.load(std::memory_order_relaxed);
   }
-  std::size_t cap;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> v;
-};
+  CellTable(const CellTable&) = delete;
+  CellTable& operator=(const CellTable&) = delete;
 
-// Per-shard state of one histogram; guarded by the shard's hist_mu
-// (uncontended: the owner records, snapshots read rarely).
-struct HistCells {
-  const std::vector<double>* bounds = nullptr;  // registry-owned, stable
-  std::vector<std::uint64_t> buckets;           // bounds->size() + 1
-  std::uint64_t count = 0;
-  double sum = 0.0;
-};
+  // The cell at `slot`, or nullptr for a slot not (yet) registered.
+  Cell* Find(std::uint32_t slot) const {
+    if (slot >= size_.load(std::memory_order_acquire)) return nullptr;
+    return &At(slot);
+  }
 
-void RecordHist(HistCells& hc, double value) {
-  const std::vector<double>& bounds = *hc.bounds;
-  const std::size_t idx = static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
-  ++hc.buckets[idx];
-  ++hc.count;
-  hc.sum += value;
-}
+  // The rest runs under the registry mutex.
 
-struct RetiredHist {
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double sum = 0.0;
+  std::uint32_t size() const { return size_.load(std::memory_order_relaxed); }
+
+  Cell& At(std::uint32_t slot) const {
+    return chunks_[slot / kChunkCells].load(
+        std::memory_order_relaxed)[slot % kChunkCells];
+  }
+
+  // Claims the next slot, lets `init` fill in its fresh cell, then
+  // publishes it.  Throws once the fixed chunk table is full.
+  template <typename Init>
+  std::uint32_t Append(Init&& init) {
+    const std::uint32_t slot = size();
+    if (slot == MetricsRegistry::kMaxMetricsPerKind) {
+      throw std::length_error("more than " + std::to_string(slot) +
+                              " metrics of one kind registered");
+    }
+    std::atomic<Cell*>& chunk = chunks_[slot / kChunkCells];
+    if (chunk.load(std::memory_order_relaxed) == nullptr) {
+      chunk.store(new Cell[kChunkCells](), std::memory_order_relaxed);
+    }
+    init(At(slot));
+    size_.store(slot + 1, std::memory_order_release);
+    return slot;
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (std::uint32_t slot = 0; slot < size(); ++slot) fn(At(slot));
+  }
+
+ private:
+  std::array<std::atomic<Cell*>,
+             MetricsRegistry::kMaxMetricsPerKind / kChunkCells>
+      chunks_{};
+  std::atomic<std::uint32_t> size_{0};
 };
 
 }  // namespace
-
-struct MetricsRegistry::Shard {
-  std::atomic<CounterCells*> cells{nullptr};
-  // Every counter array this shard ever published, newest last; old
-  // generations stay alive so a concurrent snapshot can finish reading.
-  std::vector<std::unique_ptr<CounterCells>> superseded;
-  std::mutex hist_mu;
-  std::vector<HistCells> hists;  // indexed by histogram slot
-};
 
 struct MetricsRegistry::Impl {
-  std::uint64_t registry_id = 0;
+  // Guards registration, the maps, and Snapshot/Reset; recording never
+  // takes it.
   mutable std::mutex mu;
-
   std::map<std::string, MetricId, std::less<>> by_name;
   std::map<std::string, std::string, std::less<>> help_by_family;
-  std::vector<std::string> counter_names;  // slot -> name
-  std::vector<std::string> gauge_names;
-  std::deque<std::atomic<double>> gauges;  // deque: stable references
-  std::vector<std::string> hist_names;
-  struct HistInfo {
-    std::vector<double> bounds;
-  };
-  std::deque<HistInfo> hists;  // deque: bounds addresses stay valid
-
-  std::vector<std::unique_ptr<Shard>> shards;  // live thread shards
-  std::vector<std::uint64_t> retired_counters;
-  std::vector<RetiredHist> retired_hists;
+  CellTable<std::atomic<std::uint64_t>> counters;
+  CellTable<std::atomic<double>> gauges;
+  CellTable<HistCell> hists;
 };
-
-// ---------------------------------------------------------------------------
-// Thread-local shard table and registry liveness.
-//
-// A thread's shards are owned by their registries; the thread-local
-// table only caches (registry id -> shard).  Ids are never reused, so a
-// stale entry for a destroyed registry can never be matched, and the
-// exit hook checks liveness under the global lock before touching the
-// owner.  The lock and table leak deliberately: thread_local
-// destructors may run after static destruction begins.
-
-namespace {
-
-struct TlsEntry {
-  std::uint64_t registry_id;
-  MetricsRegistry::Shard* shard;
-};
-
-std::mutex& LiveMu() {
-  static std::mutex* mu = new std::mutex;
-  return *mu;
-}
-
-std::unordered_map<std::uint64_t, MetricsRegistry*>& LiveRegistries() {
-  static auto* map = new std::unordered_map<std::uint64_t, MetricsRegistry*>;
-  return *map;
-}
-
-std::uint64_t NextRegistryId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-struct TlsShards {
-  std::vector<TlsEntry> entries;
-  ~TlsShards() {
-    std::lock_guard<std::mutex> lock(LiveMu());
-    auto& live = LiveRegistries();
-    for (const TlsEntry& e : entries) {
-      const auto it = live.find(e.registry_id);
-      if (it != live.end()) it->second->RetireThreadShard(e.shard);
-    }
-  }
-};
-
-thread_local TlsShards g_tls_shards;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Registry
 
-MetricsRegistry::MetricsRegistry() : impl_(std::make_unique<Impl>()) {
-  impl_->registry_id = NextRegistryId();
-  std::lock_guard<std::mutex> lock(LiveMu());
-  LiveRegistries().emplace(impl_->registry_id, this);
-}
+MetricsRegistry::MetricsRegistry() : impl_(std::make_unique<Impl>()) {}
 
-MetricsRegistry::~MetricsRegistry() {
-  {
-    std::lock_guard<std::mutex> lock(LiveMu());
-    LiveRegistries().erase(impl_->registry_id);
-  }
-  // Shards (and their cells) die with impl_; other threads' stale tls
-  // entries can no longer match this registry's id.
-}
+MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* global = new MetricsRegistry;  // leaked on purpose
@@ -300,7 +261,7 @@ MetricId MetricsRegistry::Register(std::string_view name, MetricKind kind,
                              "' re-registered with a different kind");
     }
     if (kind == MetricKind::kHistogram &&
-        impl_->hists[SlotOf(it->second)].bounds != bounds) {
+        impl_->hists.At(SlotOf(it->second)).bounds != bounds) {
       throw std::logic_error("histogram '" + std::string(name) +
                              "' re-registered with different bounds");
     }
@@ -309,30 +270,23 @@ MetricId MetricsRegistry::Register(std::string_view name, MetricKind kind,
   std::uint32_t slot = 0;
   switch (kind) {
     case MetricKind::kCounter:
-      slot = static_cast<std::uint32_t>(impl_->counter_names.size());
-      impl_->counter_names.emplace_back(name);
-      impl_->retired_counters.push_back(0);
+      slot = impl_->counters.Append([](auto&) {});
       break;
     case MetricKind::kGauge:
-      slot = static_cast<std::uint32_t>(impl_->gauge_names.size());
-      impl_->gauge_names.emplace_back(name);
-      impl_->gauges.emplace_back(0.0);
+      slot = impl_->gauges.Append([](auto&) {});
       break;
-    case MetricKind::kHistogram: {
+    case MetricKind::kHistogram:
       if (bounds.empty() ||
           !std::is_sorted(bounds.begin(), bounds.end(),
                           std::less_equal<double>())) {
         throw std::invalid_argument(
             "histogram bounds must be non-empty and strictly ascending");
       }
-      slot = static_cast<std::uint32_t>(impl_->hist_names.size());
-      impl_->hist_names.emplace_back(name);
-      RetiredHist retired;
-      retired.buckets.assign(bounds.size() + 1, 0);
-      impl_->retired_hists.push_back(std::move(retired));
-      impl_->hists.push_back(Impl::HistInfo{std::move(bounds)});
+      slot = impl_->hists.Append([&bounds](HistCell& cell) {
+        cell.buckets.assign(bounds.size() + 1, 0);
+        cell.bounds = std::move(bounds);
+      });
       break;
-    }
   }
   const MetricId id = MakeId(kind, slot);
   impl_->by_name.emplace(std::string(name), id);
@@ -357,110 +311,28 @@ void MetricsRegistry::SetHelp(std::string_view family, std::string_view help) {
   impl_->help_by_family[std::string(family)] = std::string(help);
 }
 
-MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
-  for (const TlsEntry& e : g_tls_shards.entries) {
-    if (e.registry_id == impl_->registry_id) return *e.shard;
-  }
-  auto shard = std::make_unique<Shard>();
-  Shard* raw = shard.get();
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->shards.push_back(std::move(shard));
-  }
-  g_tls_shards.entries.push_back(TlsEntry{impl_->registry_id, raw});
-  return *raw;
-}
-
 void MetricsRegistry::Add(MetricId id, std::uint64_t delta) {
-  const std::uint32_t slot = SlotOf(id);
-  Shard& s = LocalShard();
-  CounterCells* cells = s.cells.load(std::memory_order_relaxed);
-  if (cells == nullptr || slot >= cells->cap) {
-    // Owner-only growth: copy into a bigger array, retire the old one
-    // (a concurrent snapshot may still be reading it), publish.
-    std::size_t cap = cells != nullptr ? cells->cap : 64;
-    while (cap <= slot) cap *= 2;
-    auto grown = std::make_unique<CounterCells>(cap);
-    if (cells != nullptr) {
-      for (std::size_t i = 0; i < cells->cap; ++i) {
-        grown->v[i].store(cells->v[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      }
-    }
-    CounterCells* raw = grown.get();
-    s.superseded.push_back(std::move(grown));  // owns every generation
-    s.cells.store(raw, std::memory_order_release);
+  if (auto* cell = impl_->counters.Find(SlotOf(id))) {
+    cell->fetch_add(delta, std::memory_order_relaxed);
   }
-  cells = s.cells.load(std::memory_order_relaxed);
-  cells->v[slot].fetch_add(delta, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::Set(MetricId id, double value) {
-  const std::uint32_t slot = SlotOf(id);
-  // Gauges are rare (a handful of Set calls per run): a registry-lock
-  // write keeps the deque safe against concurrent registration growth.
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  if (slot < impl_->gauges.size()) {
-    impl_->gauges[slot].store(value, std::memory_order_relaxed);
+  if (auto* cell = impl_->gauges.Find(SlotOf(id))) {
+    cell->store(value, std::memory_order_relaxed);
   }
 }
 
 void MetricsRegistry::Observe(MetricId id, double value) {
-  const std::uint32_t slot = SlotOf(id);
-  Shard& s = LocalShard();
-  {
-    std::lock_guard<std::mutex> lock(s.hist_mu);
-    if (slot < s.hists.size() && s.hists[slot].bounds != nullptr) {
-      RecordHist(s.hists[slot], value);
-      return;
-    }
-  }
-  // First observation of this histogram on this thread: fetch the
-  // registry-owned bounds (stable deque storage) outside hist_mu so the
-  // mu -> hist_mu lock order of Snapshot() is never inverted.
-  const std::vector<double>* bounds = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    if (slot >= impl_->hists.size()) return;  // unknown id: ignore
-    bounds = &impl_->hists[slot].bounds;
-  }
-  std::lock_guard<std::mutex> lock(s.hist_mu);
-  if (slot >= s.hists.size()) s.hists.resize(slot + 1);
-  HistCells& hc = s.hists[slot];
-  if (hc.bounds == nullptr) {
-    hc.bounds = bounds;
-    hc.buckets.assign(bounds->size() + 1, 0);
-  }
-  RecordHist(hc, value);
-}
-
-void MetricsRegistry::RetireThreadShard(Shard* shard) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  if (CounterCells* cells = shard->cells.load(std::memory_order_acquire)) {
-    const std::size_t n =
-        std::min(cells->cap, impl_->retired_counters.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      impl_->retired_counters[i] +=
-          cells->v[i].load(std::memory_order_relaxed);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> hist_lock(shard->hist_mu);
-    for (std::size_t h = 0; h < shard->hists.size(); ++h) {
-      const HistCells& hc = shard->hists[h];
-      if (hc.bounds == nullptr || h >= impl_->retired_hists.size()) continue;
-      RetiredHist& r = impl_->retired_hists[h];
-      for (std::size_t b = 0; b < hc.buckets.size(); ++b) {
-        r.buckets[b] += hc.buckets[b];
-      }
-      r.count += hc.count;
-      r.sum += hc.sum;
-    }
-  }
-  const auto it = std::find_if(
-      impl_->shards.begin(), impl_->shards.end(),
-      [shard](const std::unique_ptr<Shard>& s) { return s.get() == shard; });
-  if (it != impl_->shards.end()) impl_->shards.erase(it);
+  HistCell* cell = impl_->hists.Find(SlotOf(id));
+  if (cell == nullptr) return;
+  const std::size_t idx = static_cast<std::size_t>(
+      std::lower_bound(cell->bounds.begin(), cell->bounds.end(), value) -
+      cell->bounds.begin());
+  std::lock_guard<std::mutex> lock(cell->mu);
+  ++cell->buckets[idx];
+  ++cell->count;
+  cell->sum += value;
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
@@ -473,39 +345,19 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     m.kind = KindOf(id);
     const std::uint32_t slot = SlotOf(id);
     switch (m.kind) {
-      case MetricKind::kCounter: {
-        std::uint64_t total = impl_->retired_counters[slot];
-        for (const auto& shard : impl_->shards) {
-          if (CounterCells* cells =
-                  shard->cells.load(std::memory_order_acquire)) {
-            if (slot < cells->cap) {
-              total += cells->v[slot].load(std::memory_order_relaxed);
-            }
-          }
-        }
-        m.counter = total;
+      case MetricKind::kCounter:
+        m.counter = impl_->counters.At(slot).load(std::memory_order_relaxed);
         break;
-      }
       case MetricKind::kGauge:
-        m.gauge = impl_->gauges[slot].load(std::memory_order_relaxed);
+        m.gauge = impl_->gauges.At(slot).load(std::memory_order_relaxed);
         break;
       case MetricKind::kHistogram: {
-        const RetiredHist& retired = impl_->retired_hists[slot];
-        m.histogram.bounds = impl_->hists[slot].bounds;
-        m.histogram.counts = retired.buckets;
-        m.histogram.total_count = retired.count;
-        m.histogram.sum = retired.sum;
-        for (const auto& shard : impl_->shards) {
-          std::lock_guard<std::mutex> hist_lock(shard->hist_mu);
-          if (slot >= shard->hists.size()) continue;
-          const HistCells& hc = shard->hists[slot];
-          if (hc.bounds == nullptr) continue;
-          for (std::size_t b = 0; b < hc.buckets.size(); ++b) {
-            m.histogram.counts[b] += hc.buckets[b];
-          }
-          m.histogram.total_count += hc.count;
-          m.histogram.sum += hc.sum;
-        }
+        HistCell& cell = impl_->hists.At(slot);
+        m.histogram.bounds = cell.bounds;
+        std::lock_guard<std::mutex> hist_lock(cell.mu);
+        m.histogram.counts = cell.buckets;
+        m.histogram.total_count = cell.count;
+        m.histogram.sum = cell.sum;
         break;
       }
     }
@@ -516,27 +368,16 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  std::fill(impl_->retired_counters.begin(), impl_->retired_counters.end(),
-            0);
-  for (RetiredHist& r : impl_->retired_hists) {
-    std::fill(r.buckets.begin(), r.buckets.end(), 0);
-    r.count = 0;
-    r.sum = 0.0;
-  }
-  for (auto& gauge : impl_->gauges) gauge.store(0.0, std::memory_order_relaxed);
-  for (const auto& shard : impl_->shards) {
-    if (CounterCells* cells = shard->cells.load(std::memory_order_acquire)) {
-      for (std::size_t i = 0; i < cells->cap; ++i) {
-        cells->v[i].store(0, std::memory_order_relaxed);
-      }
-    }
-    std::lock_guard<std::mutex> hist_lock(shard->hist_mu);
-    for (HistCells& hc : shard->hists) {
-      std::fill(hc.buckets.begin(), hc.buckets.end(), 0);
-      hc.count = 0;
-      hc.sum = 0.0;
-    }
-  }
+  impl_->counters.ForEach(
+      [](auto& cell) { cell.store(0, std::memory_order_relaxed); });
+  impl_->gauges.ForEach(
+      [](auto& cell) { cell.store(0.0, std::memory_order_relaxed); });
+  impl_->hists.ForEach([](HistCell& cell) {
+    std::lock_guard<std::mutex> hist_lock(cell.mu);
+    std::fill(cell.buckets.begin(), cell.buckets.end(), 0);
+    cell.count = 0;
+    cell.sum = 0.0;
+  });
 }
 
 std::uint64_t MetricsRegistry::CounterValue(std::string_view name) const {

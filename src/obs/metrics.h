@@ -1,26 +1,25 @@
 // Process-wide metrics registry: monotonic counters, gauges, and
 // fixed-bucket histograms.
 //
-// Hot-path writes go to thread-local shards (lock-free relaxed atomics
-// for counters, an uncontended per-shard mutex for histograms), so
-// instrumenting the analysis fan-out never serializes the thread pool.
-// Snapshots merge the shards in a fixed order and report metrics sorted
-// by name, so output is deterministic regardless of which thread did
-// what.  Counter values and integer histogram bucket counts are sums of
-// integers — associative — so they are bit-identical for any
-// RANOMALY_THREADS setting (the DESIGN.md determinism contract); gauges
-// (last write wins) and *_seconds histograms (wall clock) are metering
-// only and excluded from that contract.
+// Each metric owns one registry cell that never moves once registered.
+// A counter add is one relaxed atomic fetch_add, a gauge set one relaxed
+// store, and an observation locks only its histogram's mutex, so no
+// recording call takes the registry lock, from any thread.  Snapshots
+// read the cells and report metrics sorted by name, so output is
+// deterministic regardless of which thread did what.  Counter values and
+// integer histogram bucket counts are sums of integers — associative —
+// so they are bit-identical for any RANOMALY_THREADS setting (the
+// DESIGN.md determinism contract); gauges (last write wins) and
+// *_seconds histograms (wall clock) are metering only and excluded from
+// that contract.
 //
 // This library is standard-library-only (no ranomaly deps): it sits
 // below util so even util::ThreadPool can be instrumented.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -102,6 +101,10 @@ std::string PromLabels(
 
 class MetricsRegistry {
  public:
+  // Each kind (counters, gauges, histograms) holds at most this many
+  // metrics; registering one more throws std::length_error.
+  static constexpr std::uint32_t kMaxMetricsPerKind = 65536;
+
   MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -123,13 +126,14 @@ class MetricsRegistry {
   // `# HELP` line before the family's `# TYPE`.  Last write wins.
   void SetHelp(std::string_view family, std::string_view help);
 
-  // Hot-path recording.  Add/Observe write this thread's shard only;
-  // Set is last-write-wins on a shared atomic.
+  // Hot-path recording; none takes the registry lock.  Set is last
+  // write wins.  An id whose slot this registry never registered is
+  // ignored.
   void Add(MetricId id, std::uint64_t delta = 1);
   void Set(MetricId id, double value);
   void Observe(MetricId id, double value);
 
-  // Merged view of all shards (live and retired), sorted by name.
+  // Every metric's current value, sorted by name.
   std::vector<MetricSnapshot> Snapshot() const;
   // Every registered help text, sorted by family.
   std::vector<std::pair<std::string, std::string>> HelpSnapshot() const;
@@ -141,18 +145,11 @@ class MetricsRegistry {
   // concurrent writers: this is for tests and CLI runs, not steady state.
   void Reset();
 
-  // Test convenience: the merged value of a counter, 0 if unregistered.
+  // Test convenience: the value of a counter, 0 if unregistered.
   std::uint64_t CounterValue(std::string_view name) const;
-
-  struct Shard;  // opaque; public so the thread-exit hook can name it
-
-  // Internal (called from the thread-exit hook): folds a departing
-  // thread's shard into the retired totals and frees it.
-  void RetireThreadShard(Shard* shard);
 
  private:
   struct Impl;
-  Shard& LocalShard();
   MetricId Register(std::string_view name, MetricKind kind,
                     std::vector<double> bounds);
 

@@ -402,6 +402,30 @@ TEST_F(CliTest, ServeRejectsBadOptions) {
   EXPECT_EQ(Run({"serve"}), 2);
 }
 
+// series takes the live replay flags serve takes: with a queue capacity
+// and service rate too low for the reset avalanche, the replayed queue
+// depth must leave zero.
+TEST_F(CliTest, SeriesHonoursTheQueueFlags) {
+  const std::string capture = WriteCapture();
+  ASSERT_EQ(Run({"series", capture, "--name", "serve_queue_depth",
+                 "--queue-capacity", "200", "--service-rate", "20"}),
+            0)
+      << err_.str();
+  const std::string json = out_.str();
+  const std::size_t points = json.find("\"points\":[");
+  ASSERT_NE(points, std::string::npos) << json;
+  // Gauge points are [t, value, min, max].
+  bool nonzero = false;
+  for (std::size_t at = json.find('[', points + 10); at != std::string::npos;
+       at = json.find('[', at + 1)) {
+    const std::size_t comma = json.find(',', at);
+    const double value = std::stod(json.substr(comma + 1));
+    nonzero |= value > 0.0;
+  }
+  EXPECT_TRUE(nonzero) << json;
+  EXPECT_EQ(Run({"series", capture, "--tick-sec", "0"}), 2);
+}
+
 TEST_F(CliTest, TraceFinalizesAtomically) {
   const std::string capture = WriteCapture();
   const std::string trace = Path("trace.json");

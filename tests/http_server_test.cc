@@ -220,7 +220,7 @@ TEST(OpsServerTest, IncidentsSinceRejectsMalformedCursorsOverHttp) {
   core::IncidentLog log;
   HttpServer server(core::MakeOpsHandler(
       &obs::MetricsRegistry::Global(), &health, &log,
-      core::OpsInfo{"capture.events", 2, 30.0, 10.0, 300.0}));
+      core::OpsInfo{"capture.events", 30.0, 10.0, 300.0}));
   std::string error;
   ASSERT_TRUE(server.Start(0, &error)) << error;
 
@@ -272,7 +272,7 @@ TEST(OpsServerTest, TimelineAndEvidenceGuardsHoldOverHttp) {
   }
   HttpServer server(core::MakeOpsHandler(
       &obs::MetricsRegistry::Global(), &health, &log,
-      core::OpsInfo{"capture.events", 2, 30.0, 10.0, 300.0}, nullptr, false,
+      core::OpsInfo{"capture.events", 30.0, 10.0, 300.0}, nullptr, false,
       &ledger));
   std::string error;
   ASSERT_TRUE(server.Start(0, &error)) << error;

@@ -847,6 +847,74 @@ TEST(LiveCheckpointTest, ResumedRunIsBitIdenticalToUninterruptedRun) {
   fs::remove(path);
 }
 
+// INCD persists neither an incident's component nor its classifier
+// evidence, so the runner logs neither: a log that resumed from a
+// checkpoint holds the same entries as an uninterrupted one, field by
+// field, not just the same /incidents JSON.
+TEST(LiveCheckpointTest, ResumedLogEntriesEqualUninterruptedFieldByField) {
+  const collector::EventStream stream = ResetCapture();
+  IncidentLog uninterrupted;
+  RunLive(BaseOptions(), stream, &uninterrupted);
+
+  const std::string path = TempPath("entries");
+  fs::remove(path);
+  LiveOptions durable = BaseOptions();
+  durable.checkpoint_path = path;
+  durable.checkpoint_every_ticks = 4;
+  IncidentLog first_life;
+  RunLive(durable, stream, &first_life, 80);  // past the reset at 10 min
+  ASSERT_GT(first_life.size(), 0u) << "the restored part logs no incident";
+  IncidentLog resumed;
+  ASSERT_TRUE(RunLive(durable, stream, &resumed).stats.restored);
+  fs::remove(path);
+
+  const std::vector<IncidentLog::Entry> want = uninterrupted.Since(0);
+  const std::vector<IncidentLog::Entry> got = resumed.Since(0);
+  ASSERT_GT(want.size(), first_life.size());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    const Incident& a = got[i].incident;
+    const Incident& b = want[i].incident;
+    EXPECT_EQ(got[i].seq, want[i].seq);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.begin, b.begin);
+    EXPECT_EQ(a.end, b.end);
+    EXPECT_EQ(a.event_count, b.event_count);
+    EXPECT_EQ(a.event_fraction, b.event_fraction);
+    EXPECT_EQ(a.prefix_count, b.prefix_count);
+    EXPECT_EQ(a.stem_key, b.stem_key);
+    EXPECT_EQ(a.stem_label, b.stem_label);
+    EXPECT_EQ(a.top_sequence, b.top_sequence);
+    EXPECT_EQ(a.summary, b.summary);
+    EXPECT_EQ(a.feed_degraded, b.feed_degraded);
+    EXPECT_EQ(a.load_shed, b.load_shed);
+    EXPECT_EQ(a.ingest_tick, b.ingest_tick);
+    EXPECT_EQ(a.detected_at, b.detected_at);
+    EXPECT_EQ(a.detection_latency_sec, b.detection_latency_sec);
+    EXPECT_EQ(a.provenance, b.provenance);
+    EXPECT_EQ(a.component.top_sequence, b.component.top_sequence);
+    EXPECT_EQ(a.component.stem, b.component.stem);
+    EXPECT_EQ(a.component.count, b.component.count);
+    EXPECT_EQ(a.component.prefixes, b.component.prefixes);
+    EXPECT_EQ(a.component.event_indices, b.component.event_indices);
+    EXPECT_EQ(a.component.event_weight, b.component.event_weight);
+    EXPECT_EQ(a.evidence.withdraw_fraction, b.evidence.withdraw_fraction);
+    EXPECT_EQ(a.evidence.single_peer_fraction,
+              b.evidence.single_peer_fraction);
+    EXPECT_EQ(a.evidence.cycles_per_prefix, b.evidence.cycles_per_prefix);
+    EXPECT_EQ(a.evidence.path_growth, b.evidence.path_growth);
+    EXPECT_EQ(a.evidence.new_as_count, b.evidence.new_as_count);
+    EXPECT_EQ(a.evidence.med_present, b.evidence.med_present);
+    EXPECT_EQ(a.evidence.restored_fraction, b.evidence.restored_fraction);
+    EXPECT_EQ(a.evidence.final_announce_fraction,
+              b.evidence.final_announce_fraction);
+    EXPECT_EQ(a.evidence.dominant_prefix_fraction,
+              b.evidence.dominant_prefix_fraction);
+    EXPECT_EQ(a.evidence.dominant_prefix, b.evidence.dominant_prefix);
+  }
+}
+
 // As above, with retention tiers so small that every ring has wrapped
 // (its oldest bucket is not in slot 0) when the first life's final
 // snapshot is cut, and wraps again after the restore.

@@ -103,12 +103,20 @@ TEST(IncidentLogTest, JsonEscapesSummaries) {
 
 TEST(PeerBoardTest, TracksGapsReconnectsAndUptime) {
   PeerBoard board;
-  board.Observe(MakeEvent(0, "10.0.0.1", bgp::EventType::kAnnounce));
-  board.Observe(MakeEvent(1 * kSecond, "10.0.0.2", bgp::EventType::kAnnounce));
-  board.Observe(MakeEvent(60 * kSecond, "10.0.0.1", bgp::EventType::kFeedGap));
-  board.Observe(MakeEvent(120 * kSecond, "10.0.0.1", bgp::EventType::kResync));
-  board.Observe(MakeEvent(180 * kSecond, "10.0.0.2", bgp::EventType::kFeedGap));
-  board.Observe(MakeEvent(200 * kSecond, "10.0.0.1", bgp::EventType::kAnnounce));
+  // Observe reports each peer's first event only: the live runner
+  // registers the peer's health component then.
+  EXPECT_TRUE(
+      board.Observe(MakeEvent(0, "10.0.0.1", bgp::EventType::kAnnounce)));
+  EXPECT_TRUE(board.Observe(
+      MakeEvent(1 * kSecond, "10.0.0.2", bgp::EventType::kAnnounce)));
+  EXPECT_FALSE(board.Observe(
+      MakeEvent(60 * kSecond, "10.0.0.1", bgp::EventType::kFeedGap)));
+  EXPECT_FALSE(board.Observe(
+      MakeEvent(120 * kSecond, "10.0.0.1", bgp::EventType::kResync)));
+  EXPECT_FALSE(board.Observe(
+      MakeEvent(180 * kSecond, "10.0.0.2", bgp::EventType::kFeedGap)));
+  EXPECT_FALSE(board.Observe(
+      MakeEvent(200 * kSecond, "10.0.0.1", bgp::EventType::kAnnounce)));
   board.Finish(200 * kSecond);
 
   const auto rows = board.Rows();
@@ -303,7 +311,7 @@ class OpsHandlerTest : public ::testing::Test {
   OpsHandlerTest()
       : handler_(MakeOpsHandler(&obs::MetricsRegistry::Global(), &health_,
                                 &log_,
-                                OpsInfo{"capture.events", 2, 30.0, 10.0,
+                                OpsInfo{"capture.events", 30.0, 10.0,
                                         300.0})) {}
 
   obs::HealthRegistry health_;
@@ -429,7 +437,7 @@ TEST(LiveServeTest, ConcurrentScrapesDuringReplay) {
   IncidentLog log;
   obs::HttpServer server(MakeOpsHandler(&obs::MetricsRegistry::Global(),
                                         &health, &log,
-                                        OpsInfo{"mem", 2, 30.0, 10.0, 300.0}));
+                                        OpsInfo{"mem", 30.0, 10.0, 300.0}));
   ASSERT_TRUE(server.Start(0));
 
   std::atomic<bool> done{false};

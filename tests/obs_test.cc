@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -103,6 +104,93 @@ TEST(MetricsTest, ShardMergeIsDeterministicAcrossThreadCounts) {
       EXPECT_EQ(runs[r][m].histogram.counts, runs[0][m].histogram.counts);
       EXPECT_EQ(runs[r][m].histogram.total_count,
                 runs[0][m].histogram.total_count);
+    }
+  }
+}
+
+// One thread registers fresh counters and histograms, enough to fill
+// new chunks of cells, while two threads record into metrics registered
+// earlier and a fourth takes snapshots (run under the tsan-obs preset).
+// Every total comes out exact.
+TEST(MetricsTest, RegistrationConcurrentWithRecordingAndSnapshots) {
+  constexpr int kFresh = 600;
+  constexpr int kRecords = 20000;  // per recorder; a multiple of 16
+  MetricsRegistry registry;
+  const MetricId c = registry.Counter("early_total");
+  const MetricId g = registry.Gauge("early_gauge");
+  const MetricId h = registry.Histogram("early_size", {2.0, 8.0});
+  std::atomic<bool> registered{false};
+  std::thread registrar([&] {
+    for (int i = 0; i < kFresh; ++i) {
+      const std::string n = std::to_string(i);
+      registry.Add(registry.Counter("fresh_total_" + n), i);
+      registry.Observe(registry.Histogram("fresh_seconds_" + n, {1.0}), 0.5);
+    }
+    registered.store(true);
+  });
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 2; ++t) {
+    recorders.emplace_back([&, t] {
+      for (int i = 0; i < kRecords; ++i) {
+        registry.Add(c, 1);
+        registry.Set(g, t);
+        registry.Observe(h, static_cast<double>(i % 16));
+      }
+    });
+  }
+  std::thread snapshotter([&] {
+    do {
+      EXPECT_GE(registry.Snapshot().size(), 3u);
+    } while (!registered.load());
+  });
+  registrar.join();
+  for (std::thread& r : recorders) r.join();
+  snapshotter.join();
+
+  const auto snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.size(), 3u + 2 * kFresh);
+  for (const MetricSnapshot& m : snapshot) {
+    if (m.name == "early_total") {
+      EXPECT_EQ(m.counter, 2u * kRecords);
+    } else if (m.name == "early_gauge") {
+      EXPECT_TRUE(m.gauge == 0.0 || m.gauge == 1.0) << m.gauge;
+    } else if (m.name == "early_size") {
+      // Per 16 values: 0..2 in le2, 3..8 in le8, 9..15 in +Inf.
+      const std::uint64_t cycles = 2 * kRecords / 16;
+      EXPECT_EQ(m.histogram.counts,
+                (std::vector<std::uint64_t>{3 * cycles, 6 * cycles,
+                                            7 * cycles}));
+      EXPECT_EQ(m.histogram.total_count, 2u * kRecords);
+      EXPECT_EQ(m.histogram.sum, 120.0 * static_cast<double>(cycles));
+    } else if (m.kind == MetricKind::kCounter) {
+      EXPECT_EQ("fresh_total_" + std::to_string(m.counter), m.name);
+    } else {
+      EXPECT_EQ(m.histogram.counts, (std::vector<std::uint64_t>{1, 0}))
+          << m.name;
+      EXPECT_EQ(m.histogram.sum, 0.5) << m.name;
+    }
+  }
+}
+
+TEST(MetricsTest, RegisteringPastTheCapThrows) {
+  MetricsRegistry registry;
+  for (std::uint32_t i = 0; i < MetricsRegistry::kMaxMetricsPerKind; ++i) {
+    registry.Gauge("g" + std::to_string(i));
+  }
+  EXPECT_THROW(registry.Gauge("one_too_many"), std::length_error);
+  // Known names still resolve, and the cap is per kind.
+  const std::string last =
+      "g" + std::to_string(MetricsRegistry::kMaxMetricsPerKind - 1);
+  registry.Set(registry.Gauge(last), 2.5);
+  const MetricId c = registry.Counter("c");
+  registry.Add(c, 3);
+  EXPECT_EQ(registry.CounterValue("c"), 3u);
+  const auto snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.size(), MetricsRegistry::kMaxMetricsPerKind + 1u);
+  for (const MetricSnapshot& m : snapshot) {
+    EXPECT_NE(m.name, "one_too_many");
+    if (m.name == last) {
+      EXPECT_EQ(m.gauge, 2.5);
     }
   }
 }

@@ -246,7 +246,7 @@ TEST(ProvenanceHandlerTest, TimelineGoldenEscapesHostileIncidentNames) {
   log.Append(inc);
   const auto handler = core::MakeOpsHandler(
       &obs::MetricsRegistry::Global(), &health, &log,
-      core::OpsInfo{"capture.events", 2, 30.0, 10.0, 300.0});
+      core::OpsInfo{"capture.events", 30.0, 10.0, 300.0});
   obs::HttpRequest request;
   request.method = "GET";
   request.path = "/api/incidents/timeline";
@@ -410,7 +410,7 @@ TEST(ProvenanceHandlerTest, EvidenceEndpointGuards) {
 
   const auto handler = core::MakeOpsHandler(
       &obs::MetricsRegistry::Global(), &health, &log,
-      core::OpsInfo{"capture.events", 2, 30.0, 10.0, 300.0}, nullptr, false,
+      core::OpsInfo{"capture.events", 30.0, 10.0, 300.0}, nullptr, false,
       &ledger);
   const auto get = [&handler](const std::string& path) {
     obs::HttpRequest request;
@@ -437,7 +437,7 @@ TEST(ProvenanceHandlerTest, EvidenceEndpointGuards) {
   // No ledger attached: well-formed ids are 404 with a hint, not 500.
   const auto bare = core::MakeOpsHandler(
       &obs::MetricsRegistry::Global(), &health, &log,
-      core::OpsInfo{"capture.events", 2, 30.0, 10.0, 300.0});
+      core::OpsInfo{"capture.events", 30.0, 10.0, 300.0});
   obs::HttpRequest request;
   request.method = "GET";
   request.path = "/api/incidents/1/evidence";

@@ -129,6 +129,10 @@ def test_endpoints(binary, capture):
               and "metrics" in varz, "/varz is well-formed JSON")
         check(varz["config"]["slo_target_sec"] == 30.0,
               "/varz reports the SLO target")
+        check(set(varz["config"]) == {"stream", "tick_sec", "window_sec",
+                                      "slo_target_sec", "checkpoint",
+                                      "queue_capacity"},
+              "/varz config holds exactly the serve settings")
 
         status, body = fetch(port, "/incidents?since=0")
         incidents = json.loads(body)

@@ -53,7 +53,8 @@ commands:
                    [--checkpoint FILE] [--checkpoint-every-ticks N]
                    [--queue-capacity N] [--service-rate N] [--dashboard]
   series  <stream> [--name NAME] [--res SEC] [--since SEC]
-                   [--tick-sec S] [--window-sec S]
+                   [--tick-sec S] [--window-sec S] [--slo-sec S]
+                   [--queue-capacity N] [--service-rate N]
   explain <stream> --incident N [--tick-sec S] [--window-sec S] [--slo-sec S]
                    [--queue-capacity N] [--service-rate N]
   peers   <stream>
@@ -108,8 +109,10 @@ series replays the stream offline through the same tick replay `serve`
 runs and prints the retained dashboard history as JSON — the store
 inventory by default, or one series with --name (--res picks a
 downsample tier in seconds, --since drops points at or before that
-simulated second).  The output is byte-identical to what a `serve` of
-the same stream answers on /api/series, at any RANOMALY_THREADS.
+simulated second).  Given the same --tick-sec/--window-sec/--slo-sec/
+--queue-capacity/--service-rate, the output is byte-identical to what a
+`serve` of the same stream answers on /api/series, at any
+RANOMALY_THREADS.
 
 explain replays the stream offline through the same tick replay `serve`
 runs and prints the provenance evidence for incident --incident N — the
@@ -654,6 +657,32 @@ class ScopedSignalTrap {
   struct sigaction old_term_ = {};
 };
 
+// The replay settings `serve`, `series` and `explain` share, so the
+// same flags give each of them the same replay.  Reports a bad value on
+// `err` (prefixed with `command`) and returns nullopt.
+std::optional<core::LiveOptions> ParseLiveOptions(const Args& args,
+                                                  const char* command,
+                                                  std::ostream& err) {
+  core::LiveOptions options;
+  options.tick = util::FromSeconds(
+      ParseDouble(args.Option("--tick-sec").value_or("10"), 10.0));
+  options.window = util::FromSeconds(
+      ParseDouble(args.Option("--window-sec").value_or("300"), 300.0));
+  options.slo_target_sec =
+      ParseDouble(args.Option("--slo-sec").value_or("30"), 30.0);
+  if (options.tick <= 0 || options.window <= 0) {
+    err << command << ": --tick-sec and --window-sec must be positive\n";
+    return std::nullopt;
+  }
+  // Backpressure: --queue-capacity turns on the bounded ingest queue and
+  // the degradation ladder; --service-rate caps per-tick analysis intake.
+  options.shed.queue_capacity = static_cast<std::size_t>(
+      ParseDouble(args.Option("--queue-capacity").value_or("0"), 0.0));
+  options.shed.service_rate = static_cast<std::size_t>(
+      ParseDouble(args.Option("--service-rate").value_or("0"), 0.0));
+  return options;
+}
+
 // serve <stream> — the long-running operations daemon: tick replay of
 // the stream through the pipeline plus the HTTP exposition endpoints.
 int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
@@ -664,17 +693,9 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
   const auto stream = LoadStream(args.positional[1], err);
   if (!stream) return kFailure;
 
-  core::LiveOptions options;
-  options.tick = util::FromSeconds(
-      ParseDouble(args.Option("--tick-sec").value_or("10"), 10.0));
-  options.window = util::FromSeconds(
-      ParseDouble(args.Option("--window-sec").value_or("300"), 300.0));
-  options.slo_target_sec =
-      ParseDouble(args.Option("--slo-sec").value_or("30"), 30.0);
-  if (options.tick <= 0 || options.window <= 0) {
-    err << "serve: --tick-sec and --window-sec must be positive\n";
-    return kUsage;
-  }
+  auto parsed = ParseLiveOptions(args, "serve", err);
+  if (!parsed) return kUsage;
+  core::LiveOptions options = std::move(*parsed);
   const double watchdog_sec =
       ParseDouble(args.Option("--watchdog-sec").value_or("5"), 5.0);
   options.heartbeat_deadline_sec = watchdog_sec;
@@ -691,12 +712,6 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
   options.checkpoint_path = args.Option("--checkpoint").value_or("");
   options.checkpoint_every_ticks = static_cast<std::uint64_t>(ParseDouble(
       args.Option("--checkpoint-every-ticks").value_or("16"), 16.0));
-  // Backpressure: --queue-capacity turns on the bounded ingest queue and
-  // the degradation ladder; --service-rate caps per-tick analysis intake.
-  options.shed.queue_capacity = static_cast<std::size_t>(
-      ParseDouble(args.Option("--queue-capacity").value_or("0"), 0.0));
-  options.shed.service_rate = static_cast<std::size_t>(
-      ParseDouble(args.Option("--service-rate").value_or("0"), 0.0));
 
   obs::HealthRegistry health;
   core::IncidentLog incidents;
@@ -704,7 +719,6 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
 
   core::OpsInfo info;
   info.stream_path = args.positional[1];
-  info.threads = util::ThreadPool::DefaultThreadCount();
   info.slo_target_sec = options.slo_target_sec;
   info.tick_sec = util::ToSeconds(options.tick);
   info.window_sec = util::ToSeconds(options.window);
@@ -796,17 +810,10 @@ int CmdSeries(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const auto stream = LoadStream(args.positional[1], err);
   if (!stream) return kFailure;
-  core::LiveOptions options;
-  options.tick = util::FromSeconds(
-      ParseDouble(args.Option("--tick-sec").value_or("10"), 10.0));
-  options.window = util::FromSeconds(
-      ParseDouble(args.Option("--window-sec").value_or("300"), 300.0));
-  if (options.tick <= 0 || options.window <= 0) {
-    err << "series: --tick-sec and --window-sec must be positive\n";
-    return kUsage;
-  }
+  const auto options = ParseLiveOptions(args, "series", err);
+  if (!options) return kUsage;
   obs::TimeSeriesStore store;
-  core::LiveRunner runner(options, nullptr, nullptr, &store);
+  core::LiveRunner runner(*options, nullptr, nullptr, &store);
   runner.Run(*stream);
   const auto name = args.Option("--name");
   if (!name.has_value()) {
@@ -858,26 +865,12 @@ int CmdExplain(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const auto stream = LoadStream(args.positional[1], err);
   if (!stream) return kFailure;
-
-  core::LiveOptions options;
-  options.tick = util::FromSeconds(
-      ParseDouble(args.Option("--tick-sec").value_or("10"), 10.0));
-  options.window = util::FromSeconds(
-      ParseDouble(args.Option("--window-sec").value_or("300"), 300.0));
-  options.slo_target_sec =
-      ParseDouble(args.Option("--slo-sec").value_or("30"), 30.0);
-  if (options.tick <= 0 || options.window <= 0) {
-    err << "explain: --tick-sec and --window-sec must be positive\n";
-    return kUsage;
-  }
-  options.shed.queue_capacity = static_cast<std::size_t>(
-      ParseDouble(args.Option("--queue-capacity").value_or("0"), 0.0));
-  options.shed.service_rate = static_cast<std::size_t>(
-      ParseDouble(args.Option("--service-rate").value_or("0"), 0.0));
+  const auto options = ParseLiveOptions(args, "explain", err);
+  if (!options) return kUsage;
 
   core::IncidentLog incidents;
   obs::ProvenanceLedger ledger;
-  core::LiveRunner runner(options, nullptr, &incidents, nullptr, &ledger);
+  core::LiveRunner runner(*options, nullptr, &incidents, nullptr, &ledger);
   runner.Run(*stream);
   const auto body = ledger.EvidenceJson(incident_seq);
   if (!body.has_value()) {
