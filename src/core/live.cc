@@ -306,14 +306,20 @@ LiveStats LiveRunner::Run(
     const auto id = health_->Register(PeerComponentName(peer));
     health_->SetState(id, state, std::move(reason));
   };
-  // Mirror health states into labeled gauges so they scrape.
-  const auto sync_health_gauges = [this, &reg]() {
+  // Mirror health states into labeled gauges so they scrape.  A
+  // component's gauge registers on the first sync that lists it, in the
+  // snapshot's name order; later syncs set it by its cached id.
+  std::vector<std::optional<obs::MetricId>> health_gauges;  // by component
+  const auto sync_health_gauges = [this, &reg, &health_gauges]() {
     if (health_ == nullptr) return;
     for (const auto& c : health_->Snapshot()) {
-      const obs::MetricId id = reg.Gauge(
-          "health_component_state" +
-          obs::PromLabels({{"component", c.name}}));
-      reg.Set(id, static_cast<double>(c.state));
+      if (c.id >= health_gauges.size()) health_gauges.resize(c.id + 1);
+      std::optional<obs::MetricId>& gauge = health_gauges[c.id];
+      if (!gauge.has_value()) {
+        gauge = reg.Gauge("health_component_state" +
+                          obs::PromLabels({{"component", c.name}}));
+      }
+      reg.Set(*gauge, static_cast<double>(c.state));
     }
   };
 

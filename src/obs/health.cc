@@ -100,7 +100,10 @@ std::vector<HealthRegistry::ComponentStatus> HealthRegistry::Snapshot() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     out.reserve(components_.size());
-    for (const Component& c : components_) out.push_back(StatusOf(c, now));
+    for (ComponentId id = 0; id < components_.size(); ++id) {
+      out.push_back(StatusOf(components_[id], now));
+      out.back().id = id;
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const ComponentStatus& a, const ComponentStatus& b) {

@@ -58,6 +58,7 @@ class HealthRegistry {
   void SetHeartbeatDeadline(ComponentId id, double seconds);
 
   struct ComponentStatus {
+    ComponentId id = 0;
     std::string name;
     HealthState state = HealthState::kOk;
     std::string reason;

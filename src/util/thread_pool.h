@@ -1,4 +1,4 @@
-// Fixed-size deterministic thread pool.
+// Deterministic fork-join parallel loop.
 //
 // Its users (Pipeline::Analyze's spike-window fan-out, internet-scale
 // generation's propagation waves) need parallelism whose *results* are
@@ -10,40 +10,33 @@
 // parameter — `RANOMALY_THREADS=1` and `RANOMALY_THREADS=8` must produce
 // identical bytes.
 //
-// Nesting: ParallelFor issued from inside a pool worker (by code that a
-// chunk calls) runs inline on that worker rather than deadlocking on the
-// already-busy pool.
+// A pool is only a thread count: each ParallelFor starts the lanes it
+// runs on and joins them before it returns, so no thread outlives its
+// job and calls from different threads never wait on each other.
+//
+// Nesting: ParallelFor issued from inside a lane (by code that a chunk
+// calls) runs inline on that lane, so nested jobs never multiply the
+// thread count.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <utility>
-#include <vector>
 
 namespace ranomaly::util {
 
 class ThreadPool {
  public:
-  // threads == 0 picks DefaultThreadCount().  A pool of 1 spawns no
-  // workers; ParallelFor then runs inline.
+  // threads == 0 picks DefaultThreadCount().  Starts no thread.
   explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t threads() const { return threads_; }
 
-  // Runs fn(chunk) for every chunk in [0, chunks), on the workers plus
-  // the calling thread, and returns when all chunks completed.  Chunks
-  // are claimed in index order from a shared counter.  fn must not
-  // throw.  Calls from different threads are serialized; calls from
-  // inside a worker run inline.
+  // Runs fn(chunk) for every chunk in [0, chunks) on min(threads(),
+  // chunks) lanes, the calling thread and the ones this call starts, and
+  // returns when all chunks completed and every started lane is joined.
+  // Chunks are claimed in index order from a shared counter.  fn must
+  // not throw.  Calls from inside a lane run inline.
   void ParallelFor(std::size_t chunks,
                    const std::function<void(std::size_t)>& fn);
 
@@ -77,34 +70,7 @@ class ThreadPool {
   static std::size_t DefaultThreadCount();
 
  private:
-  void WorkerMain();
-  void RunChunks(std::uint32_t generation,
-                 const std::function<void(std::size_t)>& fn,
-                 std::size_t end);
-  void RunInline(std::size_t chunks,
-                 const std::function<void(std::size_t)>& fn);
-
   std::size_t threads_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for a new job
-  std::condition_variable done_cv_;   // caller waits for completion
-  std::mutex caller_mu_;              // serializes ParallelFor callers
-  std::uint32_t generation_ = 0;      // bumped per job
-  bool shutdown_ = false;
-
-  // Current job; fn_/end_ are written and read under mu_ (stragglers are
-  // fenced off by the generation tag in claim_).
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t end_ = 0;
-  // (generation << 32) | next_chunk_index — the claim word.
-  std::atomic<std::uint64_t> claim_{0};
-  std::atomic<std::size_t> completed_{0};
-  // Sum of per-chunk execution nanoseconds for the current job; with the
-  // job's wall time it yields the pool_utilization gauge (busy time over
-  // threads x wall — 1.0 means no lane ever starved).
-  std::atomic<std::uint64_t> busy_ns_{0};
 };
 
 }  // namespace ranomaly::util

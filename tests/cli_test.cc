@@ -367,6 +367,43 @@ std::string WriteMarkerCapture(const std::string& path) {
   return path;
 }
 
+// A command refuses any flag it does not read: a misspelt option is not
+// dropped, and a misspelt boolean flag does not take the stream path as
+// its value.
+TEST_F(CliTest, MisspeltOptionIsUsageError) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  EXPECT_EQ(Run({"series", capture, "--queue-capacty", "5", "--name",
+                 "serve_queue_depth"}),
+            2);
+  EXPECT_NE(err_.str().find("series: unknown flag --queue-capacty"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, MisspeltBooleanFlagIsUsageError) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  EXPECT_EQ(Run({"analyze", "--include-unknwn", capture}), 2);
+  EXPECT_NE(err_.str().find("analyze: unknown flag --include-unknwn"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, TraceRefusesMisspeltFlags) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  const std::string trace = Path("trace.json");
+  EXPECT_EQ(Run({"trace", "--out", trace, "--", "series", capture,
+                 "--queue-capacty", "5"}),
+            2);
+  EXPECT_NE(err_.str().find("series: unknown flag --queue-capacty"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(Run({"trace", "--jsnol", Path("trace.jsonl"), "--out", trace,
+                 "--", "stats", capture}),
+            2);
+  EXPECT_NE(err_.str().find("trace: unknown flag --jsnol"), std::string::npos)
+      << err_.str();
+}
+
 TEST_F(CliTest, PeersPrintsScoreboard) {
   const std::string capture = WriteMarkerCapture(Path("markers.events"));
   EXPECT_EQ(Run({"peers", capture}), 0);

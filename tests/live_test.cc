@@ -294,6 +294,35 @@ TEST(LiveRunnerTest, FeedGapMarksPeerDegradedInHealth) {
   }
 }
 
+// A peer's health gauge follows its feed: 0 until the tick that ingests
+// its GAP, 1 from that tick's boundary, 0 again from the tick that
+// ingests its SYNC.
+TEST(LiveRunnerTest, PeerHealthGaugeFollowsGapAndSync) {
+  collector::EventStream stream;
+  stream.Append(MakeEvent(0, "10.0.9.1", bgp::EventType::kAnnounce));
+  stream.Append(MakeEvent(5 * kSecond, "10.0.9.2", bgp::EventType::kAnnounce));
+  stream.Append(MakeEvent(32 * kSecond, "10.0.9.2", bgp::EventType::kFeedGap));
+  stream.Append(MakeEvent(61 * kSecond, "10.0.9.2", bgp::EventType::kResync));
+  stream.Append(MakeEvent(90 * kSecond, "10.0.9.1", bgp::EventType::kAnnounce));
+
+  obs::HealthRegistry health;
+  LiveRunner runner(LiveOptions{}, &health, nullptr);
+  const std::string gauge =
+      "health_component_state{component=\"peer/10.0.9.2\"}";
+  std::vector<double> per_tick;
+  runner.Run(stream, nullptr, [&](const LiveStats&) {
+    double value = -1.0;  // not registered
+    for (const auto& m : obs::MetricsRegistry::Global().Snapshot()) {
+      if (m.name == gauge) value = m.gauge;
+    }
+    per_tick.push_back(value);
+  });
+  // 10 s ticks: tick k ingests [10(k-1), 10k) s, so the GAP lands in
+  // tick 4 and the SYNC in tick 7.
+  EXPECT_EQ(per_tick,
+            (std::vector<double>{0, 0, 0, 1, 1, 1, 0, 0, 0, 0}));
+}
+
 // --- ops handler -------------------------------------------------------------
 
 obs::HttpRequest Get(const std::string& path, const std::string& query = "") {

@@ -328,6 +328,31 @@ def test_dashboard_and_series(binary, capture):
               "explain fails loudly for an unknown incident id")
 
 
+def test_series_matches_serve(binary, capture):
+    """`ranomaly series` lists the series a serve of the same stream
+    answers on /api/series once its replay is done.  No watchdog, so no
+    wall-clock stall can move a health gauge."""
+    process, port = spawn_serve(binary, capture,
+                                extra=("--watchdog-sec", "0"))
+    try:
+        for line in process.stdout:
+            if line.startswith("replay done"):
+                break
+        status, body = fetch(port, "/api/series")
+    finally:
+        stop(process)
+    series = subprocess.run(
+        [binary, "series", capture, "--tick-sec", "10"],
+        capture_output=True, text=True, timeout=120)
+    check(status == 200 and series.returncode == 0
+          and series.stdout.strip() == body.strip(),
+          f"series prints serve's /api/series inventory for "
+          f"{os.path.basename(capture)}")
+    names = {s["name"] for s in json.loads(body)["series"]}
+    check('health_component_state{component="serve"}' in names,
+          "the inventory holds the health gauges")
+
+
 def test_dashboard_off_by_default(binary, capture):
     process, port = spawn_serve(binary, capture)
     try:
@@ -403,6 +428,8 @@ def main():
             handle.write(incident_capture())
         test_endpoints(binary, capture)
         test_dashboard_and_series(binary, bursty)
+        test_series_matches_serve(binary, capture)
+        test_series_matches_serve(binary, bursty)
         test_dashboard_off_by_default(binary, capture)
         test_trace_interrupt(binary, capture, workdir)
         test_graceful_drain_and_restore(binary, capture, workdir)

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace ranomaly::util {
@@ -92,6 +96,66 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
     pool.ParallelFor(8, [&](std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 32);
+}
+
+// The process's live thread count, as the kernel reports it.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ThreadPoolTest, ConstructingAPoolStartsNoThread) {
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  ThreadPool pool(8);
+  EXPECT_LE(ProcessThreads(), before);
+}
+
+TEST(ThreadPoolTest, ParallelForJoinsItsLanesBeforeReturning) {
+  const int before = ProcessThreads();  // before the pool and the call
+  ThreadPool pool(4);
+  std::vector<int> during(16, 0);
+  pool.ParallelFor(during.size(), [&](std::size_t i) {
+    during[i] = ProcessThreads();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  // The job ran on lanes of its own.
+  EXPECT_GT(*std::max_element(during.begin(), during.end()), before);
+  // A joined thread leaves the kernel's count as it finishes exiting,
+  // which can trail the join by a moment.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (ProcessThreads() > before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(ProcessThreads(), before);
+}
+
+TEST(ThreadPoolTest, LanesAreNamedOnlyWhileTracing) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  ASSERT_FALSE(tracer.enabled());
+  // The tracer keeps every thread name it is given, so count new ones.
+  const auto named_lanes = [&tracer] {
+    const std::string json = tracer.ExportChromeJson();
+    std::size_t n = 0;
+    for (std::size_t at = json.find("\"pool-worker-"); at != std::string::npos;
+         at = json.find("\"pool-worker-", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t before = named_lanes();
+  ThreadPool pool(4);
+  pool.ParallelFor(8, [](std::size_t) {});
+  EXPECT_EQ(named_lanes(), before);
+  tracer.SetEnabled(true);
+  pool.ParallelFor(8, [](std::size_t) {});
+  tracer.SetEnabled(false);
+  EXPECT_EQ(named_lanes(), before + 3);  // the caller is the fourth lane
 }
 
 TEST(ThreadPoolTest, ChunksForAndChunkRangeCoverItemsExactly) {

@@ -1,5 +1,6 @@
 #include "tools/cli.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -10,7 +11,10 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "collector/binary_io.h"
 #include "collector/event_stream.h"
@@ -64,7 +68,8 @@ commands:
   trace   --out FILE.json [--jsonl FILE.jsonl] [--] <command> [options]
 
 stream files use the text (one event per line) or binary (RNE1) format;
-the format is detected automatically.
+the format is detected automatically.  A command refuses any --flag not
+listed for it above.
 
 stats --analyze also runs the analysis pipeline and reports where the
 time goes (events encoded, symbols interned, bigram table sizes, wall
@@ -150,31 +155,38 @@ struct Args {
   }
 };
 
-// Flags that take no value.
-const char* kBooleanFlags[] = {"--include-unknown", "--hierarchical",
-                               "--analyze", "--prom", "--exit-after-replay",
-                               "--dashboard"};
+// A command and what it accepts after its name: `options` take a value,
+// `flags` take none.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&, std::ostream&, std::ostream&);
+  std::vector<std::string_view> options;
+  std::vector<std::string_view> flags;
+};
 
+// Any "--" argument `command` does not accept is refused, so a misspelt
+// option is never dropped and a misspelt flag never takes the argument
+// after it as its value.
 std::optional<Args> ParseArgs(const std::vector<std::string>& argv,
-                              std::ostream& err) {
+                              const Command& command, std::ostream& err) {
+  const auto accepts = [](const std::vector<std::string_view>& names,
+                          const std::string& a) {
+    return std::find(names.begin(), names.end(), a) != names.end();
+  };
   Args args;
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& a = argv[i];
     if (a.rfind("--", 0) != 0) {
       args.positional.push_back(a);
-      continue;
-    }
-    bool boolean = false;
-    for (const char* f : kBooleanFlags) {
-      if (a == f) boolean = true;
-    }
-    if (boolean) {
+    } else if (accepts(command.flags, a)) {
       args.flags.push_back(a);
+    } else if (!accepts(command.options, a)) {
+      err << command.name << ": unknown flag " << a << "\n";
+      return std::nullopt;
+    } else if (i + 1 >= argv.size()) {
+      err << "missing value for " << a << "\n";
+      return std::nullopt;
     } else {
-      if (i + 1 >= argv.size()) {
-        err << "missing value for " << a << "\n";
-        return std::nullopt;
-      }
       args.options[a] = argv[++i];
     }
   }
@@ -657,6 +669,14 @@ class ScopedSignalTrap {
   struct sigaction old_term_ = {};
 };
 
+// `options` plus the replay options ParseLiveOptions reads.
+std::vector<std::string_view> WithLiveOptions(
+    std::vector<std::string_view> options) {
+  options.insert(options.end(), {"--tick-sec", "--window-sec", "--slo-sec",
+                                 "--queue-capacity", "--service-rate"});
+  return options;
+}
+
 // The replay settings `serve`, `series` and `explain` share, so the
 // same flags give each of them the same replay.  Reports a bad value on
 // `err` (prefixed with `command`) and returns nullopt.
@@ -682,6 +702,24 @@ std::optional<core::LiveOptions> ParseLiveOptions(const Args& args,
       ParseDouble(args.Option("--service-rate").value_or("0"), 0.0));
   return options;
 }
+
+// The replay `serve`, `series` and `explain` run: a health registry
+// holding the `serve` component, the incident log, the series store, the
+// provenance ledger and the runner that feeds them.  All three build it
+// here, so one stream and one set of replay options give each the same
+// series and the same evidence.
+struct Replay {
+  explicit Replay(const core::LiveOptions& options)
+      : serve_id(health.Register("serve")),
+        runner(options, &health, &incidents, &series, &ledger) {}
+
+  obs::HealthRegistry health;
+  const obs::HealthRegistry::ComponentId serve_id;
+  core::IncidentLog incidents;
+  obs::TimeSeriesStore series;
+  obs::ProvenanceLedger ledger;
+  core::LiveRunner runner;
+};
 
 // serve <stream> — the long-running operations daemon: tick replay of
 // the stream through the pipeline plus the HTTP exposition endpoints.
@@ -713,9 +751,8 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
   options.checkpoint_every_ticks = static_cast<std::uint64_t>(ParseDouble(
       args.Option("--checkpoint-every-ticks").value_or("16"), 16.0));
 
-  obs::HealthRegistry health;
-  core::IncidentLog incidents;
-  if (watchdog_sec > 0) health.StartWatchdog(watchdog_sec / 2);
+  Replay replay(options);
+  if (watchdog_sec > 0) replay.health.StartWatchdog(watchdog_sec / 2);
 
   core::OpsInfo info;
   info.stream_path = args.positional[1];
@@ -727,12 +764,10 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
   info.t0 = stream->empty() ? 0 : stream->events().front().time;
   info.tick = options.tick;
 
-  obs::TimeSeriesStore series_store;
-  obs::ProvenanceLedger provenance_ledger;
   const bool dashboard = args.HasFlag("--dashboard");
   obs::HttpServer server(core::MakeOpsHandler(
-      &obs::MetricsRegistry::Global(), &health, &incidents, info,
-      &series_store, dashboard, &provenance_ledger));
+      &obs::MetricsRegistry::Global(), &replay.health, &replay.incidents,
+      info, &replay.series, dashboard, &replay.ledger));
   std::string error;
   if (!server.Start(static_cast<std::uint16_t>(port_arg), &error)) {
     err << "serve: " << error << "\n";
@@ -747,19 +782,16 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
 
   ScopedSignalTrap trap;
   std::atomic<bool> keep_going{true};
-  const obs::HealthRegistry::ComponentId serve_id = health.Register("serve");
-  const auto start_drain = [&health, serve_id, &keep_going]() {
+  const auto start_drain = [&replay, &keep_going]() {
     // Graceful drain: readiness goes false first, so load balancers stop
     // routing while the in-flight tick finishes and the final checkpoint
     // is cut; liveness (/healthz) stays green throughout.
     keep_going.store(false, std::memory_order_relaxed);
-    health.SetState(serve_id, obs::HealthState::kDown,
-                    "draining: stop requested");
+    replay.health.SetState(replay.serve_id, obs::HealthState::kDown,
+                           "draining: stop requested");
   };
-  core::LiveRunner runner(options, &health, &incidents, &series_store,
-                          &provenance_ledger);
   const core::LiveStats stats =
-      runner.Run(*stream, &keep_going, [&](const core::LiveStats&) {
+      replay.runner.Run(*stream, &keep_going, [&](const core::LiveStats&) {
         if (pace_ms > 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
         }
@@ -793,7 +825,7 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
         << (options.checkpoint_path.empty() ? "" : ": final checkpoint durable")
         << std::endl;
   }
-  health.StopWatchdog();
+  replay.health.StopWatchdog();
   server.Stop();
   out << "served " << server.requests_total() << " requests ("
       << server.rejected_total() << " rejected)\n";
@@ -812,9 +844,9 @@ int CmdSeries(const Args& args, std::ostream& out, std::ostream& err) {
   if (!stream) return kFailure;
   const auto options = ParseLiveOptions(args, "series", err);
   if (!options) return kUsage;
-  obs::TimeSeriesStore store;
-  core::LiveRunner runner(*options, nullptr, nullptr, &store);
-  runner.Run(*stream);
+  Replay replay(*options);
+  replay.runner.Run(*stream);
+  const obs::TimeSeriesStore& store = replay.series;
   const auto name = args.Option("--name");
   if (!name.has_value()) {
     out << store.ListJson() << "\n";
@@ -868,15 +900,13 @@ int CmdExplain(const Args& args, std::ostream& out, std::ostream& err) {
   const auto options = ParseLiveOptions(args, "explain", err);
   if (!options) return kUsage;
 
-  core::IncidentLog incidents;
-  obs::ProvenanceLedger ledger;
-  core::LiveRunner runner(*options, nullptr, &incidents, nullptr, &ledger);
-  runner.Run(*stream);
-  const auto body = ledger.EvidenceJson(incident_seq);
+  Replay replay(*options);
+  replay.runner.Run(*stream);
+  const auto body = replay.ledger.EvidenceJson(incident_seq);
   if (!body.has_value()) {
     err << "explain: unknown incident " << incident_seq
         << " (or its evidence was evicted); the replay logged "
-        << incidents.size() << " incidents\n";
+        << replay.incidents.size() << " incidents\n";
     return kFailure;
   }
   out << *body << "\n";
@@ -912,16 +942,21 @@ int CmdTrace(const std::vector<std::string>& args, std::ostream& out,
   std::string jsonl_path;
   std::size_t i = 1;
   for (; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) {
-      json_path = args[++i];
-    } else if (args[i] == "--jsonl" && i + 1 < args.size()) {
-      jsonl_path = args[++i];
-    } else if (args[i] == "--") {
+    if (args[i] == "--") {
       ++i;
       break;
-    } else {
-      break;
     }
+    if (args[i].rfind("--", 0) != 0) break;
+    if (args[i] != "--out" && args[i] != "--jsonl") {
+      err << "trace: unknown flag " << args[i] << "\n";
+      return kUsage;
+    }
+    if (i + 1 >= args.size()) {
+      err << "missing value for " << args[i] << "\n";
+      return kUsage;
+    }
+    (args[i] == "--out" ? json_path : jsonl_path) = args[i + 1];
+    ++i;
   }
   if (json_path.empty() || i >= args.size()) {
     err << "trace: --out FILE.json and a command to run are required\n";
@@ -1011,22 +1046,37 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   }
   // trace wraps another command; its arguments must not be re-parsed here.
   if (args[0] == "trace") return CmdTrace(args, out, err);
-  const auto parsed = ParseArgs(args, err);
-  if (!parsed) return kUsage;
-  const std::string& command = args[0];
-  if (command == "analyze") return CmdAnalyze(*parsed, out, err);
-  if (command == "picture") return CmdPicture(*parsed, out, err);
-  if (command == "animate") return CmdAnimate(*parsed, out, err);
-  if (command == "convert") return CmdConvert(*parsed, out, err);
-  if (command == "moas") return CmdMoas(*parsed, out, err);
-  if (command == "stats") return CmdStats(*parsed, out, err);
-  if (command == "metrics") return CmdMetrics(*parsed, out, err);
-  if (command == "serve") return CmdServe(*parsed, out, err);
-  if (command == "series") return CmdSeries(*parsed, out, err);
-  if (command == "explain") return CmdExplain(*parsed, out, err);
-  if (command == "peers") return CmdPeers(*parsed, out, err);
-  if (command == "internet") return CmdInternet(*parsed, out, err);
-  err << "unknown command: " << command << "\n" << kUsageText;
+  static const std::vector<Command> kCommands = {
+      {"analyze", CmdAnalyze, {"--spike-bucket-sec", "--spike-factor"},
+       {"--include-unknown"}},
+      {"picture", CmdPicture, {"--out", "--dot", "--threshold", "--title"},
+       {"--hierarchical"}},
+      {"animate", CmdAnimate, {"--out-dir", "--every", "--smil"}, {}},
+      {"convert", CmdConvert, {"--to"}, {}},
+      {"moas", CmdMoas, {}, {}},
+      {"stats", CmdStats, {}, {"--analyze"}},
+      {"metrics", CmdMetrics, {}, {"--prom"}},
+      {"serve", CmdServe,
+       WithLiveOptions({"--port", "--pace-ms", "--watchdog-sec",
+                        "--checkpoint", "--checkpoint-every-ticks"}),
+       {"--exit-after-replay", "--dashboard"}},
+      {"series", CmdSeries, WithLiveOptions({"--name", "--res", "--since"}),
+       {}},
+      {"explain", CmdExplain, WithLiveOptions({"--incident"}), {}},
+      {"peers", CmdPeers, {}, {}},
+      {"internet", CmdInternet,
+       {"--out", "--format", "--relationships", "--save-relationships",
+        "--ases", "--prefixes", "--peers", "--seed", "--flap-fraction",
+        "--threads"},
+       {}},
+  };
+  for (const Command& command : kCommands) {
+    if (args[0] != command.name) continue;
+    const auto parsed = ParseArgs(args, command, err);
+    if (!parsed) return kUsage;
+    return command.run(*parsed, out, err);
+  }
+  err << "unknown command: " << args[0] << "\n" << kUsageText;
   return kUsage;
 }
 
