@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -1041,13 +1042,17 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
         return response;
       }
       // Tier resolutions and `since` cursors travel as whole simulated
-      // seconds; every shipped tier is a whole number of them.
+      // seconds; every shipped tier is a whole number of them.  Seconds
+      // past kMaxSec have no microsecond SimTime: no tier is that coarse,
+      // and a cursor that late is after every point.
+      constexpr std::uint64_t kMaxSec =
+          std::numeric_limits<std::int64_t>::max() / util::kSecond;
       std::int64_t res_us = series->options().tiers.empty()
                                 ? util::kSecond
                                 : series->options().tiers.front().resolution_us;
       if (const auto res = request.QueryParam("res")) {
         std::uint64_t sec = 0;
-        if (!util::ParseU64(*res, sec) || sec == 0 ||
+        if (!util::ParseU64(*res, sec) || sec == 0 || sec > kMaxSec ||
             !series->HasTier(static_cast<std::int64_t>(sec) * util::kSecond)) {
           response.status = 400;
           response.body =
@@ -1066,7 +1071,9 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
               "bad since parameter: want a non-negative integer of seconds\n";
           return response;
         }
-        since_us = static_cast<std::int64_t>(sec) * util::kSecond;
+        since_us = sec > kMaxSec
+                       ? std::numeric_limits<std::int64_t>::max()
+                       : static_cast<std::int64_t>(sec) * util::kSecond;
       }
       const auto name = request.QueryParam("name");
       if (!name.has_value()) {

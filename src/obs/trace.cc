@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <vector>
 
@@ -9,6 +10,9 @@
 
 namespace ranomaly::obs {
 namespace {
+
+// Events the ring holds, all threads together.
+constexpr std::size_t kCapacity = std::size_t{1} << 16;
 
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -23,126 +27,103 @@ std::string FormatMicros(std::uint64_t ts_ns) {
   return buf;
 }
 
+// The calling thread's export id, numbered on its first call.
+std::uint32_t CurrentThreadId() {
+  static std::atomic<std::uint32_t> next{1};
+  thread_local const std::uint32_t id =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
+
 struct TraceEvent {
   const char* name = nullptr;
   char phase = 'B';
+  std::uint32_t tid = 0;
   std::uint64_t ts_ns = 0;
   std::string args;  // end events only
 };
 
-struct ThreadBuffer {
-  std::uint32_t tid = 0;
-  std::size_t capacity = 0;
-  mutable std::mutex mu;
-  std::string thread_name;
-  std::vector<TraceEvent> ring;  // grows to capacity, then wraps
-  std::size_t next = 0;          // overwrite cursor once full
-  std::uint64_t dropped = 0;
+// One thread's part of an export: its name, if it has one, and its
+// events oldest first.
+struct ThreadTrace {
+  std::string name;
+  std::vector<TraceEvent> events;
 };
 
-struct TlsTraceEntry {
-  std::uint64_t tracer_id;
-  ThreadBuffer* buffer;
-};
+// Sanitizes one thread's events so B/E always balance: ends whose begin
+// was overwritten are dropped; begins still open at export time get a
+// synthetic end at the thread's last timestamp.
+void Balance(std::vector<TraceEvent>& events) {
+  if (events.empty()) return;
+  const std::uint32_t tid = events.back().tid;
+  const std::uint64_t last_ts = events.back().ts_ns;
+  std::vector<const char*> open;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].phase == 'B') {
+      open.push_back(events[i].name);
+    } else if (open.empty()) {
+      continue;  // the end of a span whose begin was overwritten
+    } else {
+      open.pop_back();
+    }
+    if (kept != i) events[kept] = std::move(events[i]);
+    ++kept;
+  }
+  events.resize(kept);
+  for (; !open.empty(); open.pop_back()) {
+    events.push_back(TraceEvent{open.back(), 'E', tid, last_ts, {}});
+  }
+}
 
-// Buffers are owned by the tracer and never freed before it, so the
-// thread-local cache needs no exit hook: ids are never reused, a stale
-// entry simply never matches again.
-thread_local std::vector<TlsTraceEntry> g_tls_buffers;
-
-std::uint64_t NextTracerId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+// Appends `"key":` to a span's argument list.
+void AppendKey(std::string& args, std::string_view key) {
+  if (!args.empty()) args += ',';
+  args += '"';
+  args += JsonEscape(key);
+  args += "\":";
 }
 
 }  // namespace
 
 struct Tracer::Impl {
-  std::uint64_t tracer_id = 0;
-  mutable std::mutex mu;  // buffer list, capacity
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-  std::size_t capacity = 1 << 16;
-  std::atomic<std::int64_t> epoch_ns{NowNs()};
-
-  ThreadBuffer& LocalBuffer() {
-    for (const TlsTraceEntry& e : g_tls_buffers) {
-      if (e.tracer_id == tracer_id) return *e.buffer;
-    }
-    auto buffer = std::make_unique<ThreadBuffer>();
-    ThreadBuffer* raw = buffer.get();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      raw->tid = static_cast<std::uint32_t>(buffers.size() + 1);
-      raw->capacity = capacity;
-      buffers.push_back(std::move(buffer));
-    }
-    g_tls_buffers.push_back(TlsTraceEntry{tracer_id, raw});
-    return *raw;
-  }
+  mutable std::mutex mu;  // guards every member below
+  std::vector<TraceEvent> ring;  // grows to kCapacity, then wraps
+  std::uint64_t dropped = 0;     // also the overwrite cursor once full
+  std::map<std::uint32_t, std::string> names;  // tid -> thread name
+  std::int64_t epoch_ns = NowNs();
 
   void Record(const char* name, char phase, std::string&& args) {
-    const std::uint64_t ts = static_cast<std::uint64_t>(
-        NowNs() - epoch_ns.load(std::memory_order_relaxed));
-    ThreadBuffer& buf = LocalBuffer();
-    TraceEvent event;
-    event.name = name;
-    event.phase = phase;
-    event.ts_ns = ts;
-    event.args = std::move(args);
-    std::lock_guard<std::mutex> lock(buf.mu);
-    if (buf.ring.size() < buf.capacity) {
-      buf.ring.push_back(std::move(event));
+    const std::uint32_t tid = CurrentThreadId();
+    std::lock_guard<std::mutex> lock(mu);
+    TraceEvent event{name, phase, tid,
+                     static_cast<std::uint64_t>(NowNs() - epoch_ns),
+                     std::move(args)};
+    if (ring.size() < kCapacity) {
+      ring.push_back(std::move(event));
     } else {
-      buf.ring[buf.next] = std::move(event);
-      buf.next = (buf.next + 1) % buf.capacity;
-      ++buf.dropped;
+      ring[dropped++ % kCapacity] = std::move(event);
     }
   }
 
-  // One thread's events, oldest first, sanitized so B/E always balance:
-  // ends whose begin was overwritten are dropped; begins still open at
-  // export time get a synthetic end at the last seen timestamp.
-  std::vector<TraceEvent> SanitizedEvents(const ThreadBuffer& buf) const {
-    std::vector<TraceEvent> ordered;
+  // Every named or recording thread in export-id order, each with its
+  // events in ring order and balanced.
+  std::map<std::uint32_t, ThreadTrace> Threads() const {
+    std::map<std::uint32_t, ThreadTrace> threads;
     {
-      std::lock_guard<std::mutex> lock(buf.mu);
-      ordered.reserve(buf.ring.size());
-      const std::size_t n = buf.ring.size();
-      const std::size_t start = n < buf.capacity ? 0 : buf.next;
-      for (std::size_t i = 0; i < n; ++i) {
-        ordered.push_back(buf.ring[(start + i) % n]);
+      std::lock_guard<std::mutex> lock(mu);
+      for (const auto& [tid, name] : names) threads[tid].name = name;
+      for (std::size_t i = 0; i < ring.size(); ++i) {
+        const TraceEvent& event = ring[(dropped + i) % ring.size()];
+        threads[event.tid].events.push_back(event);
       }
     }
-    std::vector<TraceEvent> out;
-    out.reserve(ordered.size());
-    std::vector<const char*> open;
-    std::uint64_t last_ts = 0;
-    for (TraceEvent& event : ordered) {
-      last_ts = event.ts_ns;
-      if (event.phase == 'B') {
-        open.push_back(event.name);
-        out.push_back(std::move(event));
-      } else if (!open.empty()) {
-        open.pop_back();
-        out.push_back(std::move(event));
-      }
-      // else: end of a span whose begin was overwritten — drop it.
-    }
-    while (!open.empty()) {
-      TraceEvent synthetic;
-      synthetic.name = open.back();
-      synthetic.phase = 'E';
-      synthetic.ts_ns = last_ts;
-      open.pop_back();
-      out.push_back(std::move(synthetic));
-    }
-    return out;
+    for (auto& [tid, thread] : threads) Balance(thread.events);
+    return threads;
   }
 };
 
-Tracer::Tracer() : impl_(std::make_unique<Impl>()) {
-  impl_->tracer_id = NextTracerId();
-}
+Tracer::Tracer() : impl_(std::make_unique<Impl>()) {}
 
 Tracer::~Tracer() = default;
 
@@ -157,34 +138,22 @@ void Tracer::SetEnabled(bool on) {
 
 void Tracer::Reset() {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const auto& buffer : impl_->buffers) {
-    std::lock_guard<std::mutex> buf_lock(buffer->mu);
-    buffer->ring.clear();
-    buffer->next = 0;
-    buffer->dropped = 0;
-  }
-  impl_->epoch_ns.store(NowNs(), std::memory_order_relaxed);
-}
-
-void Tracer::SetThreadCapacity(std::size_t events) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->capacity = events == 0 ? 1 : events;
+  impl_->ring.clear();
+  impl_->dropped = 0;
+  impl_->names.clear();
+  impl_->epoch_ns = NowNs();
 }
 
 void Tracer::SetCurrentThreadName(std::string name) {
-  ThreadBuffer& buf = impl_->LocalBuffer();
-  std::lock_guard<std::mutex> lock(buf.mu);
-  buf.thread_name = std::move(name);
+  if (!enabled()) return;
+  const std::uint32_t tid = CurrentThreadId();
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  impl_->names[tid] = std::move(name);
 }
 
 std::uint64_t Tracer::DroppedCount() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  std::uint64_t dropped = 0;
-  for (const auto& buffer : impl_->buffers) {
-    std::lock_guard<std::mutex> buf_lock(buffer->mu);
-    dropped += buffer->dropped;
-  }
-  return dropped;
+  return impl_->dropped;
 }
 
 void Tracer::RecordBegin(const char* name) {
@@ -196,7 +165,6 @@ void Tracer::RecordEnd(const char* name, std::string&& args_json) {
 }
 
 std::string Tracer::ExportChromeJson() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   const auto append = [&](const std::string& line) {
@@ -205,20 +173,17 @@ std::string Tracer::ExportChromeJson() const {
     out += "\n";
     out += line;
   };
-  for (const auto& buffer : impl_->buffers) {
-    {
-      std::lock_guard<std::mutex> buf_lock(buffer->mu);
-      if (!buffer->thread_name.empty()) {
-        append("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-               std::to_string(buffer->tid) + ",\"args\":{\"name\":\"" +
-               JsonEscape(buffer->thread_name) + "\"}}");
-      }
+  for (const auto& [tid, thread] : impl_->Threads()) {
+    if (!thread.name.empty()) {
+      append("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
+             std::to_string(tid) + ",\"args\":{\"name\":\"" +
+             JsonEscape(thread.name) + "\"}}");
     }
-    for (const TraceEvent& event : impl_->SanitizedEvents(*buffer)) {
+    for (const TraceEvent& event : thread.events) {
       std::string line = "{\"name\":\"" + JsonEscape(event.name) +
                          "\",\"cat\":\"ranomaly\",\"ph\":\"";
       line += event.phase;
-      line += "\",\"pid\":1,\"tid\":" + std::to_string(buffer->tid) +
+      line += "\",\"pid\":1,\"tid\":" + std::to_string(tid) +
               ",\"ts\":" + FormatMicros(event.ts_ns);
       if (!event.args.empty()) line += ",\"args\":{" + event.args + "}";
       line += "}";
@@ -230,13 +195,12 @@ std::string Tracer::ExportChromeJson() const {
 }
 
 std::string Tracer::ExportJsonl() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
   std::string out;
-  for (const auto& buffer : impl_->buffers) {
-    for (const TraceEvent& event : impl_->SanitizedEvents(*buffer)) {
+  for (const auto& [tid, thread] : impl_->Threads()) {
+    for (const TraceEvent& event : thread.events) {
       out += "{\"name\":\"" + JsonEscape(event.name) + "\",\"ph\":\"";
       out += event.phase;
-      out += "\",\"tid\":" + std::to_string(buffer->tid) +
+      out += "\",\"tid\":" + std::to_string(tid) +
              ",\"ts_us\":" + FormatMicros(event.ts_ns);
       if (!event.args.empty()) out += ",\"args\":{" + event.args + "}";
       out += "}\n";
@@ -247,29 +211,21 @@ std::string Tracer::ExportJsonl() const {
 
 void TraceSpan::Annotate(std::string_view key, std::string_view value) {
   if (name_ == nullptr) return;
-  if (!args_.empty()) args_ += ',';
+  AppendKey(args_, key);
   args_ += '"';
-  args_ += JsonEscape(key);
-  args_ += "\":\"";
   args_ += JsonEscape(value);
   args_ += '"';
 }
 
 void TraceSpan::Annotate(std::string_view key, std::uint64_t value) {
   if (name_ == nullptr) return;
-  if (!args_.empty()) args_ += ',';
-  args_ += '"';
-  args_ += JsonEscape(key);
-  args_ += "\":";
+  AppendKey(args_, key);
   args_ += std::to_string(value);
 }
 
 void TraceSpan::Annotate(std::string_view key, double value) {
   if (name_ == nullptr) return;
-  if (!args_.empty()) args_ += ',';
-  args_ += '"';
-  args_ += JsonEscape(key);
-  args_ += "\":";
+  AppendKey(args_, key);
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   args_ += buf;

@@ -1,4 +1,4 @@
-// Scoped span tracing with per-thread ring buffers.
+// Scoped span tracing into one shared ring of events.
 //
 // A TraceSpan records a Chrome trace_event "B" (begin) at construction
 // and an "E" (end) at destruction; nesting follows scope nesting, so
@@ -6,12 +6,14 @@
 // key=value arguments to the end event.  Recording is ~one relaxed
 // atomic load when the tracer is disabled (the default).
 //
-// Events land in a fixed-capacity ring per thread (oldest overwritten;
-// the drop count is kept so truncation is visible).  Export produces
-// Chrome trace_event JSON — load it at https://ui.perfetto.dev or
-// chrome://tracing — or a JSONL stream (one event per line) for tests.
-// Timestamps are wall-clock nanoseconds from a steady clock: metering
-// only, never algorithm input (DESIGN.md determinism rule).
+// Every thread's events land in one ring of 65,536 events under one
+// mutex (the oldest event is overwritten, whichever thread recorded it;
+// the drop count is kept so truncation is visible).  Each event carries
+// its thread's export id, numbered once per thread on first use.  Export
+// produces Chrome trace_event JSON — load it at https://ui.perfetto.dev
+// or chrome://tracing — or a JSONL stream (one event per line) for
+// tests.  Timestamps are wall-clock nanoseconds from a steady clock:
+// metering only, never algorithm input (DESIGN.md determinism rule).
 //
 // Standard-library-only, like metrics.h: usable from every layer
 // including util.
@@ -41,20 +43,19 @@ class Tracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  // Drops all buffered events and restarts the timestamp epoch.
+  // Drops all buffered events and thread names and restarts the
+  // timestamp epoch.
   void Reset();
 
-  // Events kept per thread before the ring overwrites the oldest.
-  // Applies to buffers created after the call; default 65536.
-  void SetThreadCapacity(std::size_t events);
-
   // Names the calling thread in exported metadata ("pool-worker-3").
+  // Does nothing while the tracer is disabled.
   void SetCurrentThreadName(std::string name);
 
-  // Chrome trace_event JSON ({"traceEvents":[...]}).  Buffers are
-  // sanitized per thread: an E whose B was overwritten is dropped, and
-  // a still-open B gets a synthetic E at the buffer's last timestamp,
-  // so exported B/E pairs always balance.
+  // Chrome trace_event JSON ({"traceEvents":[...]}), one thread after
+  // another, each thread's events in ring order.  Events are sanitized
+  // per thread: an E whose B was overwritten is dropped, and a
+  // still-open B gets a synthetic E at that thread's last timestamp, so
+  // exported B/E pairs always balance.
   std::string ExportChromeJson() const;
 
   // One sanitized event per line: {"name":..,"ph":"B"|"E","tid":N,

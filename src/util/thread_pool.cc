@@ -80,12 +80,8 @@ void ThreadPool::ParallelFor(std::size_t chunks,
     started.reserve(lanes - 1);
     for (std::size_t lane = 1; lane < lanes; ++lane) {  // the caller is 0
       started.emplace_back([&, lane] {
-        // A name allocates the thread's trace buffer, which lives as long
-        // as the tracer: only worth it when spans are being recorded.
-        obs::Tracer& tracer = obs::Tracer::Global();
-        if (tracer.enabled()) {
-          tracer.SetCurrentThreadName("pool-worker-" + std::to_string(lane));
-        }
+        obs::Tracer::Global().SetCurrentThreadName("pool-worker-" +
+                                                   std::to_string(lane));
         busy_ns.fetch_add(RunChunks(next, chunks, fn),
                           std::memory_order_relaxed);
       });

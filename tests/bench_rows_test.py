@@ -143,12 +143,60 @@ class StemmingOptRowTest(unittest.TestCase):
         row, failure = run_bench.stemming_opt_row(benchmark_report(times),
                                                   quick=False)
         self.assertAlmostEqual(row["serial_speedup_330k"], 4.8)
-        self.assertIn("4.80x, below the 5x target", failure)
+        self.assertIn("4.70x, below the 5x target", failure)
         # --quick never gates, and reads the single iteration rows.
         row, failure = run_bench.stemming_opt_row(
             benchmark_report(times, repetitions=False), quick=True)
         self.assertIsNone(failure)
         self.assertAlmostEqual(row["rows"][0]["legacy_ns_per_op"], 480e6)
+
+    # Seven repetition rounds as the host drifts: two fast and two slow
+    # ones at one speedup, three of middling speed at another.  Each
+    # side's median comes from a middling round, so the ratio of the
+    # medians reads the minority's speedup, and the median of the paired
+    # speedups the majority's.
+    FAST, SLOW, MID = (100, 300, 150)
+
+    def drifting_report(self, ratio_outer, ratio_mid):
+        arena = [self.FAST, self.SLOW, self.MID, self.FAST, self.MID,
+                 self.SLOW, self.MID]
+        ratios = [ratio_mid if a == self.MID else ratio_outer for a in arena]
+        return benchmark_report({
+            "BM_StemmingLegacy/330000": [a * r for a, r in zip(arena,
+                                                                ratios)],
+            "BM_StemmingArena/330000": arena,
+        })
+
+    def test_gate_pairs_repetitions_through_host_drift(self):
+        row, failure = run_bench.stemming_opt_row(
+            self.drifting_report(5.5, 4.0), quick=False)
+        self.assertAlmostEqual(row["serial_speedup_330k"], 4.0)
+        paired = row["paired_speedup_330k"]
+        self.assertEqual(paired["pairs"], 7)
+        self.assertAlmostEqual(paired["median"], 5.5)
+        self.assertEqual(paired["interval_95"], [4.0, 5.5])
+        self.assertAlmostEqual(paired["interval_coverage"], 126 / 128)
+        self.assertIsNone(failure)
+
+    def test_gate_fails_a_paired_median_below_five_times(self):
+        row, failure = run_bench.stemming_opt_row(
+            self.drifting_report(4.5, 7.0), quick=False)
+        self.assertAlmostEqual(row["serial_speedup_330k"], 7.0)
+        self.assertAlmostEqual(row["paired_speedup_330k"]["median"], 4.5)
+        self.assertIn("4.50x, below the 5x target", failure)
+
+    def test_fewer_than_six_repetitions_have_no_interval(self):
+        report = benchmark_report({
+            "BM_StemmingLegacy/330000": [600, 610, 590, 605, 620],
+            "BM_StemmingArena/330000": [100, 100, 100, 100, 100],
+        })
+        row, failure = run_bench.stemming_opt_row(report, quick=False)
+        paired = row["paired_speedup_330k"]
+        self.assertEqual(paired["pairs"], 5)
+        self.assertAlmostEqual(paired["median"], 6.05)
+        self.assertIsNone(paired["interval_95"])
+        self.assertIsNone(paired["interval_coverage"])
+        self.assertIsNone(failure)
 
 
 class WriterTest(unittest.TestCase):

@@ -439,6 +439,74 @@ TEST_F(CliTest, ServeRejectsBadOptions) {
   EXPECT_EQ(Run({"serve"}), 2);
 }
 
+// A numeric option takes its whole token as a finite number in range;
+// anything else exits 2 with a message naming the flag.
+class NumericOptionTest : public CliTest {
+ protected:
+  void ExpectRefused(std::vector<std::string> args, const std::string& flag) {
+    SCOPED_TRACE(::testing::PrintToString(args));
+    EXPECT_EQ(Run(std::move(args)), 2) << out_.str();
+    EXPECT_NE(err_.str().find(flag), std::string::npos) << err_.str();
+  }
+};
+
+TEST_F(NumericOptionTest, GarbageIsRefusedNotDefaulted) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  for (const std::string value : {"abc", "10abc", "nan", "inf", " 10"}) {
+    ExpectRefused({"serve", capture, "--exit-after-replay", "--watchdog-sec",
+                   "0", "--tick-sec", value},
+                  "--tick-sec");
+  }
+}
+
+TEST_F(NumericOptionTest, GarbageSinceIsRefused) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  ExpectRefused({"series", capture, "--name", "serve_ticks_total", "--since",
+                 "abc"},
+                "--since");
+}
+
+TEST_F(NumericOptionTest, SpikeBucketIsAPositiveWholeNumberOfSeconds) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  for (const std::string value : {"0.5", "0", "-60"}) {
+    ExpectRefused({"analyze", capture, "--spike-bucket-sec", value},
+                  "--spike-bucket-sec");
+  }
+  EXPECT_EQ(Run({"analyze", capture, "--spike-bucket-sec", "60"}), 0)
+      << err_.str();
+}
+
+TEST_F(NumericOptionTest, NegativeCountIsRefused) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  ExpectRefused({"serve", capture, "--exit-after-replay", "--watchdog-sec",
+                 "0", "--queue-capacity", "-1", "--service-rate", "1"},
+                "--queue-capacity");
+}
+
+TEST_F(NumericOptionTest, NegativeFrameStrideIsRefused) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  ExpectRefused({"animate", capture, "--out-dir", Path("frames"), "--every",
+                 "-1"},
+                "--every");
+  EXPECT_FALSE(fs::exists(Path("frames")));
+}
+
+TEST_F(NumericOptionTest, CheckpointIntervalIsAtLeastOneTick) {
+  const std::string capture = WriteMarkerCapture(Path("markers.events"));
+  for (const std::string value : {"0.5", "0"}) {
+    ExpectRefused({"serve", capture, "--exit-after-replay", "--watchdog-sec",
+                   "0", "--checkpoint", Path("ck"), "--checkpoint-every-ticks",
+                   value},
+                  "--checkpoint-every-ticks");
+  }
+  EXPECT_EQ(Run({"serve", capture, "--exit-after-replay", "--watchdog-sec",
+                 "0", "--checkpoint", Path("ck"), "--checkpoint-every-ticks",
+                 "1"}),
+            0)
+      << err_.str();
+  EXPECT_TRUE(fs::exists(Path("ck")));
+}
+
 // series takes the live replay flags serve takes: with a queue capacity
 // and service rate too low for the reset avalanche, the replayed queue
 // depth must leave zero.

@@ -450,6 +450,46 @@ TEST_F(OpsHandlerTest, TimelineSinceIsStrictlyParsed) {
   EXPECT_EQ(max.body.find("\"seq\":1"), std::string::npos);
 }
 
+// /api/series takes any u64 of whole seconds, and those past the last
+// second a microsecond SimTime holds must not overflow (the asan-live
+// preset's UBSan aborts on it): such a `since` is after every point, as
+// /incidents reads its full u64 range, and such a `res` is no tier.
+TEST(OpsHandlerSeriesTest, CursorsPastSimTimeDoNotOverflow) {
+  obs::HealthRegistry health;
+  IncidentLog log;
+  obs::TimeSeriesStore store;
+  for (int t = 1; t <= 5; ++t) {
+    store.Record("ticks_total", obs::SeriesKind::kCounter, t * kSecond, t);
+  }
+  const auto handler =
+      MakeOpsHandler(&obs::MetricsRegistry::Global(), &health, &log,
+                     OpsInfo{"capture.events", 30.0, 10.0, 300.0}, &store);
+  const auto points = [&handler](const std::string& since) {
+    const auto response =
+        handler(Get("/api/series", "name=ticks_total&since=" + since));
+    EXPECT_EQ(response.status, 200) << since;
+    const std::string& body = response.body;
+    std::size_t n = 0;
+    for (std::size_t at = body.find('[', body.find("\"points\":[") + 10);
+         at != std::string::npos; at = body.find('[', at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(points("0"), 5u);
+  EXPECT_EQ(points("3"), 2u);
+  EXPECT_EQ(points("9223372036854"), 0u);  // the last second that fits
+  EXPECT_EQ(points("9223372036855"), 0u);
+  EXPECT_EQ(points("18446744073709551615"), 0u);
+  for (const char* res : {"res=9223372036855", "res=18446744073709551615"}) {
+    EXPECT_EQ(handler(Get("/api/series", std::string("name=ticks_total&") +
+                                             res))
+                  .status,
+              400)
+        << res;
+  }
+}
+
 TEST_F(OpsHandlerTest, UnknownPathIs404) {
   EXPECT_EQ(handler_(Get("/")).status, 404);
   EXPECT_EQ(handler_(Get("/metricsx")).status, 404);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -565,6 +566,90 @@ TEST(TraceTest, DisabledTracerRecordsNothing) {
   ASSERT_FALSE(tracer.enabled());
   { TraceSpan span("invisible"); }
   EXPECT_EQ(tracer.ExportJsonl(), "");
+}
+
+std::size_t CountLines(const std::string& text) {
+  return static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+}
+
+// All threads share one ring of 65,536 events: four threads of 40,000
+// events each overwrite the oldest 94,464 between them.
+TEST(TraceTest, ThreadsShareOneRing) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
+  tracer.SetEnabled(true);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < 20000; ++i) TraceSpan span("spin");
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  tracer.SetEnabled(false);
+  EXPECT_LE(CountLines(tracer.ExportJsonl()), 65536u);
+  EXPECT_EQ(tracer.DroppedCount(), 4u * 2 * 20000 - 65536);
+  tracer.Reset();
+  EXPECT_EQ(tracer.DroppedCount(), 0u);
+}
+
+TEST(TraceTest, ResetForgetsThreadNames) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
+  tracer.SetEnabled(true);
+  std::thread([&tracer] { tracer.SetCurrentThreadName("short-lived"); })
+      .join();
+  tracer.SetEnabled(false);
+  EXPECT_NE(tracer.ExportChromeJson().find("short-lived"), std::string::npos);
+  tracer.Reset();
+  EXPECT_EQ(tracer.ExportChromeJson().find("short-lived"), std::string::npos);
+}
+
+TEST(TraceTest, NamingWhileDisabledRecordsNothing) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
+  ASSERT_FALSE(tracer.enabled());
+  tracer.SetCurrentThreadName("untraced");
+  EXPECT_EQ(tracer.ExportChromeJson().find("thread_name"), std::string::npos);
+}
+
+// Recording, exporting and resetting from different threads all go
+// through the tracer's one lock (run under RANOMALY_SANITIZE=thread in
+// CI); every export balances whatever it catches.
+TEST(TraceTest, ExportAndResetWhileThreadsRecord) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
+  tracer.SetEnabled(true);
+  std::atomic<int> running{3};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 3; ++t) {
+    recorders.emplace_back([&tracer, &running, t] {
+      tracer.SetCurrentThreadName("recorder-" + std::to_string(t));
+      for (int i = 0; i < 2000; ++i) {
+        TraceSpan outer("outer");
+        TraceSpan inner("inner");
+        inner.Annotate("t", static_cast<std::uint64_t>(t));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  for (int round = 0; round == 0 || running.load() > 0; ++round) {
+    const std::string jsonl = tracer.ExportJsonl();
+    std::map<std::string, int> depth;  // tid -> open spans
+    std::istringstream lines(jsonl);
+    for (std::string line; std::getline(lines, line);) {
+      int& open = depth[JsonField(line, "tid")];
+      open += JsonField(line, "ph") == "B" ? 1 : -1;
+      ASSERT_GE(open, 0) << line;
+    }
+    for (const auto& [tid, open] : depth) EXPECT_EQ(open, 0) << tid;
+    EXPECT_NE(tracer.ExportChromeJson().find("\"traceEvents\""),
+              std::string::npos);
+    if (round % 4 == 3) tracer.Reset();
+  }
+  for (std::thread& thread : recorders) thread.join();
+  tracer.SetEnabled(false);
+  tracer.Reset();
 }
 
 }  // namespace

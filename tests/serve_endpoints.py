@@ -241,6 +241,16 @@ def test_dashboard_and_series(binary, capture):
         status, _, _ = fetch_full(
             port, "/api/series?name=serve_ticks_total&since=bogus")
         check(status == 400, "/api/series 400s a malformed since")
+        # Seconds whose microseconds overflow a SimTime: such a since is
+        # after every point, and such a res is no tier.
+        for since in ("9223372036855", "18446744073709551615"):
+            status, _, body = fetch_full(
+                port, f"/api/series?name=serve_ticks_total&since={since}")
+            check(status == 200 and json.loads(body)["points"] == [],
+                  f"/api/series since={since} is after every point")
+        status, _, _ = fetch_full(
+            port, "/api/series?name=serve_ticks_total&res=9223372036855")
+        check(status == 400, "/api/series 400s a res past SimTime")
 
         status, headers, body = fetch_full(port, "/api/incidents/timeline")
         timeline = json.loads(body)

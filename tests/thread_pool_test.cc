@@ -60,9 +60,10 @@ TEST(ThreadPoolTest, ChunkResultsMergeInChunkOrder) {
 }
 
 TEST(ThreadPoolTest, BackToBackJobsDoNotLeakChunks) {
-  // Generation tagging: a straggler from job N must never claim a chunk
-  // of job N+1.  Exercise many short jobs to shake races out (run under
-  // RANOMALY_SANITIZE=thread in CI).
+  // Each job claims its chunks from a counter of its own and joins its
+  // lanes before returning, so no chunk of job N runs during job N+1.
+  // Many short jobs shake races out (run under RANOMALY_SANITIZE=thread
+  // in CI).
   ThreadPool pool(4);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> count{0};
@@ -73,11 +74,12 @@ TEST(ThreadPoolTest, BackToBackJobsDoNotLeakChunks) {
 }
 
 TEST(ThreadPoolTest, WorkerWakingAfterItsJobFinishedSkipsIt) {
-  // Two-chunk jobs on an eight-lane pool, with a pause between jobs: the
-  // caller usually finishes a job before most workers wake, and those
-  // then find the job already retired.  They must skip it rather than
-  // run its reset function (under -fno-sanitize-recover=undefined that
-  // is an abort).
+  // Two-chunk jobs on an eight-thread pool, with a pause between jobs:
+  // each job starts one lane, and the caller often claims both chunks
+  // before that lane runs, which then finds nothing left to claim.
+  // Every chunk still runs exactly once, and the join keeps the job's
+  // state alive until the lane is done with it (an early teardown is a
+  // use-after-free under the asan-live preset).
   ThreadPool pool(8);
   std::atomic<int> count{0};
   for (int round = 0; round < 2000; ++round) {
@@ -88,8 +90,9 @@ TEST(ThreadPoolTest, WorkerWakingAfterItsJobFinishedSkipsIt) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
-  // A stemming shard count issued from inside a parallel spike window
-  // must not wait on the already-busy pool.
+  // A ParallelFor called from inside a chunk, on the caller or on a
+  // started lane, runs inline there instead of starting lanes of its
+  // own.
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
   pool.ParallelFor(4, [&](std::size_t) {

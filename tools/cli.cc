@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -41,6 +44,14 @@ constexpr int kOk = 0;
 constexpr int kFailure = 1;
 constexpr int kUsage = 2;
 
+// The longest span a seconds option takes (about 31.7 years), so a
+// simulated time plus such a span stays far inside SimTime.
+constexpr double kMaxSeconds = 1e9;
+// The latest simulated second whose microseconds fit in a SimTime.
+constexpr double kLastSecond =
+    std::numeric_limits<util::SimTime>::max() / util::kSecond;
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
 const char* kUsageText = R"(usage: ranomaly <command> [options]
 
 commands:
@@ -69,7 +80,8 @@ commands:
 
 stream files use the text (one event per line) or binary (RNE1) format;
 the format is detected automatically.  A command refuses any --flag not
-listed for it above.
+listed for it above, and a numeric value that is not all number or is
+out of range (an option shown with N or M takes a whole number).
 
 stats --analyze also runs the analysis pipeline and reports where the
 time goes (events encoded, symbols interned, bigram table sizes, wall
@@ -153,6 +165,41 @@ struct Args {
     if (it == options.end()) return std::nullopt;
     return it->second;
   }
+
+  // Numeric options parse strictly: the whole token, finite, and in
+  // [lo, hi].  An absent option leaves `value` as it is; a bad one is
+  // reported on `err`, naming the command and the flag.
+  bool Number(const std::string& flag, double lo, double hi, double& value,
+              std::ostream& err) const {
+    const auto v = Option(flag);
+    if (!v) return true;
+    double parsed = 0;
+    const char* end = v->data() + v->size();
+    const auto [stop, ec] = std::from_chars(v->data(), end, parsed);
+    if (ec != std::errc() || stop != end || !std::isfinite(parsed) ||
+        parsed < lo || parsed > hi) {
+      err << positional.front() << ": " << flag << " wants a number from "
+          << util::StrPrintf("%.15g to %.15g", lo, hi) << ", got '" << *v
+          << "'\n";
+      return false;
+    }
+    value = parsed;
+    return true;
+  }
+  template <typename Int>
+  bool Integer(const std::string& flag, std::uint64_t lo, std::uint64_t hi,
+               Int& value, std::ostream& err) const {
+    const auto v = Option(flag);
+    if (!v) return true;
+    std::uint64_t parsed = 0;
+    if (!util::ParseU64(*v, parsed) || parsed < lo || parsed > hi) {
+      err << positional.front() << ": " << flag << " wants an integer from "
+          << lo << " to " << hi << ", got '" << *v << "'\n";
+      return false;
+    }
+    value = static_cast<Int>(parsed);
+    return true;
+  }
 };
 
 // A command and what it accepts after its name: `options` take a value,
@@ -220,31 +267,24 @@ std::optional<collector::EventStream> LoadStream(const std::string& path,
   return stream;
 }
 
-double ParseDouble(const std::string& s, double fallback) {
-  try {
-    return std::stod(s);
-  } catch (...) {
-    return fallback;
-  }
-}
-
 int CmdAnalyze(const Args& args, std::ostream& out, std::ostream& err) {
   if (args.positional.size() != 2) {
     err << "analyze: expected one stream file\n";
     return kUsage;
   }
+  core::PipelineOptions options;
+  std::int64_t bucket_sec = options.spike_bucket / util::kSecond;
+  if (!args.Integer("--spike-bucket-sec", 1,
+                    static_cast<std::uint64_t>(kMaxSeconds), bucket_sec,
+                    err) ||
+      !args.Number("--spike-factor", 0, std::numeric_limits<double>::max(),
+                   options.spike_factor, err)) {
+    return kUsage;
+  }
+  options.spike_bucket = bucket_sec * util::kSecond;
+  options.include_unknown = args.HasFlag("--include-unknown");
   const auto stream = LoadStream(args.positional[1], err);
   if (!stream) return kFailure;
-
-  core::PipelineOptions options;
-  if (const auto v = args.Option("--spike-bucket-sec")) {
-    options.spike_bucket =
-        static_cast<util::SimDuration>(ParseDouble(*v, 60.0)) * util::kSecond;
-  }
-  if (const auto v = args.Option("--spike-factor")) {
-    options.spike_factor = ParseDouble(*v, 5.0);
-  }
-  options.include_unknown = args.HasFlag("--include-unknown");
 
   out << "stream: " << stream->size() << " events over "
       << util::FormatDuration(stream->TimeRange()) << "\n";
@@ -272,6 +312,8 @@ int CmdPicture(const Args& args, std::ostream& out, std::ostream& err) {
     err << "picture: --out FILE.svg is required\n";
     return kUsage;
   }
+  double threshold_pct = 5;
+  if (!args.Number("--threshold", 0, 100, threshold_pct, err)) return kUsage;
   const auto stream = LoadStream(args.positional[1], err);
   if (!stream) return kFailure;
 
@@ -279,8 +321,7 @@ int CmdPicture(const Args& args, std::ostream& out, std::ostream& err) {
   animator.Play(stream->events());
 
   tamp::PruneOptions prune;
-  prune.threshold = ParseDouble(args.Option("--threshold").value_or("5"), 5.0) /
-                    100.0;
+  prune.threshold = threshold_pct / 100.0;
   if (args.HasFlag("--hierarchical")) {
     prune.depth_thresholds = {0.0, 0.0, 0.0, 0.0, prune.threshold};
   }
@@ -321,10 +362,9 @@ int CmdAnimate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "animate: --out-dir DIR is required\n";
     return kUsage;
   }
-  const std::size_t every = static_cast<std::size_t>(
-      ParseDouble(args.Option("--every").value_or("25"), 25.0));
-  if (every == 0) {
-    err << "animate: --every must be >= 1\n";
+  std::size_t every = 25;
+  if (!args.Integer("--every", 1, std::numeric_limits<std::size_t>::max(),
+                    every, err)) {
     return kUsage;
   }
   const auto stream = LoadStream(args.positional[1], err);
@@ -439,23 +479,14 @@ int CmdInternet(const Args& args, std::ostream& out, std::ostream& err) {
 
   workload::InternetScaleOptions options;
   if (const auto v = args.Option("--relationships")) options.relationships_path = *v;
-  const auto size_opt = [&](const char* flag, std::size_t& field) -> bool {
-    const auto v = args.Option(flag);
-    if (!v) return true;
-    std::uint64_t parsed = 0;
-    if (!util::ParseU64(*v, parsed)) {
-      err << "internet: " << flag << " wants a non-negative integer, got '"
-          << *v << "'\n";
-      return false;
-    }
-    field = static_cast<std::size_t>(parsed);
-    return true;
-  };
-  std::size_t seed = options.seed;
-  if (!size_opt("--ases", options.as_count) ||
-      !size_opt("--prefixes", options.prefix_count) ||
-      !size_opt("--peers", options.monitored_peer_count) ||
-      !size_opt("--threads", options.threads) || !size_opt("--seed", seed)) {
+  const std::uint64_t size_max = std::numeric_limits<std::size_t>::max();
+  if (!args.Integer("--ases", 0, size_max, options.as_count, err) ||
+      !args.Integer("--prefixes", 0, size_max, options.prefix_count, err) ||
+      !args.Integer("--peers", 0, size_max, options.monitored_peer_count,
+                    err) ||
+      !args.Integer("--threads", 0, size_max, options.threads, err) ||
+      !args.Integer("--seed", 0, kU64Max, options.seed, err) ||
+      !args.Number("--flap-fraction", 0, 1, options.flap_fraction, err)) {
     return kUsage;
   }
   // Checked before BuildInternetScale spawns a pool of that size.
@@ -463,10 +494,6 @@ int CmdInternet(const Args& args, std::ostream& out, std::ostream& err) {
     err << "internet: --threads is at most " << util::ThreadPool::kMaxThreads
         << ", got " << options.threads << "\n";
     return kUsage;
-  }
-  options.seed = seed;
-  if (const auto v = args.Option("--flap-fraction")) {
-    options.flap_fraction = ParseDouble(*v, options.flap_fraction);
   }
 
   std::string error;
@@ -684,22 +711,27 @@ std::optional<core::LiveOptions> ParseLiveOptions(const Args& args,
                                                   const char* command,
                                                   std::ostream& err) {
   core::LiveOptions options;
-  options.tick = util::FromSeconds(
-      ParseDouble(args.Option("--tick-sec").value_or("10"), 10.0));
-  options.window = util::FromSeconds(
-      ParseDouble(args.Option("--window-sec").value_or("300"), 300.0));
-  options.slo_target_sec =
-      ParseDouble(args.Option("--slo-sec").value_or("30"), 30.0);
+  double tick_sec = 10;
+  double window_sec = 300;
+  options.slo_target_sec = 30;
+  // Backpressure: --queue-capacity turns on the bounded ingest queue and
+  // the degradation ladder; --service-rate caps per-tick analysis intake.
+  const std::uint64_t size_max = std::numeric_limits<std::size_t>::max();
+  if (!args.Number("--tick-sec", 0, kMaxSeconds, tick_sec, err) ||
+      !args.Number("--window-sec", 0, kMaxSeconds, window_sec, err) ||
+      !args.Number("--slo-sec", 0, kMaxSeconds, options.slo_target_sec, err) ||
+      !args.Integer("--queue-capacity", 0, size_max,
+                    options.shed.queue_capacity, err) ||
+      !args.Integer("--service-rate", 0, size_max, options.shed.service_rate,
+                    err)) {
+    return std::nullopt;
+  }
+  options.tick = util::FromSeconds(tick_sec);
+  options.window = util::FromSeconds(window_sec);
   if (options.tick <= 0 || options.window <= 0) {
     err << command << ": --tick-sec and --window-sec must be positive\n";
     return std::nullopt;
   }
-  // Backpressure: --queue-capacity turns on the bounded ingest queue and
-  // the degradation ladder; --service-rate caps per-tick analysis intake.
-  options.shed.queue_capacity = static_cast<std::size_t>(
-      ParseDouble(args.Option("--queue-capacity").value_or("0"), 0.0));
-  options.shed.service_rate = static_cast<std::size_t>(
-      ParseDouble(args.Option("--service-rate").value_or("0"), 0.0));
   return options;
 }
 
@@ -728,28 +760,27 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
     err << "serve: expected one stream file\n";
     return kUsage;
   }
-  const auto stream = LoadStream(args.positional[1], err);
-  if (!stream) return kFailure;
-
   auto parsed = ParseLiveOptions(args, "serve", err);
   if (!parsed) return kUsage;
   core::LiveOptions options = std::move(*parsed);
-  const double watchdog_sec =
-      ParseDouble(args.Option("--watchdog-sec").value_or("5"), 5.0);
-  options.heartbeat_deadline_sec = watchdog_sec;
-  const int pace_ms = static_cast<int>(
-      ParseDouble(args.Option("--pace-ms").value_or("0"), 0.0));
-  const int port_arg = static_cast<int>(
-      ParseDouble(args.Option("--port").value_or("0"), 0.0));
-  if (port_arg < 0 || port_arg > 65535) {
-    err << "serve: --port must be in [0, 65535]\n";
-    return kUsage;
-  }
+  double watchdog_sec = 5;
+  int pace_ms = 0;
+  std::uint16_t port = 0;
   // Durability: --checkpoint enables restore-on-start plus periodic and
   // final (graceful-drain) snapshots.
   options.checkpoint_path = args.Option("--checkpoint").value_or("");
-  options.checkpoint_every_ticks = static_cast<std::uint64_t>(ParseDouble(
-      args.Option("--checkpoint-every-ticks").value_or("16"), 16.0));
+  options.checkpoint_every_ticks = 16;
+  if (!args.Number("--watchdog-sec", 0, kMaxSeconds, watchdog_sec, err) ||
+      !args.Integer("--pace-ms", 0, std::numeric_limits<int>::max(), pace_ms,
+                    err) ||
+      !args.Integer("--port", 0, 65535, port, err) ||
+      !args.Integer("--checkpoint-every-ticks", 1, kU64Max,
+                    options.checkpoint_every_ticks, err)) {
+    return kUsage;
+  }
+  options.heartbeat_deadline_sec = watchdog_sec;
+  const auto stream = LoadStream(args.positional[1], err);
+  if (!stream) return kFailure;
 
   Replay replay(options);
   if (watchdog_sec > 0) replay.health.StartWatchdog(watchdog_sec / 2);
@@ -769,7 +800,7 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
       &obs::MetricsRegistry::Global(), &replay.health, &replay.incidents,
       info, &replay.series, dashboard, &replay.ledger));
   std::string error;
-  if (!server.Start(static_cast<std::uint16_t>(port_arg), &error)) {
+  if (!server.Start(port, &error)) {
     err << "serve: " << error << "\n";
     return kFailure;
   }
@@ -840,10 +871,16 @@ int CmdSeries(const Args& args, std::ostream& out, std::ostream& err) {
     err << "series: expected one stream file\n";
     return kUsage;
   }
-  const auto stream = LoadStream(args.positional[1], err);
-  if (!stream) return kFailure;
   const auto options = ParseLiveOptions(args, "series", err);
   if (!options) return kUsage;
+  double res_sec = -1;
+  double since_sec = -1;
+  if (!args.Number("--res", 0, kMaxSeconds, res_sec, err) ||
+      !args.Number("--since", 0, kLastSecond, since_sec, err)) {
+    return kUsage;
+  }
+  const auto stream = LoadStream(args.positional[1], err);
+  if (!stream) return kFailure;
   Replay replay(*options);
   replay.runner.Run(*stream);
   const obs::TimeSeriesStore& store = replay.series;
@@ -853,18 +890,16 @@ int CmdSeries(const Args& args, std::ostream& out, std::ostream& err) {
     return kOk;
   }
   std::int64_t res_us = store.options().tiers.front().resolution_us;
-  if (const auto res = args.Option("--res")) {
-    res_us = util::FromSeconds(ParseDouble(*res, 0.0));
+  if (res_sec >= 0) {
+    res_us = util::FromSeconds(res_sec);
     if (!store.HasTier(res_us)) {
-      err << "series: no downsample tier at --res " << *res
+      err << "series: no downsample tier at --res " << *args.Option("--res")
           << " seconds (run without --name to list the tiers)\n";
       return kUsage;
     }
   }
-  std::int64_t since_us = -1;
-  if (const auto since = args.Option("--since")) {
-    since_us = util::FromSeconds(ParseDouble(*since, 0.0));
-  }
+  const std::int64_t since_us =
+      since_sec < 0 ? -1 : util::FromSeconds(since_sec);
   const auto body = store.SeriesJson(*name, res_us, since_us);
   if (!body.has_value()) {
     err << "series: unknown series " << *name
@@ -895,10 +930,10 @@ int CmdExplain(const Args& args, std::ostream& out, std::ostream& err) {
         << ": want a non-negative integer\n";
     return kUsage;
   }
-  const auto stream = LoadStream(args.positional[1], err);
-  if (!stream) return kFailure;
   const auto options = ParseLiveOptions(args, "explain", err);
   if (!options) return kUsage;
+  const auto stream = LoadStream(args.positional[1], err);
+  if (!stream) return kFailure;
 
   Replay replay(*options);
   replay.runner.Run(*stream);
